@@ -1,8 +1,9 @@
 """Command-line front end: figure-reproduction pipelines and serialization.
 
 Subcommands: portrait, photon, otoc, husimi, reproduce-all. Exit codes:
-0 success, 1 config error, 2 numerical guard tripped, 3 acceptance failure
-in reproduce-all.
+0 success, 1 config error, 2 numerical guard tripped, 3 a derived quantity
+could not be extracted or (in reproduce-all) missed its target; EXIT_CODES
+maps every error type to one of them.
 """
 from __future__ import annotations
 
@@ -24,8 +25,12 @@ from .config import (
 )
 from .errors import (
     ConfigError,
+    DimMismatch,
+    GridMismatch,
     GridTooSmall,
+    InvalidRate,
     NonPositiveValues,
+    NotHermitian,
     OtocLabError,
     StepTooLarge,
     TailTooHeavy,
@@ -66,6 +71,22 @@ FIGURES = [
     "fig1", "fig2a", "fig2b", "fig3", "fig4a", "fig4b",
     "fig5", "fig6", "fig7_photon", "fig7_otoc", "fig8",
 ]
+
+# Exit code and stderr prefix of every error type; the README's exit-code
+# table lists the same mapping.
+EXIT_CODES: dict[type[OtocLabError], tuple[int, str]] = {
+    ConfigError: (1, "config error"),
+    TruncationGuardError: (2, "numerical guard"),
+    StepTooLarge: (2, "numerical guard"),
+    TailTooHeavy: (2, "numerical guard"),
+    GridTooSmall: (2, "numerical guard"),
+    NotHermitian: (2, "numerical guard"),
+    DimMismatch: (2, "numerical guard"),
+    NonPositiveValues: (3, "analysis"),
+    WindowTooSparse: (3, "analysis"),
+    GridMismatch: (3, "analysis"),
+    InvalidRate: (3, "analysis"),
+}
 
 _prop_cache: dict[tuple, Propagator] = {}
 
@@ -561,12 +582,10 @@ def main(argv=None) -> int:
         elif args.command == "husimi":
             cmd_husimi(cfg, out)
         return 0
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 1
-    except (TruncationGuardError, StepTooLarge, TailTooHeavy, GridTooSmall) as exc:
-        print(f"numerical guard: {exc}", file=sys.stderr)
-        return 2
+    except OtocLabError as exc:
+        code, kind = EXIT_CODES[type(exc)]
+        print(f"{kind}: {exc}", file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

@@ -1,20 +1,33 @@
 """Exact unitary evolution by spectral decomposition, expectation values,
 mean-photon and OTOC time series.
 
+Both Hamiltonians are real symmetric, commute with photon-number parity and
+are banded inside each parity block (bandwidth 1 for IHO, 2 for HIHO).
+``diagonalize`` splits H into its even and odd blocks whenever the
+cross-parity block is exactly zero (otherwise it keeps one whole block) and
+solves every block with the banded solver ``scipy.linalg.eig_banded``.
+Evolution then multiplies each block's real eigenvectors into the
+complex-as-real view of the phased coefficients: one real GEMM per block,
+about 4x fewer flops than one complex D x D product. Eigenvector storage is
+8 (D/2)^2 bytes per block; the full D x D eigenvector matrix is assembled
+lazily, only for the commutator oracle and the tests.
+
 The OTOC is evaluated in two ways: the cheap Schroedinger-picture momentum
-variance (production path) and the explicit Heisenberg commutator with the
-initial-state projector (expensive, kept as a cross-check oracle).
+variance (production path, P applied as a two-term stencil) and the
+explicit Heisenberg commutator with the initial-state projector (expensive,
+kept as a cross-check oracle).
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
-from scipy.linalg import eigh
+from scipy.linalg import eig_banded
 
 from .errors import DimMismatch, NotHermitian, TruncationGuardError
-from .fock import FockDim, hermiticity_defect, quadratures
+from .fock import FockDim, hermiticity_defect
 
 HERMITICITY_TOL = 1e-12
 
@@ -45,27 +58,66 @@ class TimeSeries:
 
 @dataclass(frozen=True)
 class Propagator:
-    """Spectral decomposition H = V diag(L) V^dag enabling exact e^{-iHt}."""
+    """Block spectral decomposition H = sum_b V_b diag(L_b) V_b^dag enabling
+    exact e^{-iHt}.
+
+    ``blocks`` holds one ``(indices, eigenvalues, eigenvectors)`` triple per
+    invariant block: ``indices`` is the slice of photon numbers the block
+    spans, its eigenvalues ascend, and its eigenvectors are the columns of
+    a block-sized matrix.
+    """
 
     dim: FockDim
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-    _p_op: np.ndarray = field(repr=False, default=None)
+    blocks: tuple[tuple[slice, np.ndarray, np.ndarray], ...] = field(repr=False)
+
+    @cached_property
+    def _full(self) -> tuple[np.ndarray, np.ndarray]:
+        lam = np.concatenate([b[1] for b in self.blocks])
+        order = np.argsort(lam, kind="stable")
+        dtype = np.result_type(*(b[2] for b in self.blocks))
+        V = np.zeros((self.dim.dim, lam.size), dtype=dtype)
+        col = 0
+        for idx, lam_b, V_b in self.blocks:
+            V[idx, col:col + lam_b.size] = V_b
+            col += lam_b.size
+        return lam[order], V[:, order]
 
     @property
-    def momentum(self) -> np.ndarray:
-        return self._p_op
+    def eigenvalues(self) -> np.ndarray:
+        """All eigenvalues, ascending (assembled on first use)."""
+        return self._full[0]
+
+    @property
+    def eigenvectors(self) -> np.ndarray:
+        """Full D x D eigenvector matrix, columns matching ``eigenvalues``
+        (assembled on first use; production paths use ``blocks``)."""
+        return self._full[1]
+
+
+def _eigh_banded(H: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenpairs of a Hermitian matrix through its lower band, whose width
+    is read from the nonzero diagonals."""
+    n = H.shape[0]
+    rows, cols = np.nonzero(H)
+    u = int(np.max(np.abs(rows - cols), initial=0))
+    band = np.zeros((u + 1, n), dtype=H.dtype)
+    for k in range(u + 1):
+        band[k, : n - k] = np.diagonal(H, -k)
+    return eig_banded(band, lower=True)
 
 
 def diagonalize(H: np.ndarray) -> Propagator:
-    """Diagonalize a Hermitian operator; eigenvalues ascending."""
+    """Diagonalize a Hermitian operator, block by block when it commutes
+    with photon-number parity; eigenvalues ascending within each block."""
     defect = hermiticity_defect(H)
     if defect > HERMITICITY_TOL:
         raise NotHermitian(f"relative Hermiticity defect {defect:.3e}")
-    lam, V = eigh(H)
-    dim = FockDim(H.shape[0] - 1)
-    _, P = quadratures(dim)
-    return Propagator(dim=dim, eigenvalues=lam, eigenvectors=V, _p_op=P)
+    if np.any(H[0::2, 1::2]) or np.any(H[1::2, 0::2]):
+        parts = (slice(None),)
+    else:
+        parts = (slice(0, None, 2), slice(1, None, 2))
+    blocks = tuple((idx, *_eigh_banded(H[idx, idx])) for idx in parts)
+    return Propagator(dim=FockDim(H.shape[0] - 1), blocks=blocks)
 
 
 def _check_dim(prop: Propagator, psi: np.ndarray):
@@ -73,19 +125,40 @@ def _check_dim(prop: Propagator, psi: np.ndarray):
         raise DimMismatch(f"state dim {psi.shape[0]} != propagator dim {prop.dim.dim}")
 
 
-def evolve(prop: Propagator, psi0: np.ndarray, t: float) -> np.ndarray:
-    """psi(t) = V diag(e^{-i L t}) V^dag psi0."""
+def _apply(M: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """M @ X for complex X. A real M multiplies the complex-as-real view of
+    X: one real GEMM instead of a complex one."""
+    if np.iscomplexobj(M):
+        return M @ X
+    X = np.ascontiguousarray(X, dtype=complex)
+    out = M @ X.view(np.float64).reshape(X.shape[0], -1)
+    return out.view(np.complex128).reshape(X.shape)
+
+
+def _coefficients(prop: Propagator, psi0: np.ndarray) -> list[np.ndarray]:
+    """Eigen-coefficients V_b^dag psi0[indices_b] of every block."""
     _check_dim(prop, psi0)
-    c = prop.eigenvectors.conj().T @ psi0
-    return prop.eigenvectors @ (np.exp(-1j * prop.eigenvalues * t) * c)
+    psi0 = np.asarray(psi0, dtype=complex)
+    # conj() of a real array returns the array itself, so V.conj().T is a view
+    return [_apply(V.conj().T, psi0[idx]) for idx, _, V in prop.blocks]
+
+
+def evolve(prop: Propagator, psi0: np.ndarray, t: float) -> np.ndarray:
+    """psi(t) = V diag(e^{-i L t}) V^dag psi0, block by block."""
+    out = np.empty(prop.dim.dim, dtype=complex)
+    for (idx, lam, V), c in zip(prop.blocks, _coefficients(prop, psi0)):
+        out[idx] = _apply(V, np.exp(-1j * lam * t) * c)
+    return out
 
 
 def evolve_batch(prop: Propagator, psi0: np.ndarray, times: np.ndarray) -> np.ndarray:
-    """Columns psi(t_k) for every requested time, one matmul per batch."""
-    _check_dim(prop, psi0)
-    c = prop.eigenvectors.conj().T @ psi0
-    phases = np.exp(-1j * np.outer(prop.eigenvalues, np.asarray(times, dtype=float)))
-    return prop.eigenvectors @ (phases * c[:, None])
+    """Columns psi(t_k) for every requested time, one matmul per block."""
+    times = np.asarray(times, dtype=float)
+    out = np.empty((prop.dim.dim, times.size), dtype=complex)
+    for (idx, lam, V), c in zip(prop.blocks, _coefficients(prop, psi0)):
+        phases = np.exp(-1j * np.outer(lam, times))
+        out[idx] = _apply(V, phases * c[:, None])
+    return out
 
 
 def expect(state: np.ndarray, M: np.ndarray, check_hermitian: bool = True) -> float:
@@ -118,6 +191,16 @@ def _guard_tails(Psi: np.ndarray, times: np.ndarray, label: str):
         )
 
 
+def _apply_momentum(Psi: np.ndarray) -> np.ndarray:
+    """P @ Psi for P = i(a^dag - a)/sqrt(2), as a two-term stencil over the
+    truncated ladder: (P psi)[n] = i (sqrt(n) psi[n-1] - sqrt(n+1) psi[n+1])/sqrt(2)."""
+    s = (np.sqrt(np.arange(1, Psi.shape[0])) / np.sqrt(2))[:, None]
+    out = np.zeros_like(Psi)
+    out[1:] = s * Psi[:-1]
+    out[:-1] -= s * Psi[1:]
+    return 1j * out
+
+
 def variance_otoc(
     prop: Propagator,
     psi0: np.ndarray,
@@ -130,7 +213,7 @@ def variance_otoc(
     Psi = evolve_batch(prop, psi0, times)
     if tail_guard:
         _guard_tails(Psi, times, label)
-    PPsi = prop.momentum @ Psi
+    PPsi = _apply_momentum(Psi)
     exp_p = np.real(np.sum(Psi.conj() * PPsi, axis=0))
     exp_p2 = np.real(np.sum(PPsi.conj() * PPsi, axis=0))
     return TimeSeries(times=times, values=exp_p2 - exp_p**2, label=label)

@@ -2,8 +2,12 @@
 Hamiltonians, and coherent states.
 
 Conventions: hbar = m = omega = 1, X = (a^dag + a)/sqrt(2),
-P = i(a^dag - a)/sqrt(2), beta = (q + i p)/sqrt(2). Operators are dense
-complex matrices indexed by photon number.
+P = i(a^dag - a)/sqrt(2), beta = (q + i p)/sqrt(2). Operators are matrices
+indexed by photon number. The ladder helpers return dense complex matrices;
+the Hamiltonians are real symmetric and are assembled from their diagonals
+in O(D) arithmetic: a band algebra multiplies the truncated ladder bands
+exactly as the dense truncated products would, so edge artifacts such as
+(B B)[D-1, D-1] = D - 1 are kept.
 """
 from __future__ import annotations
 
@@ -76,24 +80,77 @@ def number_op(dim: FockDim) -> np.ndarray:
     return np.diag(np.arange(dim.dim, dtype=float)).astype(complex)
 
 
+# A banded matrix as {offset k: d} with d[r] = M[r, r + k] for every row r,
+# zero where column r + k falls outside the truncation.
+_Bands = dict[int, np.ndarray]
+
+
+def _shift(d: np.ndarray, k: int) -> np.ndarray:
+    """w[r] = d[r + k], zero-padded outside [0, len(d)); requires |k| < len(d)."""
+    w = np.zeros_like(d)
+    if k >= 0:
+        w[: d.size - k] = d[k:]
+    else:
+        w[-k:] = d[: d.size + k]
+    return w
+
+
+def _band_matmul(M: _Bands, N: _Bands) -> _Bands:
+    """Truncated product M @ N: (M N)[r, r+p+q] = sum_p M[r, r+p] N[r+p, r+p+q].
+
+    Offsets that reach past the truncation (|p + q| >= D) are dropped.
+    """
+    D = next(iter(M.values())).size
+    out: _Bands = {}
+    for p in sorted(M):
+        for q in sorted(N):
+            k = p + q
+            if abs(k) < D:
+                out[k] = out.get(k, 0.0) + M[p] * _shift(N[q], p)
+    return out
+
+
+def _ladder_diagonals(dim: FockDim) -> tuple[np.ndarray, np.ndarray]:
+    """Row-indexed ladder diagonals: up[r] = a[r, r+1] = sqrt(r+1) and
+    down[r] = a^dag[r, r-1] = sqrt(r)."""
+    n = np.arange(dim.dim, dtype=float)
+    up = np.sqrt(n + 1)
+    up[-1] = 0.0
+    return up, np.sqrt(n)
+
+
+def _dense(bands: _Bands, D: int) -> np.ndarray:
+    """Real D x D matrix with the given diagonals."""
+    H = np.zeros((D, D))
+    for k, d in bands.items():
+        r = np.arange(max(0, -k), min(D, D - k))
+        H[r, r + k] = d[r]
+    return H
+
+
 def build_iho(dim: FockDim) -> np.ndarray:
     """Inverted-oscillator Hamiltonian -(a^2 + a^dag^2)/2."""
-    a, ad = make_ladder(dim)
-    return -(a @ a + ad @ ad) / 2
+    up, down = _ladder_diagonals(dim)
+    a2 = _band_matmul({1: up}, {1: up})
+    ad2 = _band_matmul({-1: down}, {-1: down})
+    return _dense({k: -d / 2 for k, d in {**a2, **ad2}.items()}, dim.dim)
 
 
 def build_hiho(dim: FockDim, params: HihoParams) -> np.ndarray:
     """Double-well Hamiltonian
     -(a^dag - a)^2/2 - gamma^2 (a^dag + a)^2/8 + (g/4)(a^dag + a)^4
     + gamma^4/(64 g), including the constant offset."""
-    a, ad = make_ladder(dim)
-    A = ad - a
-    B = ad + a
-    B2 = B @ B
+    up, down = _ladder_diagonals(dim)
+    A = {-1: down, 1: -up}  # a^dag - a
+    B = {-1: down, 1: up}  # a^dag + a
+    A2, B2 = _band_matmul(A, A), _band_matmul(B, B)
+    B4 = _band_matmul(B2, B2)
     gam, g = params.gamma, params.g
-    H = -(A @ A) / 2 - gam**2 * B2 / 8 + (g / 4) * (B2 @ B2)
-    H += gam**4 / (64 * g) * np.eye(dim.dim)
-    return H
+    # B4 carries every offset of A2 and B2 (0, +-2) plus +-4
+    bands = {k: -A2.get(k, 0.0) / 2 - gam**2 * B2.get(k, 0.0) / 8 + (g / 4) * d
+             for k, d in B4.items()}
+    bands[0] = bands[0] + gam**4 / (64 * g)
+    return _dense(bands, dim.dim)
 
 
 def coherent_tail(mean: float, dim: FockDim) -> float:

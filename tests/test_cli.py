@@ -1,9 +1,12 @@
 import json
 import os
+from importlib import resources
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from otoclab import cli
 from otoclab.cli import main
 from otoclab.config import (
     ExperimentConfig,
@@ -14,7 +17,7 @@ from otoclab.config import (
     parse,
     serialize,
 )
-from otoclab.errors import ConfigError
+from otoclab.errors import ConfigError, OtocLabError
 from otoclab.husimi import PhaseGrid
 from otoclab.output import read_grid
 
@@ -160,6 +163,30 @@ def test_cli_bad_point_exit_code(tmp_path):
     rc = main(["otoc", "--config", cfg, "--out", str(tmp_path / "o"),
                "--point", "9.0,9.0"])
     assert rc == 1
+
+
+@pytest.mark.parametrize("err", OtocLabError.__subclasses__(),
+                         ids=lambda e: e.__name__)
+def test_every_error_type_has_documented_exit_code(tmp_path, monkeypatch, err):
+    def fail(*args, **kwargs):
+        raise err("injected")
+
+    monkeypatch.setattr(cli, "cmd_otoc", fail)
+    cfg = write_cfg(tmp_path, small_cfg())
+    rc = main(["otoc", "--config", cfg, "--out", str(tmp_path / "o")])
+    assert rc == cli.EXIT_CODES[err][0]
+    assert rc in (1, 2, 3)
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    assert f"| `{err.__name__}` | {rc} |" in readme.read_text(encoding="utf-8")
+
+
+def test_otoc_np1_exits_with_analysis_code(tmp_path, capsys):
+    # ehrenfest_time needs n_p >= 2: InvalidRate, reported without a traceback
+    cfg = resources.files("otoclab.figconfigs").joinpath("fig7_otoc.json")
+    rc = main(["otoc", "--config", str(cfg), "--np", "1", "--point", "0,0",
+               "--out", str(tmp_path / "o")])
+    assert rc == 3
+    assert capsys.readouterr().err.startswith("analysis: n_p must be >= 2")
 
 
 def test_determinism_bit_identical(tmp_path):

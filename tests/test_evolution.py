@@ -1,12 +1,14 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.linalg import eigh
 
 from otoclab.errors import DimMismatch, NotHermitian
 from otoclab.evolution import (
     commutator_otoc,
     diagonalize,
     evolve,
+    evolve_batch,
     expect,
     photon_series,
     tail_population,
@@ -15,6 +17,8 @@ from otoclab.evolution import (
 from otoclab.fock import (
     CoherentParams,
     FockDim,
+    HihoParams,
+    build_hiho,
     build_iho,
     coherent_state,
     quadratures,
@@ -31,6 +35,39 @@ def test_diagonalize_rejects_non_hermitian():
     M = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
     with pytest.raises(NotHermitian):
         diagonalize(M)
+
+
+def _random_hermitian(D, seed=3):
+    rng = np.random.default_rng(seed)
+    M = rng.standard_normal((D, D)) + 1j * rng.standard_normal((D, D))
+    return (M + M.conj().T) / 2
+
+
+@pytest.mark.parametrize("case, n_blocks", [
+    ("iho", 2),
+    ("hiho", 2),
+    ("random", 1),  # no parity structure: one whole, fully dense block
+])
+def test_banded_propagator_matches_dense_eigh(case, n_blocks):
+    # dense LAPACK eigh of the same H is the reference implementation
+    d = FockDim(300)
+    H = {
+        "iho": lambda: build_iho(d),
+        "hiho": lambda: build_hiho(d, HihoParams(3.0, 0.04)),
+        "random": lambda: _random_hermitian(d.dim),
+    }[case]()
+    lam, V = eigh(H)
+    prop = diagonalize(H)
+    assert len(prop.blocks) == n_blocks
+    assert np.max(np.abs(prop.eigenvalues - lam)) <= 1e-12 * np.max(np.abs(lam))
+    psi0 = coherent_state(d, CoherentParams(2.0, -1.0))
+    times = np.array([0.0, 0.1, 0.7, 1.5])
+    batch = evolve_batch(prop, psi0, times)
+    for k, t in enumerate(times):
+        ref = V @ (np.exp(-1j * lam * t) * (V.conj().T @ psi0))
+        single = evolve(prop, psi0, t)
+        assert np.max(np.abs(single - ref)) <= 1e-10
+        assert np.max(np.abs(batch[:, k] - single)) <= 1e-13
 
 
 def test_propagator_invariants(hiho_prop):

@@ -70,11 +70,23 @@ def test_quadrature_commutator():
     assert comm[-1, -1] != 1j  # truncation breaks the identity at the edge
 
 
-@pytest.mark.parametrize("n_p", [1, 2, 6, 39, 150, 599])
+@pytest.mark.parametrize("n_p", [1, 2, 3, 4, 5, 6, 39, 150, 599])
 def test_hamiltonians_hermitian(n_p):
     d = FockDim(n_p)
-    assert hermiticity_defect(build_iho(d)) <= 1e-12
-    assert hermiticity_defect(build_hiho(d, HihoParams(3.0, 0.04))) <= 1e-12
+    H_iho = build_iho(d)
+    H_hiho = build_hiho(d, HihoParams(3.0, 0.04))
+    assert hermiticity_defect(H_iho) <= 1e-12
+    assert hermiticity_defect(H_hiho) <= 1e-12
+    # the band-built matrices equal the truncated ladder products, including
+    # at n_p <= 3 where the +-4 offsets of (a^dag + a)^4 exceed the dimension
+    a, a_dag = make_ladder(d)
+    A, B = a_dag - a, a_dag + a
+    B2 = B @ B
+    iho_ref = -(a @ a + a_dag @ a_dag) / 2
+    hiho_ref = -(A @ A) / 2 - 9 * B2 / 8 + (0.04 / 4) * (B2 @ B2)
+    hiho_ref += 3.0**4 / (64 * 0.04) * np.eye(d.dim)
+    assert np.array_equal(H_iho, iho_ref)
+    assert np.max(np.abs(H_hiho - hiho_ref)) <= 1e-14 * np.max(np.abs(hiho_ref))
 
 
 def test_iho_entries():
