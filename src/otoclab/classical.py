@@ -2,9 +2,17 @@
 oscillator flow, fixed-step RK4 integration, Jacobian analysis, Benettin
 tangent-space Lyapunov exponents, and saddle-manifold classification.
 
-IHO: H = (p^2 - q^2)/2 (m = omega = 1), so qdot = p, pdot = q.
-HIHO: H = P^2 + V(Q), V = -gamma^2 Q^2/4 + g Q^4 + gamma^4/(64 g),
-so qdot = 2p, pdot = gamma^2 q/2 - 4 g q^3.
+Both systems are the classical limit of one ``fock.Model``,
+H = kappa p^2 + V(q) with V(q) = v0 + v2 q^2 + v4 q^4, so
+qdot = 2 kappa p, pdot = -2 v2 q - 4 v4 q^3, and the flow's Jacobian is
+[[0, 2 kappa], [-2 v2 - 12 v4 q^2, 0]]:
+
+- iho:  kappa = 1/2, V = -q^2/2, so qdot = p, pdot = q;
+- hiho: kappa = 1,   V = -gamma^2 q^2/4 + g q^4 + gamma^4/(64 g),
+  so qdot = 2p, pdot = gamma^2 q/2 - 4 g q^3.
+
+A zero coefficient's term is left out rather than multiplied by 0: far out
+on an unstable IHO orbit q**3 overflows, and 0 * inf is nan.
 """
 from __future__ import annotations
 
@@ -15,7 +23,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import StepTooLarge
-from .fock import HihoParams
+from .fock import Model, hiho, iho  # iho and hiho are re-exported
 
 ENERGY_DRIFT_TOL = 1e-8
 
@@ -31,28 +39,6 @@ class ClassicalState:
 
 
 @dataclass(frozen=True)
-class HamSystem:
-    """Either inverted oscillator ('iho') or its double-well variant ('hiho')."""
-
-    kind: str
-    params: HihoParams | None = None
-
-    def __post_init__(self):
-        if self.kind not in ("iho", "hiho"):
-            raise ValueError(f"unknown system kind {self.kind!r}")
-        if self.kind == "hiho" and self.params is None:
-            raise ValueError("hiho requires HihoParams")
-
-
-def iho() -> HamSystem:
-    return HamSystem(kind="iho")
-
-
-def hiho(gamma: float, g: float) -> HamSystem:
-    return HamSystem(kind="hiho", params=HihoParams(gamma, g))
-
-
-@dataclass(frozen=True)
 class Trajectory:
     times: np.ndarray
     qs: np.ndarray
@@ -60,19 +46,18 @@ class Trajectory:
     energy0: float
 
 
-def energy(sys: HamSystem, q: float, p: float) -> float:
-    if sys.kind == "iho":
-        return (p * p - q * q) / 2
-    gam, g = sys.params.gamma, sys.params.g
-    return p * p - gam**2 * q * q / 4 + g * q**4 + gam**4 / (64 * g)
+def energy(m: Model, q: float, p: float) -> float:
+    e = m.kappa * p * p + m.v2 * q * q
+    if m.v4:
+        e += m.v4 * q**4
+    if m.v0:
+        e += m.v0
+    return e
 
 
-def hamilton_rhs(sys: HamSystem, s: ClassicalState) -> tuple[float, float]:
+def hamilton_rhs(m: Model, s: ClassicalState) -> tuple[float, float]:
     """Analytic (dq/dt, dp/dt)."""
-    if sys.kind == "iho":
-        return s.p, s.q
-    gam, g = sys.params.gamma, sys.params.g
-    return 2 * s.p, gam**2 * s.q / 2 - 4 * g * s.q**3
+    return _rhs_scalar(m)(s.q, s.p)
 
 
 def flow_iho_analytic(s0: ClassicalState, t: float) -> ClassicalState:
@@ -81,18 +66,18 @@ def flow_iho_analytic(s0: ClassicalState, t: float) -> ClassicalState:
     return ClassicalState(q=s0.q * ch + s0.p * sh, p=s0.p * ch + s0.q * sh)
 
 
-def _rhs_scalar(sys: HamSystem):
+def _rhs_scalar(m: Model):
     # Closure over plain floats: the RK4 loops below run millions of steps,
     # so they avoid per-step numpy/dataclass overhead.
-    if sys.kind == "iho":
+    two_kappa, c1 = 2 * m.kappa, -2 * m.v2
+    if not m.v4:
         def f(q, p):
-            return p, q
-    else:
-        gam2_half = sys.params.gamma**2 / 2
-        four_g = 4 * sys.params.g
+            return two_kappa * p, c1 * q
+        return f
+    c3 = 4 * m.v4
 
-        def f(q, p):
-            return 2 * p, gam2_half * q - four_g * q**3
+    def f(q, p):
+        return two_kappa * p, c1 * q - c3 * q**3
     return f
 
 
@@ -108,7 +93,7 @@ def _rk4_step(f, q, p, dt):
 
 
 def integrate(
-    sys: HamSystem,
+    m: Model,
     s0: ClassicalState,
     t_end: float,
     dt: float,
@@ -122,8 +107,8 @@ def integrate(
         raise ValueError("t_end must be nonzero")
     n = max(1, int(round(abs(t_end) / dt)))
     h = t_end / n
-    f = _rhs_scalar(sys)
-    e0 = energy(sys, s0.q, s0.p)
+    f = _rhs_scalar(m)
+    e0 = energy(m, s0.q, s0.p)
     bound = ENERGY_DRIFT_TOL * max(1.0, abs(e0))
     ts = np.empty(n + 1)
     qs = np.empty(n + 1)
@@ -133,35 +118,35 @@ def integrate(
     for i in range(1, n + 1):
         q, p = _rk4_step(f, q, p, h)
         ts[i], qs[i], ps[i] = i * h, q, p
-        if check_energy and abs(energy(sys, q, p) - e0) > bound:
+        if check_energy and abs(energy(m, q, p) - e0) > bound:
             raise StepTooLarge(
-                f"energy drift {abs(energy(sys, q, p) - e0):.3e} at t={i * h:.6g} "
+                f"energy drift {abs(energy(m, q, p) - e0):.3e} at t={i * h:.6g} "
                 f"exceeds {bound:.3e}; reduce dt"
             )
     return Trajectory(times=ts, qs=qs, ps=ps, energy0=e0)
 
 
-def jacobian_matrix(sys: HamSystem, s: ClassicalState) -> np.ndarray:
+def jacobian_matrix(m: Model, s: ClassicalState) -> np.ndarray:
     """Analytic 2x2 linearization of the flow at s."""
-    if sys.kind == "iho":
-        return np.array([[0.0, 1.0], [1.0, 0.0]])
-    gam, g = sys.params.gamma, sys.params.g
-    return np.array([[0.0, 2.0], [gam**2 / 2 - 12 * g * s.q**2, 0.0]])
+    jqq = -2 * m.v2
+    if m.v4:
+        jqq -= 12 * m.v4 * s.q**2
+    return np.array([[0.0, 2 * m.kappa], [jqq, 0.0]])
 
 
-def jacobian_eigen(sys: HamSystem, s: ClassicalState) -> tuple[complex, complex]:
+def jacobian_eigen(m: Model, s: ClassicalState) -> tuple[complex, complex]:
     """Eigenvalues of the linearized flow, as (+branch, -branch).
 
     The Jacobians here have the form [[0, b], [c, 0]], so the pair is
     +/- sqrt(b c), real at saddles and purely imaginary at well minima.
     """
-    J = jacobian_matrix(sys, s)
+    J = jacobian_matrix(m, s)
     lam = complex(np.sqrt(complex(J[0, 1] * J[1, 0])))
     return lam, -lam
 
 
 def lyapunov_tangent(
-    sys: HamSystem,
+    m: Model,
     s0: ClassicalState,
     t_total: float,
     dt: float = 1e-3,
@@ -179,17 +164,16 @@ def lyapunov_tangent(
         raise ValueError("t_total and dt must be positive")
     if renorm_every < 1:
         raise ValueError("renorm_every must be >= 1")
-    f = _rhs_scalar(sys)
-    if sys.kind == "iho":
+    f = _rhs_scalar(m)
+    b, c1 = 2 * m.kappa, -2 * m.v2  # d(qdot)/dp, d(pdot)/dq at q = 0
+    if not m.v4:
         def jqq(q):
-            return 1.0
+            return c1
     else:
-        gam2_half = sys.params.gamma**2 / 2
-        twelve_g = 12 * sys.params.g
+        c2 = 12 * m.v4
 
         def jqq(q):
-            return gam2_half - twelve_g * q * q
-    b = 1.0 if sys.kind == "iho" else 2.0  # d(qdot)/dp
+            return c1 - c2 * q * q
 
     def ftan(q, p, u, v):
         dq, dp = f(q, p)
@@ -242,7 +226,7 @@ def classify_iho_point(s: ClassicalState, tol: float = 1e-9) -> ManifoldClass:
 
 
 def phase_portrait(
-    sys: HamSystem,
+    m: Model,
     seeds: list[ClassicalState],
     t_end: float,
     dt: float,
@@ -250,8 +234,8 @@ def phase_portrait(
     """One trajectory per seed spanning [-t_end, t_end] (backward + forward)."""
     out = []
     for s in seeds:
-        fwd = integrate(sys, s, t_end, dt)
-        bwd = integrate(sys, s, -t_end, dt)
+        fwd = integrate(m, s, t_end, dt)
+        bwd = integrate(m, s, -t_end, dt)
         times = np.concatenate([bwd.times[::-1][:-1], fwd.times])
         qs = np.concatenate([bwd.qs[::-1][:-1], fwd.qs])
         ps = np.concatenate([bwd.ps[::-1][:-1], fwd.ps])

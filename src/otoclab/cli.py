@@ -48,8 +48,7 @@ from .evolution import (
 from .fock import (
     CoherentParams,
     FockDim,
-    build_hiho,
-    build_iho,
+    build_hamiltonian,
     coherent_state,
     quadratures,
 )
@@ -92,11 +91,10 @@ _prop_cache: dict[tuple, Propagator] = {}
 
 
 def _propagator(cfg: ExperimentConfig, n_p: int) -> Propagator:
-    key = (cfg.system, n_p, cfg.gamma, cfg.g)
+    model = cfg.model()
+    key = (model, n_p)
     if key not in _prop_cache:
-        dim = FockDim(n_p)
-        H = build_iho(dim) if cfg.system == "iho" else build_hiho(dim, cfg.hiho_params())
-        _prop_cache[key] = diagonalize(H)
+        _prop_cache[key] = diagonalize(build_hamiltonian(FockDim(n_p), model))
     return _prop_cache[key]
 
 
@@ -108,18 +106,11 @@ def _time_grid(cfg: ExperimentConfig) -> np.ndarray:
     return np.linspace(0.0, cfg.t_end, cfg.n_samples)
 
 
-def _ham_system(cfg: ExperimentConfig) -> classical.HamSystem:
-    if cfg.system == "iho":
-        return classical.iho()
-    return classical.HamSystem(kind="hiho", params=cfg.hiho_params())
-
-
 def cmd_portrait(cfg: ExperimentConfig, out_dir: str) -> dict:
     """One CSV trajectory (t, q, p) per seed, forward and backward in time."""
     manifest = Manifest(out_dir, config_hash(cfg))
-    sys_ = _ham_system(cfg)
     seeds = [classical.ClassicalState(p.q, p.p) for p in cfg.points]
-    trajs = classical.phase_portrait(sys_, seeds, cfg.t_end, cfg.dt)
+    trajs = classical.phase_portrait(cfg.model(), seeds, cfg.t_end, cfg.dt)
     files = []
     for pt, tr in zip(cfg.points, trajs):
         path = os.path.join(out_dir, f"portrait_{pt.label}.csv")
@@ -195,7 +186,12 @@ def _default_fit(cfg: ExperimentConfig, n_p: int, series) -> tuple[float, float]
         return auto_window(series, cfg.fit.min_span, cfg.fit.search)
     if cfg.system == "iho":
         # a-priori rate 2*lambda_O = 2 sets the Ehrenfest scale
-        return (0.5, 0.8 * math.log(n_p) / 2)
+        t_hi = 0.8 * math.log(n_p) / 2
+        if t_hi <= 0.5:
+            raise WindowTooSparse(
+                f"a-priori fit window [0.5, {t_hi:.4g}] is empty at n_p={n_p}"
+            )
+        return (0.5, t_hi)
     return auto_window(series, 0.08, (0.0, 0.25))
 
 

@@ -7,7 +7,16 @@ import json
 from dataclasses import dataclass, field
 
 from .errors import ConfigError
-from .fock import CoherentParams, FockDim, HihoParams, coherent_tail, TAIL_TOL
+from .fock import (
+    TAIL_TOL,
+    CoherentParams,
+    FockDim,
+    HihoParams,
+    Model,
+    coherent_tail,
+    hiho,
+    iho,
+)
 from .husimi import PhaseGrid
 
 
@@ -51,6 +60,10 @@ class ExperimentConfig:
     def hiho_params(self) -> HihoParams:
         return HihoParams(self.gamma, self.g)
 
+    def model(self) -> Model:
+        """The Hamiltonian named by ``system``; the one place it is mapped."""
+        return iho() if self.system == "iho" else hiho(self.gamma, self.g)
+
     def validate(self):
         if self.system not in ("iho", "hiho"):
             raise ConfigError(f"unknown system {self.system!r}")
@@ -69,6 +82,14 @@ class ExperimentConfig:
             raise ConfigError("n_samples must be >= 2")
         if self.dt <= 0:
             raise ConfigError("dt must be positive")
+        fit = self.fit
+        if fit is not None and fit.auto:
+            if not (isinstance(fit.min_span, (int, float)) and fit.min_span > 0):
+                raise ConfigError(f"fit min_span must be positive, got {fit.min_span!r}")
+            if fit.search is not None and not _is_interval(fit.search):
+                raise ConfigError(f"fit search {fit.search!r} is not (t_lo, t_hi) with t_lo < t_hi")
+        elif fit is not None and not _is_interval(fit.window):
+            raise ConfigError(f"fit window {fit.window!r} is not (t_lo, t_hi) with t_lo < t_hi")
         for k in self.n_p:
             dim = FockDim(k)
             for pt in self.points:
@@ -78,6 +99,12 @@ class ExperimentConfig:
                         f"point {pt.label} ({pt.q}, {pt.p}) violates the coherent "
                         f"tail precondition at n_p={k}"
                     )
+
+
+def _is_interval(w) -> bool:
+    """A (t_lo, t_hi) pair of numbers with t_lo < t_hi."""
+    return (w is not None and len(w) == 2
+            and all(isinstance(x, (int, float)) for x in w) and w[0] < w[1])
 
 
 def config_to_dict(cfg: ExperimentConfig) -> dict:

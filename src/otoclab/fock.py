@@ -1,13 +1,22 @@
-"""Truncated single-mode Fock space: ladder operators, quadratures, the two
-Hamiltonians, and coherent states.
+"""Truncated single-mode Fock space: ladder operators, quadratures, the
+Hamiltonian model, and coherent states.
 
 Conventions: hbar = m = omega = 1, X = (a^dag + a)/sqrt(2),
 P = i(a^dag - a)/sqrt(2), beta = (q + i p)/sqrt(2). Operators are matrices
-indexed by photon number. The ladder helpers return dense complex matrices;
-the Hamiltonians are real symmetric and are assembled from their diagonals
-in O(D) arithmetic: a band algebra multiplies the truncated ladder bands
-exactly as the dense truncated products would, so edge artifacts such as
-(B B)[D-1, D-1] = D - 1 are kept.
+indexed by photon number.
+
+Both systems belong to one family, H = kappa P^2 + V(X) with the polynomial
+V(X) = v0 + v2 X^2 + v4 X^4, and ``Model`` is the one place a system is
+defined; the quantum operator here and the classical flow, Jacobian and
+energy in ``classical`` all derive from it:
+
+- iho:  kappa = 1/2, V = -X^2/2, i.e. H = -(a^2 + a^dag^2)/2;
+- hiho: kappa = 1,   V = -gamma^2 X^2/4 + g X^4 + gamma^4/(64 g).
+
+The ladder helpers return dense complex matrices; the Hamiltonian is real
+symmetric and is assembled from its diagonals in O(D) arithmetic: a band
+algebra multiplies the truncated ladder bands exactly as the dense truncated
+products would, so edge artifacts such as (B B)[D-1, D-1] = D - 1 are kept.
 """
 from __future__ import annotations
 
@@ -46,6 +55,27 @@ class HihoParams:
     def __post_init__(self):
         if self.gamma <= 0 or self.g <= 0:
             raise ValueError("gamma and g must be positive")
+
+
+@dataclass(frozen=True)
+class Model:
+    """H = kappa P^2 + v0 + v2 X^2 + v4 X^4."""
+
+    kappa: float
+    v2: float
+    v4: float = 0.0
+    v0: float = 0.0
+
+
+def iho() -> Model:
+    """Inverted oscillator (P^2 - X^2)/2."""
+    return Model(kappa=0.5, v2=-0.5)
+
+
+def hiho(gamma: float, g: float) -> Model:
+    """Double well P^2 - gamma^2 X^2/4 + g X^4 + gamma^4/(64 g)."""
+    HihoParams(gamma, g)  # positivity check
+    return Model(kappa=1.0, v2=-gamma**2 / 4, v4=g, v0=gamma**4 / (64 * g))
 
 
 @dataclass(frozen=True)
@@ -128,29 +158,35 @@ def _dense(bands: _Bands, D: int) -> np.ndarray:
     return H
 
 
+def build_hamiltonian(dim: FockDim, model: Model) -> np.ndarray:
+    """kappa P^2 + v2 X^2 + v4 X^4 + v0 with P^2 = -A^2/2, X^2 = B^2/2 and
+    X^4 = B^4/4, where A = a^dag - a and B = a^dag + a."""
+    up, down = _ladder_diagonals(dim)
+    A = {-1: down, 1: -up}
+    B = {-1: down, 1: up}
+    B2 = _band_matmul(B, B)
+    terms = [
+        (model.kappa, {k: -d / 2 for k, d in _band_matmul(A, A).items()}),
+        (model.v2, {k: d / 2 for k, d in B2.items()}),
+    ]
+    if model.v4:
+        terms.append((model.v4, {k: d / 4 for k, d in _band_matmul(B2, B2).items()}))
+    bands: _Bands = {}
+    for c, term in terms:
+        for k, d in term.items():
+            bands[k] = bands.get(k, 0.0) + c * d
+    bands[0] = bands[0] + model.v0
+    return _dense(bands, dim.dim)
+
+
 def build_iho(dim: FockDim) -> np.ndarray:
     """Inverted-oscillator Hamiltonian -(a^2 + a^dag^2)/2."""
-    up, down = _ladder_diagonals(dim)
-    a2 = _band_matmul({1: up}, {1: up})
-    ad2 = _band_matmul({-1: down}, {-1: down})
-    return _dense({k: -d / 2 for k, d in {**a2, **ad2}.items()}, dim.dim)
+    return build_hamiltonian(dim, iho())
 
 
 def build_hiho(dim: FockDim, params: HihoParams) -> np.ndarray:
-    """Double-well Hamiltonian
-    -(a^dag - a)^2/2 - gamma^2 (a^dag + a)^2/8 + (g/4)(a^dag + a)^4
-    + gamma^4/(64 g), including the constant offset."""
-    up, down = _ladder_diagonals(dim)
-    A = {-1: down, 1: -up}  # a^dag - a
-    B = {-1: down, 1: up}  # a^dag + a
-    A2, B2 = _band_matmul(A, A), _band_matmul(B, B)
-    B4 = _band_matmul(B2, B2)
-    gam, g = params.gamma, params.g
-    # B4 carries every offset of A2 and B2 (0, +-2) plus +-4
-    bands = {k: -A2.get(k, 0.0) / 2 - gam**2 * B2.get(k, 0.0) / 8 + (g / 4) * d
-             for k, d in B4.items()}
-    bands[0] = bands[0] + gam**4 / (64 * g)
-    return _dense(bands, dim.dim)
+    """Double-well Hamiltonian, including the constant offset gamma^4/(64 g)."""
+    return build_hamiltonian(dim, hiho(params.gamma, params.g))
 
 
 def coherent_tail(mean: float, dim: FockDim) -> float:

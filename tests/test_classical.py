@@ -5,8 +5,8 @@ import pytest
 
 from otoclab.classical import (
     ClassicalState,
-    HamSystem,
     ManifoldClass,
+    Model,
     classify_iho_point,
     energy,
     flow_iho_analytic,
@@ -172,12 +172,13 @@ def test_time_reversal():
 
 
 def test_system_validation():
-    with pytest.raises(ValueError):
-        HamSystem(kind="hiho")
-    with pytest.raises(ValueError):
-        HamSystem(kind="pendulum")
+    # a system is a Model; hiho keeps the positivity check on gamma and g
     with pytest.raises(ValueError):
         hiho(-1.0, 0.04)
+    with pytest.raises(ValueError):
+        hiho(3.0, 0.0)
+    assert iho() == Model(kappa=0.5, v2=-0.5)
+    assert HIHO == Model(kappa=1.0, v2=-9 / 4, v4=1 / 25, v0=31.640625)
 
 
 def test_energy_functions():

@@ -67,6 +67,18 @@ def test_config_validation_errors():
     with pytest.raises(ConfigError):
         # point too far out for the truncation
         small_cfg(points=(LabeledPoint("X", 9.0, 9.0),)).validate()
+    for fit in (
+        FitSpec(window=(0.8, 0.2)),
+        FitSpec(window=(0.5, 0.5)),
+        FitSpec(window=(0.1, 0.2, 0.3)),
+        FitSpec(window=(0.1,)),
+        FitSpec(auto=True, min_span=0.0),
+        FitSpec(auto=True, min_span=-0.1),
+        FitSpec(auto=True, search=(0.5, 0.1)),
+        FitSpec(auto=True, search=(0.2, 0.2)),
+    ):
+        with pytest.raises(ConfigError):
+            small_cfg(fit=fit).validate()
 
 
 def test_config_hash_stable():
@@ -151,10 +163,15 @@ def test_cli_overrides(tmp_path):
     assert summary["runs"][0]["point"] == "pt"
 
 
-def test_cli_config_error_exit_code(tmp_path):
+def test_cli_config_error_exit_code(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text('{"system": "iho", "n_p": [0], "points": [], "t_end": 1.0, "n_samples": 5}')
     assert main(["otoc", "--config", str(bad), "--out", str(tmp_path / "o")]) == 1
+    # bad fit settings are caught by validation, not by the fit itself
+    cfg = write_cfg(tmp_path, small_cfg(fit=FitSpec(window=(0.8, 0.2))), "bad_fit.json")
+    capsys.readouterr()
+    assert main(["otoc", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+    assert capsys.readouterr().err.startswith("config error: fit window")
 
 
 def test_cli_bad_point_exit_code(tmp_path):
@@ -187,6 +204,20 @@ def test_otoc_np1_exits_with_analysis_code(tmp_path, capsys):
                "--out", str(tmp_path / "o")])
     assert rc == 3
     assert capsys.readouterr().err.startswith("analysis: n_p must be >= 2")
+
+
+def test_otoc_empty_a_priori_window_is_a_fit_error(tmp_path, capsys):
+    # the a-priori IHO window (0.5, 0.8 ln(n_p)/2) is empty for n_p <= 3:
+    # the run is kept and its summary entry records the fit error
+    cfg = resources.files("otoclab.figconfigs").joinpath("fig2b.json")
+    out = tmp_path / "o"
+    rc = main(["otoc", "--config", str(cfg), "--np", "3", "--point", "0,0",
+               "--out", str(out)])
+    assert rc == 0
+    assert "Traceback" not in capsys.readouterr().err
+    (run,) = json.loads((out / "otoc_summary.json").read_text())["runs"]
+    assert "fit window [0.5, 0.4394] is empty at n_p=3" in run["fit_error"]
+    assert "rate" not in run
 
 
 def test_determinism_bit_identical(tmp_path):
