@@ -48,7 +48,6 @@ from .evolution import (
 from .fock import (
     CoherentParams,
     FockDim,
-    build_hamiltonian,
     coherent_state,
     quadratures,
 )
@@ -91,10 +90,9 @@ _prop_cache: dict[tuple, Propagator] = {}
 
 
 def _propagator(cfg: ExperimentConfig, n_p: int) -> Propagator:
-    model = cfg.model()
-    key = (model, n_p)
+    key = (cfg.model(), n_p)
     if key not in _prop_cache:
-        _prop_cache[key] = diagonalize(build_hamiltonian(FockDim(n_p), model))
+        _prop_cache[key] = diagonalize(cfg.hamiltonian(FockDim(n_p)))
     return _prop_cache[key]
 
 

@@ -6,6 +6,8 @@ import hashlib
 import json
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .errors import ConfigError
 from .fock import (
     TAIL_TOL,
@@ -13,6 +15,8 @@ from .fock import (
     FockDim,
     HihoParams,
     Model,
+    build_hiho,
+    build_iho,
     coherent_tail,
     hiho,
     iho,
@@ -61,8 +65,16 @@ class ExperimentConfig:
         return HihoParams(self.gamma, self.g)
 
     def model(self) -> Model:
-        """The Hamiltonian named by ``system``; the one place it is mapped."""
+        """The Hamiltonian named by ``system``."""
         return iho() if self.system == "iho" else hiho(self.gamma, self.g)
+
+    def hamiltonian(self, dim: FockDim) -> np.ndarray:
+        """``build_hamiltonian(dim, self.model())``, reached through the named
+        builders: bench/tracer.py charges builds to ``fock.build_s`` by
+        hooking ``build_iho`` and ``build_hiho``."""
+        if self.system == "iho":
+            return build_iho(dim)
+        return build_hiho(dim, self.hiho_params())
 
     def validate(self):
         if self.system not in ("iho", "hiho"):
@@ -84,7 +96,7 @@ class ExperimentConfig:
             raise ConfigError("dt must be positive")
         fit = self.fit
         if fit is not None and fit.auto:
-            if not (isinstance(fit.min_span, (int, float)) and fit.min_span > 0):
+            if not (_is_number(fit.min_span) and fit.min_span > 0):
                 raise ConfigError(f"fit min_span must be positive, got {fit.min_span!r}")
             if fit.search is not None and not _is_interval(fit.search):
                 raise ConfigError(f"fit search {fit.search!r} is not (t_lo, t_hi) with t_lo < t_hi")
@@ -101,10 +113,15 @@ class ExperimentConfig:
                     )
 
 
+def _is_number(x) -> bool:
+    """An int or float; JSON's true/false load as bool, a subclass of int."""
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
 def _is_interval(w) -> bool:
     """A (t_lo, t_hi) pair of numbers with t_lo < t_hi."""
     return (w is not None and len(w) == 2
-            and all(isinstance(x, (int, float)) for x in w) and w[0] < w[1])
+            and all(_is_number(x) for x in w) and w[0] < w[1])
 
 
 def config_to_dict(cfg: ExperimentConfig) -> dict:

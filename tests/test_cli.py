@@ -76,6 +76,9 @@ def test_config_validation_errors():
         FitSpec(auto=True, min_span=-0.1),
         FitSpec(auto=True, search=(0.5, 0.1)),
         FitSpec(auto=True, search=(0.2, 0.2)),
+        FitSpec(window=(False, True)),  # JSON booleans are not times
+        FitSpec(auto=True, min_span=True),
+        FitSpec(auto=True, search=(False, True)),
     ):
         with pytest.raises(ConfigError):
             small_cfg(fit=fit).validate()

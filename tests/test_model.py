@@ -12,6 +12,7 @@ from otoclab.classical import (
     iho,
     jacobian_matrix,
 )
+from otoclab.config import ExperimentConfig, LabeledPoint
 from otoclab.fock import CoherentParams, FockDim, build_hamiltonian, coherent_state
 
 MODELS = {"iho": iho(), "hiho": hiho(3.0, 0.04)}
@@ -44,3 +45,14 @@ def test_jacobian_is_the_derivative_of_the_flow(name):
             minus = hamilton_rhs(m, ClassicalState(q - dq, p - dp))
             fd[:, col] = (np.array(plus) - np.array(minus)) / (2 * h)
         assert np.allclose(fd, J, rtol=1e-7, atol=1e-6)
+
+
+@pytest.mark.parametrize("system", ["iho", "hiho"])
+def test_config_hamiltonian_is_its_model_built(system):
+    params = {"gamma": 3.0, "g": 0.04} if system == "hiho" else {}
+    cfg = ExperimentConfig(system=system, n_p=(40,), points=(LabeledPoint("A", 0.0, 0.0),),
+                           t_end=1.0, n_samples=2, **params)
+    assert cfg.model() == MODELS[system]
+    for n_p in (1, 2, 5, 40):
+        dim = FockDim(n_p)
+        assert np.array_equal(cfg.hamiltonian(dim), build_hamiltonian(dim, cfg.model()))
