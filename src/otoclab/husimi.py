@@ -5,6 +5,11 @@ Q(q1, p1) = |<alpha|psi>|^2 / pi with alpha = (q1 + i p1)/sqrt(2). The
 overlap uses the exact coherent amplitudes for n < D, so no truncation of
 the probe state is involved; Q is bounded by 1/pi everywhere.
 
+The overlap is e^{-|alpha|^2/2} f(conj(alpha)) with the Bargmann polynomial
+f(z) = sum_n c_n z^n / sqrt(n!), evaluated by Horner over the whole grid at
+once with a per-point log scale, so neither large |alpha| nor the
+e^{-|alpha|^2} factor overflows or underflows where Q is representable.
+
 Integration measure: d^2 alpha = dq dp / 2, so grid integrals carry a
 factor 1/2 to make a fully captured state integrate to 1.
 """
@@ -14,7 +19,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.ndimage import label, maximum_filter
-from scipy.special import gammaln
 
 from .errors import GridTooSmall
 
@@ -51,26 +55,42 @@ class HusimiGrid:
     values: np.ndarray
 
 
+# Steps between rescales of the Horner value. Between rescales |b| grows by
+# at most a factor 1 + max|alpha| per step (|b| <= 1 after a rescale and
+# |c_n| <= 1 for a normalised state), so 16 steps stay finite for |alpha| up
+# to ~1e19.
+RESCALE_EVERY = 16
+
+
 def husimi_q(state: np.ndarray, grid: PhaseGrid) -> HusimiGrid:
-    """Evaluate Q on every grid point, row by row in the log domain."""
+    """Evaluate Q on every grid point by Horner's rule over the flattened grid.
+
+    With z = conj(alpha), f(z) = sum_n c_n z^n / sqrt(n!) is accumulated as
+    b = c_{D-1}, then b = c_n + (z / sqrt(n + 1)) b for n = D-2 .. 0. Every
+    RESCALE_EVERY steps b is divided by max(|b|, 1) and the log of that
+    factor is added to a per-point log scale; later coefficients enter as
+    c_n exp(-log_scale). Q = exp(2 ln|b| + 2 log_scale - |alpha|^2) / pi is
+    formed in the log domain. Memory is a few grid-sized arrays.
+    """
     D = state.shape[0]
-    n = np.arange(D)
-    half_log_fact = 0.5 * gammaln(n + 1)
-    p_ax = grid.p_axis()
-    values = np.empty((grid.n_q, grid.n_p))
-    for i, q in enumerate(grid.q_axis()):
-        alpha_c = (q - 1j * p_ax) / np.sqrt(2)  # conj(alpha) per row
-        mu = np.abs(alpha_c) ** 2
-        nz = alpha_c != 0
-        log_a = np.zeros(grid.n_p, dtype=complex)
-        log_a[nz] = np.log(alpha_c[nz])
-        coeff = np.exp(np.outer(log_a, n) - half_log_fact - mu[:, None] / 2)
-        if not nz.all():
-            rows = np.nonzero(~nz)[0]
-            coeff[rows] = 0.0
-            coeff[rows, 0] = 1.0
-        overlap = coeff @ state
-        values[i] = np.abs(overlap) ** 2 / np.pi
+    q, p = np.meshgrid(grid.q_axis(), grid.p_axis(), indexing="ij")
+    alpha_c = ((q - 1j * p) / np.sqrt(2)).ravel()
+    inv_sqrt = 1.0 / np.sqrt(np.arange(1, D))
+    b = np.full(alpha_c.shape, state[D - 1], dtype=complex)
+    log_scale = np.zeros(alpha_c.shape)
+    coeff_scale = np.ones(alpha_c.shape)
+    for n in range(D - 2, -1, -1):
+        b *= alpha_c
+        b *= inv_sqrt[n]
+        b += state[n] * coeff_scale
+        if n % RESCALE_EVERY == 0:
+            factor = np.maximum(np.abs(b), 1.0)
+            b /= factor
+            log_scale += np.log(factor)
+            coeff_scale = np.exp(-log_scale)
+    with np.errstate(divide="ignore"):  # b = 0 gives ln 0 = -inf, so Q = 0
+        log_q = 2 * (np.log(np.abs(b)) + log_scale) - np.abs(alpha_c) ** 2
+    values = np.exp(log_q).reshape(grid.n_q, grid.n_p) / np.pi
     return HusimiGrid(grid=grid, values=values)
 
 
@@ -85,17 +105,13 @@ def husimi_norm(hg: HusimiGrid) -> float:
     return _trapz2(hg.values, hg.grid) / 2
 
 
-def husimi_centroid(hg: HusimiGrid) -> tuple[float, float]:
-    """Normalized first moments (qbar, pbar) of Q over the grid.
-
-    Requires husimi_norm >= 0.99 so the centroid is meaningful.
-    """
-    norm = husimi_norm(hg)
+def _centroid(hg: HusimiGrid, w: float) -> tuple[float, float]:
+    """(qbar, pbar) given the grid integral w of Q (twice husimi_norm)."""
+    norm = w / 2
     if norm < 0.99:
         raise GridTooSmall(
             f"grid captures only {norm:.4f} of the packet; enlarge the window"
         )
-    w = _trapz2(hg.values, hg.grid)
     qs = hg.grid.q_axis()[:, None]
     ps = hg.grid.p_axis()[None, :]
     qbar = _trapz2(hg.values * qs, hg.grid) / w
@@ -103,10 +119,18 @@ def husimi_centroid(hg: HusimiGrid) -> tuple[float, float]:
     return qbar, pbar
 
 
+def husimi_centroid(hg: HusimiGrid) -> tuple[float, float]:
+    """Normalized first moments (qbar, pbar) of Q over the grid.
+
+    Requires husimi_norm >= 0.99 so the centroid is meaningful.
+    """
+    return _centroid(hg, _trapz2(hg.values, hg.grid))
+
+
 def husimi_second_moments(hg: HusimiGrid) -> np.ndarray:
     """Central second-moment matrix [[<dq^2>, <dq dp>], [<dq dp>, <dp^2>]]."""
-    qbar, pbar = husimi_centroid(hg)
     w = _trapz2(hg.values, hg.grid)
+    qbar, pbar = _centroid(hg, w)
     dq = hg.grid.q_axis()[:, None] - qbar
     dp = hg.grid.p_axis()[None, :] - pbar
     sqq = _trapz2(hg.values * dq * dq, hg.grid) / w

@@ -23,7 +23,8 @@ def fmt(x: float) -> str:
 
 
 class Manifest:
-    """Single-writer JSONL manifest for one output directory."""
+    """Single-writer JSONL manifest for one output directory, holding one
+    record per file: recording a file again replaces its older record."""
 
     def __init__(self, out_dir: str, config_hash: str):
         self.path = os.path.join(out_dir, "manifest.jsonl")
@@ -40,8 +41,14 @@ class Manifest:
             },
             "wall_time_s": round(wall_time, 6),
         }
-        with open(self.path, "a", encoding="utf-8", newline="\n") as fh:
-            fh.write(json.dumps(entry, sort_keys=True) + "\n")
+        lines = []
+        if os.path.exists(self.path):
+            with open(self.path, "r", encoding="utf-8") as fh:
+                lines = [line for line in fh
+                         if json.loads(line)["file"] != entry["file"]]
+        lines.append(json.dumps(entry, sort_keys=True) + "\n")
+        with open(self.path, "w", encoding="utf-8", newline="\n") as fh:
+            fh.writelines(lines)
 
 
 def write_csv(path: str, header: list[str], columns: list[np.ndarray],

@@ -248,6 +248,18 @@ def test_manifest_entries(tmp_path):
         assert e["wall_time_s"] >= 0
 
 
+def test_manifest_one_record_per_file_on_rerun(tmp_path):
+    cfg = write_cfg(tmp_path, small_cfg())
+    out = str(tmp_path / "out")
+    assert main(["otoc", "--config", cfg, "--out", out]) == 0
+    assert main(["otoc", "--config", cfg, "--out", out]) == 0
+    entries = [json.loads(line) for line in open(os.path.join(out, "manifest.jsonl"))]
+    files = [e["file"] for e in entries]
+    assert len(files) == len(set(files))
+    assert set(files) == {"otoc_A_np40.csv", "otoc_summary.json", "otoc.gp"}
+    assert all(e["wall_time_s"] >= 0 for e in entries)
+
+
 def test_env_var_output_dir(tmp_path, monkeypatch):
     cfg = write_cfg(tmp_path, small_cfg())
     env_out = tmp_path / "env_out"

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.special import gammaln
 
 from otoclab.classical import ClassicalState, hiho, integrate
 from otoclab.errors import GridTooSmall
@@ -19,6 +20,30 @@ from otoclab.husimi import (
 )
 
 VAC_GRID = PhaseGrid(-6.0, 6.0, -6.0, 6.0, 201, 201)
+WIDE_GRID = PhaseGrid(-40.0, 40.0, -40.0, 40.0, 161, 161)  # corners |alpha|^2/2 = 800
+
+
+def reference_q(state, grid):
+    """Independent reference: Q row by row in the log domain, one complex
+    exp(n log conj(alpha) - ln(n!)/2 - |alpha|^2/2) per (point, n)."""
+    D = state.shape[0]
+    n = np.arange(D)
+    half_log_fact = 0.5 * gammaln(n + 1)
+    p_ax = grid.p_axis()
+    values = np.empty((grid.n_q, grid.n_p))
+    for i, q in enumerate(grid.q_axis()):
+        alpha_c = (q - 1j * p_ax) / np.sqrt(2)
+        mu = np.abs(alpha_c) ** 2
+        nz = alpha_c != 0
+        log_a = np.zeros(grid.n_p, dtype=complex)
+        log_a[nz] = np.log(alpha_c[nz])
+        coeff = np.exp(np.outer(log_a, n) - half_log_fact - mu[:, None] / 2)
+        if not nz.all():
+            rows = np.nonzero(~nz)[0]
+            coeff[rows] = 0.0
+            coeff[rows, 0] = 1.0
+        values[i] = np.abs(coeff @ state) ** 2 / np.pi
+    return values
 
 
 def test_grid_validation():
@@ -69,6 +94,43 @@ def test_coherent_closed_form_property(bq, bp, aq, ap):
     alpha = (grid.q_axis()[0] + 1j * grid.p_axis()[0]) / np.sqrt(2)
     beta = CoherentParams(bq, bp).beta
     assert abs(hg.values[0, 0] - math.exp(-abs(alpha - beta) ** 2) / math.pi) <= 1e-8
+
+
+def test_matches_reference_on_evolved_hiho_states(hiho_prop):
+    d = FockDim(600)
+    psi0 = coherent_state(d, CoherentParams(8.0, 9.0))
+    for t in (0.0, 0.3, 1.2):
+        psit = evolve(hiho_prop(600), psi0, t)
+        values = husimi_q(psit, WIDE_GRID).values
+        assert np.max(np.abs(values - reference_q(psit, WIDE_GRID))) <= 1e-13
+
+
+def test_flat_state_needs_the_rescale():
+    # |f(conj alpha)| reaches about e^770 at the corners, past the float64 e^709
+    D = 1201
+    flat = np.full(D, 1 / math.sqrt(D), dtype=complex)
+    grid = PhaseGrid(-40.0, 40.0, -40.0, 40.0, 81, 81)
+    values = husimi_q(flat, grid).values
+    assert np.all(np.isfinite(values))
+    assert np.max(np.abs(values - reference_q(flat, grid))) <= 1e-13
+
+
+def test_alpha_zero_on_a_node():
+    rng = np.random.default_rng(3)
+    psi = rng.normal(size=40) + 1j * rng.normal(size=40)
+    psi /= np.linalg.norm(psi)
+    hg = husimi_q(psi, PhaseGrid(-1.0, 1.0, -1.0, 1.0, 3, 3))
+    assert hg.values[1, 1] == pytest.approx(abs(psi[0]) ** 2 / math.pi, rel=1e-14)
+
+
+def test_far_coherent_peak_where_the_gaussian_underflows():
+    # |beta|^2 = 784: e^{-|beta|^2} underflows, Q(beta) = 1/pi does not
+    psi = coherent_state(FockDim(1200), CoherentParams(28.0, 28.0))
+    hg = husimi_q(psi, WIDE_GRID)
+    i = int(np.flatnonzero(WIDE_GRID.q_axis() == 28.0)[0])
+    j = int(np.flatnonzero(WIDE_GRID.p_axis() == 28.0)[0])
+    assert abs(hg.values[i, j] - 1 / math.pi) <= 1e-12
+    assert np.all(hg.values <= (1 + 1e-12) / math.pi)
 
 
 def test_norm_vacuum():
