@@ -13,6 +13,15 @@ qdot = 2 kappa p, pdot = -2 v2 q - 4 v4 q^3, and the flow's Jacobian is
 
 A zero coefficient's term is left out rather than multiplied by 0: far out
 on an unstable IHO orbit q**3 overflows, and 0 * inf is nan.
+
+``integrate`` and ``lyapunov_tangent`` run millions of steps, so their RK4
+stages are written out as statements on local floats: no per-step function
+call, tuple or numpy scalar. They keep the operation order of the plain
+closure-based RK4 (tests/test_classical.py holds it as the reference), so
+their results are bit-identical to it. Their literals are floats (2.0 * k,
+x**3.0): Python converts an int operand to the same double, so the values
+do not change, but float-only operations take CPython's specialised fast
+path.
 """
 from __future__ import annotations
 
@@ -57,7 +66,10 @@ def energy(m: Model, q: float, p: float) -> float:
 
 def hamilton_rhs(m: Model, s: ClassicalState) -> tuple[float, float]:
     """Analytic (dq/dt, dp/dt)."""
-    return _rhs_scalar(m)(s.q, s.p)
+    dp = -2 * m.v2 * s.q
+    if m.v4:
+        dp -= 4 * m.v4 * s.q**3
+    return 2 * m.kappa * s.p, dp
 
 
 def flow_iho_analytic(s0: ClassicalState, t: float) -> ClassicalState:
@@ -66,30 +78,16 @@ def flow_iho_analytic(s0: ClassicalState, t: float) -> ClassicalState:
     return ClassicalState(q=s0.q * ch + s0.p * sh, p=s0.p * ch + s0.q * sh)
 
 
-def _rhs_scalar(m: Model):
-    # Closure over plain floats: the RK4 loops below run millions of steps,
-    # so they avoid per-step numpy/dataclass overhead.
-    two_kappa, c1 = 2 * m.kappa, -2 * m.v2
-    if not m.v4:
-        def f(q, p):
-            return two_kappa * p, c1 * q
-        return f
-    c3 = 4 * m.v4
-
-    def f(q, p):
-        return two_kappa * p, c1 * q - c3 * q**3
-    return f
-
-
-def _rk4_step(f, q, p, dt):
-    k1q, k1p = f(q, p)
-    k2q, k2p = f(q + dt / 2 * k1q, p + dt / 2 * k1p)
-    k3q, k3p = f(q + dt / 2 * k2q, p + dt / 2 * k2p)
-    k4q, k4p = f(q + dt * k3q, p + dt * k3p)
-    return (
-        q + dt / 6 * (k1q + 2 * k2q + 2 * k3q + k4q),
-        p + dt / 6 * (k1p + 2 * k2p + 2 * k3p + k4p),
-    )
+def _step_count(t: float, dt: float, name: str) -> int:
+    """round(|t| / dt), refusing what int() cannot take: a NaN or infinite
+    t or dt (a NaN passes the callers' sign checks) and a ratio that
+    overflows."""
+    if not (math.isfinite(t) and math.isfinite(dt)):
+        raise ValueError(f"{name} and dt must be finite, got {t!r} and {dt!r}")
+    ratio = abs(t) / dt
+    if not math.isfinite(ratio):
+        raise ValueError(f"{name}={t!r} over dt={dt!r} is not a finite step count")
+    return int(round(ratio))
 
 
 def integrate(
@@ -100,30 +98,49 @@ def integrate(
     check_energy: bool = True,
 ) -> Trajectory:
     """Fixed-step RK4 trajectory over [0, t_end] (t_end may be negative for
-    backward integration; dt is a positive step magnitude)."""
+    backward integration; dt is a positive step magnitude).
+
+    With ``check_energy`` a step whose energy drifts from the initial E0 by
+    more than ENERGY_DRIFT_TOL * max(1, |E0|) raises StepTooLarge.
+    """
     if dt <= 0:
         raise ValueError("dt must be positive")
     if t_end == 0:
         raise ValueError("t_end must be nonzero")
-    n = max(1, int(round(abs(t_end) / dt)))
+    n = max(1, _step_count(t_end, dt, "t_end"))
     h = t_end / n
-    f = _rhs_scalar(m)
+    hh, h6 = h / 2, h / 6
+    v4 = m.v4
+    b, c1, c3 = 2 * m.kappa, -2 * m.v2, 4 * v4
     e0 = energy(m, s0.q, s0.p)
     bound = ENERGY_DRIFT_TOL * max(1.0, abs(e0))
-    ts = np.empty(n + 1)
-    qs = np.empty(n + 1)
-    ps = np.empty(n + 1)
     q, p = s0.q, s0.p
-    ts[0], qs[0], ps[0] = 0.0, q, p
+    qs, ps = [q], [p]
     for i in range(1, n + 1):
-        q, p = _rk4_step(f, q, p, h)
-        ts[i], qs[i], ps[i] = i * h, q, p
+        # a zero quartic term is left out (see the module docstring)
+        k1q = b * p
+        k1p = c1 * q - c3 * q**3.0 if v4 else c1 * q
+        x = q + hh * k1q
+        k2q = b * (p + hh * k1p)
+        k2p = c1 * x - c3 * x**3.0 if v4 else c1 * x
+        x = q + hh * k2q
+        k3q = b * (p + hh * k2p)
+        k3p = c1 * x - c3 * x**3.0 if v4 else c1 * x
+        x = q + h * k3q
+        k4q = b * (p + h * k3p)
+        k4p = c1 * x - c3 * x**3.0 if v4 else c1 * x
+        q += h6 * (k1q + 2.0 * k2q + 2.0 * k3q + k4q)
+        p += h6 * (k1p + 2.0 * k2p + 2.0 * k3p + k4p)
+        qs.append(q)
+        ps.append(p)
         if check_energy and abs(energy(m, q, p) - e0) > bound:
             raise StepTooLarge(
                 f"energy drift {abs(energy(m, q, p) - e0):.3e} at t={i * h:.6g} "
                 f"exceeds {bound:.3e}; reduce dt"
             )
-    return Trajectory(times=ts, qs=qs, ps=ps, energy0=e0)
+    times = np.arange(n + 1) * h
+    times[0] = 0.0  # 0 * h is -0.0 when integrating backward
+    return Trajectory(times=times, qs=np.array(qs), ps=np.array(ps), energy0=e0)
 
 
 def jacobian_matrix(m: Model, s: ClassicalState) -> np.ndarray:
@@ -154,52 +171,78 @@ def lyapunov_tangent(
     tangent0: tuple[float, float] | None = None,
 ) -> float:
     """Maximal Lyapunov exponent by the Benettin method: co-integrate one
-    tangent vector with the flow, renormalize every ``renorm_every`` steps,
-    and average the accumulated log growth over t_total.
+    tangent vector with the flow by RK4, renormalize every ``renorm_every``
+    steps, and average the accumulated log growth over
+    n = round(t_total / dt) steps.
 
     ``tangent0`` seeds the tangent vector (default (1, 0)); aligning it with
     the local unstable eigendirection removes the O(1/t) transient.
+
+    The tangent (u, v) obeys udot = 2 kappa v, vdot = (-2 v2 - 12 v4 q^2) u.
+    The stages are written out on local floats in an outer loop over
+    renormalisation blocks; with v4 == 0 the tangent coefficients are
+    constant, so only (u, v) is integrated.
     """
     if t_total <= 0 or dt <= 0:
         raise ValueError("t_total and dt must be positive")
-    if renorm_every < 1:
-        raise ValueError("renorm_every must be >= 1")
-    f = _rhs_scalar(m)
+    if not (isinstance(renorm_every, int) and renorm_every >= 1):
+        raise ValueError(f"renorm_every must be an integer >= 1, got {renorm_every!r}")
+    n = _step_count(t_total, dt, "t_total")
+    if n == 0:
+        raise ValueError(f"t_total={t_total!r} is under half a step of dt={dt!r}")
     b, c1 = 2 * m.kappa, -2 * m.v2  # d(qdot)/dp, d(pdot)/dq at q = 0
-    if not m.v4:
-        def jqq(q):
-            return c1
-    else:
-        c2 = 12 * m.v4
-
-        def jqq(q):
-            return c1 - c2 * q * q
-
-    def ftan(q, p, u, v):
-        dq, dp = f(q, p)
-        return dq, dp, b * v, jqq(q) * u
-
+    v4, c2, c3 = m.v4, 12 * m.v4, 4 * m.v4
+    hdt, sdt = dt / 2, dt / 6
     q, p = s0.q, s0.p
     u, v = tangent0 if tangent0 is not None else (1.0, 0.0)
     nrm = math.hypot(u, v)
+    if not (0 < nrm < math.inf):
+        raise ValueError(f"tangent0 must be a nonzero finite vector, got {tangent0!r}")
     u, v = u / nrm, v / nrm
-    n = int(round(t_total / dt))
     log_sum = 0.0
-    for i in range(1, n + 1):
-        k1 = ftan(q, p, u, v)
-        k2 = ftan(q + dt / 2 * k1[0], p + dt / 2 * k1[1], u + dt / 2 * k1[2], v + dt / 2 * k1[3])
-        k3 = ftan(q + dt / 2 * k2[0], p + dt / 2 * k2[1], u + dt / 2 * k2[2], v + dt / 2 * k2[3])
-        k4 = ftan(q + dt * k3[0], p + dt * k3[1], u + dt * k3[2], v + dt * k3[3])
-        q += dt / 6 * (k1[0] + 2 * k2[0] + 2 * k3[0] + k4[0])
-        p += dt / 6 * (k1[1] + 2 * k2[1] + 2 * k3[1] + k4[1])
-        u += dt / 6 * (k1[2] + 2 * k2[2] + 2 * k3[2] + k4[2])
-        v += dt / 6 * (k1[3] + 2 * k2[3] + 2 * k3[3] + k4[3])
-        if i % renorm_every == 0:
-            nrm = math.hypot(u, v)
-            log_sum += math.log(nrm)
-            u, v = u / nrm, v / nrm
-    if n % renorm_every:
-        log_sum += math.log(math.hypot(u, v))
+    for start in range(0, n, renorm_every):
+        steps = range(min(renorm_every, n - start))
+        if v4:
+            for _ in steps:
+                k1q = b * p
+                k1p = c1 * q - c3 * q**3.0
+                k1u = b * v
+                k1v = (c1 - c2 * q * q) * u
+                x = q + hdt * k1q
+                k2q = b * (p + hdt * k1p)
+                k2p = c1 * x - c3 * x**3.0
+                k2u = b * (v + hdt * k1v)
+                k2v = (c1 - c2 * x * x) * (u + hdt * k1u)
+                x = q + hdt * k2q
+                k3q = b * (p + hdt * k2p)
+                k3p = c1 * x - c3 * x**3.0
+                k3u = b * (v + hdt * k2v)
+                k3v = (c1 - c2 * x * x) * (u + hdt * k2u)
+                x = q + dt * k3q
+                k4q = b * (p + dt * k3p)
+                k4p = c1 * x - c3 * x**3.0
+                k4u = b * (v + dt * k3v)
+                k4v = (c1 - c2 * x * x) * (u + dt * k3u)
+                q += sdt * (k1q + 2.0 * k2q + 2.0 * k3q + k4q)
+                p += sdt * (k1p + 2.0 * k2p + 2.0 * k3p + k4p)
+                u += sdt * (k1u + 2.0 * k2u + 2.0 * k3u + k4u)
+                v += sdt * (k1v + 2.0 * k2v + 2.0 * k3v + k4v)
+        else:
+            # (u, v) never reads (q, p) here, so the state is not integrated
+            for _ in steps:
+                k1u = b * v
+                k1v = c1 * u
+                k2u = b * (v + hdt * k1v)
+                k2v = c1 * (u + hdt * k1u)
+                k3u = b * (v + hdt * k2v)
+                k3v = c1 * (u + hdt * k2u)
+                k4u = b * (v + dt * k3v)
+                k4v = c1 * (u + dt * k3u)
+                u += sdt * (k1u + 2.0 * k2u + 2.0 * k3u + k4u)
+                v += sdt * (k1v + 2.0 * k2v + 2.0 * k3v + k4v)
+        nrm = math.hypot(u, v)
+        log_sum += math.log(nrm)
+        u, v = u / nrm, v / nrm
     return log_sum / (n * dt)
 
 

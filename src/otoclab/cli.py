@@ -53,10 +53,8 @@ from .fock import (
 )
 from .husimi import (
     count_local_maxima,
-    husimi_centroid,
-    husimi_norm,
+    husimi_diagnostics,
     husimi_q,
-    husimi_second_moments,
 )
 from .output import Manifest, write_csv, write_grid, write_gnuplot, write_json
 
@@ -279,29 +277,27 @@ def cmd_husimi(cfg: ExperimentConfig, out_dir: str) -> dict:
             fname = f"husimi_{pt.label}_s{si}.grid"
             write_grid(os.path.join(out_dir, fname), hg, manifest)
             grids[(pt.label, si)] = hg
+            norm, centroid, mom = husimi_diagnostics(hg)
             entry = {
                 "point": pt.label, "snapshot": si, "time": t, "file": fname,
-                "norm": husimi_norm(hg),
+                "norm": norm,
                 "n_local_maxima": count_local_maxima(hg),
+                "centroid": None,
+                "second_moments": None,
             }
-            try:
-                qbar, pbar = husimi_centroid(hg)
-                mom = husimi_second_moments(hg)
-                entry["centroid"] = [qbar, pbar]
+            if centroid is not None:
+                entry["centroid"] = list(centroid)
                 entry["second_moments"] = {
                     "qq": mom[0, 0], "qp": mom[0, 1], "pp": mom[1, 1],
                 }
-            except GridTooSmall:
-                if si == 0:
-                    # first snapshot must be captured; later ones may
-                    # legitimately spread beyond any finite window
-                    raise GridTooSmall(
-                        f"grid misses the initial packet at {pt.label}; try "
-                        f"q in [{grid.q_min * 1.5:g}, {grid.q_max * 1.5:g}], "
-                        f"p in [{grid.p_min * 1.5:g}, {grid.p_max * 1.5:g}]"
-                    )
-                entry["centroid"] = None
-                entry["second_moments"] = None
+            elif si == 0:
+                # first snapshot must be captured; later ones may
+                # legitimately spread beyond any finite window
+                raise GridTooSmall(
+                    f"grid misses the initial packet at {pt.label}; try "
+                    f"q in [{grid.q_min * 1.5:g}, {grid.q_max * 1.5:g}], "
+                    f"p in [{grid.p_min * 1.5:g}, {grid.p_max * 1.5:g}]"
+                )
             snapshots.append(entry)
             gp.append(
                 f"splot '{fname}' skip 1 matrix "

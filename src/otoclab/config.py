@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -88,12 +89,13 @@ class ExperimentConfig:
             raise ConfigError("n_p entries must be >= 1")
         if not self.points:
             raise ConfigError("at least one initial point is required")
-        if self.t_end <= 0:
-            raise ConfigError("t_end must be positive")
+        # json reads NaN and Infinity, and NaN fails every comparison
+        if not (self.t_end > 0 and math.isfinite(self.t_end)):
+            raise ConfigError(f"t_end must be positive and finite, got {self.t_end!r}")
         if self.n_samples < 2:
             raise ConfigError("n_samples must be >= 2")
-        if self.dt <= 0:
-            raise ConfigError("dt must be positive")
+        if not (self.dt > 0 and math.isfinite(self.dt)):
+            raise ConfigError(f"dt must be positive and finite, got {self.dt!r}")
         fit = self.fit
         if fit is not None and fit.auto:
             if not (_is_number(fit.min_span) and fit.min_span > 0):

@@ -130,13 +130,31 @@ def husimi_centroid(hg: HusimiGrid) -> tuple[float, float]:
 def husimi_second_moments(hg: HusimiGrid) -> np.ndarray:
     """Central second-moment matrix [[<dq^2>, <dq dp>], [<dq dp>, <dp^2>]]."""
     w = _trapz2(hg.values, hg.grid)
-    qbar, pbar = _centroid(hg, w)
+    return _second_moments(hg, w, _centroid(hg, w))
+
+
+def _second_moments(hg: HusimiGrid, w: float, centroid) -> np.ndarray:
+    qbar, pbar = centroid
     dq = hg.grid.q_axis()[:, None] - qbar
     dp = hg.grid.p_axis()[None, :] - pbar
     sqq = _trapz2(hg.values * dq * dq, hg.grid) / w
     spp = _trapz2(hg.values * dp * dp, hg.grid) / w
     sqp = _trapz2(hg.values * dq * dp, hg.grid) / w
     return np.array([[sqq, sqp], [sqp, spp]])
+
+
+def husimi_diagnostics(
+    hg: HusimiGrid,
+) -> tuple[float, tuple[float, float] | None, np.ndarray | None]:
+    """(husimi_norm, husimi_centroid, husimi_second_moments) from one
+    integral of Q; the last two are None where husimi_centroid would raise
+    GridTooSmall."""
+    w = _trapz2(hg.values, hg.grid)
+    try:
+        centroid = _centroid(hg, w)
+    except GridTooSmall:
+        return w / 2, None, None
+    return w / 2, centroid, _second_moments(hg, w, centroid)
 
 
 def count_local_maxima(hg: HusimiGrid, frac: float = 0.1) -> int:

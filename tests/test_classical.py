@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 
 from otoclab.classical import (
+    ENERGY_DRIFT_TOL,
     ClassicalState,
     ManifoldClass,
     Model,
+    Trajectory,
     classify_iho_point,
     energy,
     flow_iho_analytic,
@@ -18,6 +20,7 @@ from otoclab.classical import (
     lyapunov_tangent,
     phase_portrait,
 )
+from otoclab.errors import StepTooLarge
 
 HIHO = hiho(3.0, 1 / 25)
 
@@ -184,3 +187,193 @@ def test_system_validation():
 def test_energy_functions():
     assert energy(iho(), 3.0, 3.0) == 0.0
     assert energy(HIHO, 0.0, 0.0) == pytest.approx(31.640625)
+
+
+# The closure-based RK4 and Benettin loops that the flat kernels replaced,
+# kept as the reference the kernels must equal bit for bit.
+
+def _rhs_scalar(m: Model):
+    two_kappa, c1 = 2 * m.kappa, -2 * m.v2
+    if not m.v4:
+        def f(q, p):
+            return two_kappa * p, c1 * q
+        return f
+    c3 = 4 * m.v4
+
+    def f(q, p):
+        return two_kappa * p, c1 * q - c3 * q**3
+    return f
+
+
+def _rk4_step(f, q, p, dt):
+    k1q, k1p = f(q, p)
+    k2q, k2p = f(q + dt / 2 * k1q, p + dt / 2 * k1p)
+    k3q, k3p = f(q + dt / 2 * k2q, p + dt / 2 * k2p)
+    k4q, k4p = f(q + dt * k3q, p + dt * k3p)
+    return (
+        q + dt / 6 * (k1q + 2 * k2q + 2 * k3q + k4q),
+        p + dt / 6 * (k1p + 2 * k2p + 2 * k3p + k4p),
+    )
+
+
+def reference_integrate(m, s0, t_end, dt, check_energy=True):
+    n = max(1, int(round(abs(t_end) / dt)))
+    h = t_end / n
+    f = _rhs_scalar(m)
+    e0 = energy(m, s0.q, s0.p)
+    bound = ENERGY_DRIFT_TOL * max(1.0, abs(e0))
+    ts = np.empty(n + 1)
+    qs = np.empty(n + 1)
+    ps = np.empty(n + 1)
+    q, p = s0.q, s0.p
+    ts[0], qs[0], ps[0] = 0.0, q, p
+    for i in range(1, n + 1):
+        q, p = _rk4_step(f, q, p, h)
+        ts[i], qs[i], ps[i] = i * h, q, p
+        if check_energy and abs(energy(m, q, p) - e0) > bound:
+            raise StepTooLarge(
+                f"energy drift {abs(energy(m, q, p) - e0):.3e} at t={i * h:.6g} "
+                f"exceeds {bound:.3e}; reduce dt"
+            )
+    return Trajectory(times=ts, qs=qs, ps=ps, energy0=e0)
+
+
+def reference_lyapunov_tangent(m, s0, t_total, dt=1e-3, renorm_every=10, tangent0=None):
+    f = _rhs_scalar(m)
+    b, c1 = 2 * m.kappa, -2 * m.v2
+    if not m.v4:
+        def jqq(q):
+            return c1
+    else:
+        c2 = 12 * m.v4
+
+        def jqq(q):
+            return c1 - c2 * q * q
+
+    def ftan(q, p, u, v):
+        dq, dp = f(q, p)
+        return dq, dp, b * v, jqq(q) * u
+
+    q, p = s0.q, s0.p
+    u, v = tangent0 if tangent0 is not None else (1.0, 0.0)
+    nrm = math.hypot(u, v)
+    u, v = u / nrm, v / nrm
+    n = int(round(t_total / dt))
+    log_sum = 0.0
+    for i in range(1, n + 1):
+        k1 = ftan(q, p, u, v)
+        k2 = ftan(q + dt / 2 * k1[0], p + dt / 2 * k1[1], u + dt / 2 * k1[2], v + dt / 2 * k1[3])
+        k3 = ftan(q + dt / 2 * k2[0], p + dt / 2 * k2[1], u + dt / 2 * k2[2], v + dt / 2 * k2[3])
+        k4 = ftan(q + dt * k3[0], p + dt * k3[1], u + dt * k3[2], v + dt * k3[3])
+        q += dt / 6 * (k1[0] + 2 * k2[0] + 2 * k3[0] + k4[0])
+        p += dt / 6 * (k1[1] + 2 * k2[1] + 2 * k3[1] + k4[1])
+        u += dt / 6 * (k1[2] + 2 * k2[2] + 2 * k3[2] + k4[2])
+        v += dt / 6 * (k1[3] + 2 * k2[3] + 2 * k3[3] + k4[3])
+        if i % renorm_every == 0:
+            nrm = math.hypot(u, v)
+            log_sum += math.log(nrm)
+            u, v = u / nrm, v / nrm
+    if n % renorm_every:
+        log_sum += math.log(math.hypot(u, v))
+    return log_sum / (n * dt)
+
+
+_NRM = math.hypot(2.0, 3.0)
+
+# (model, seed, keyword arguments); about 40k steps in all
+LYAPUNOV_CASES = {
+    "iho-default": (iho(), ClassicalState(3.0, 3.0), dict(t_total=5.0)),
+    "iho-tangent0-renorm7": (
+        iho(), ClassicalState(1.0, 0.0),
+        dict(t_total=5.0, renorm_every=7, tangent0=(0.3, -2.0)),  # 5000 % 7 = 2
+    ),
+    "iho-renorm1": (iho(), ClassicalState(-2.0, 0.5), dict(t_total=2.0, renorm_every=1)),
+    "hiho-default": (HIHO, ClassicalState(8.0, 9.0), dict(t_total=5.0)),
+    "hiho-renorm7-ragged": (
+        HIHO, ClassicalState(8.0, 9.0), dict(t_total=5.003, renorm_every=7),  # 5003 % 7 = 5
+    ),
+    "hiho-renorm10-ragged": (
+        HIHO, ClassicalState(-4.0, 2.0), dict(t_total=1.234, dt=2e-3),  # 617 % 10 = 7
+    ),
+    "hiho-tangent0-renorm1": (
+        HIHO, ClassicalState(8.0, 9.0), dict(t_total=2.0, renorm_every=1, tangent0=(1.0, 1.0)),
+    ),
+    "lambda_T_displaced": (
+        HIHO, ClassicalState(1e-7 * 2.0 / _NRM, -1e-7 * 3.0 / _NRM),
+        dict(t_total=10.0, tangent0=(2.0 / _NRM, 3.0 / _NRM)),
+    ),
+}
+
+
+@pytest.mark.parametrize("case", LYAPUNOV_CASES)
+def test_lyapunov_tangent_equals_reference(case):
+    m, s0, kw = LYAPUNOV_CASES[case]
+    assert lyapunov_tangent(m, s0, **kw) == reference_lyapunov_tangent(m, s0, **kw)
+
+
+INTEGRATE_CASES = {
+    "hiho-forward": (HIHO, ClassicalState(8.0, 9.0), 5.0, 1e-3, True),
+    "hiho-backward": (HIHO, ClassicalState(8.0, 9.0), -3.0, 1e-3, True),
+    "iho-forward": (iho(), ClassicalState(2.0, 1.0), 2.0, 0.01, True),
+    "iho-backward-unchecked": (iho(), ClassicalState(5.0, -5.0), -3.0, 1e-3, False),
+}
+
+
+def test_hamilton_rhs_equals_reference():
+    rng = np.random.default_rng(5)
+    for m in (iho(), HIHO, hiho(2.0, 0.1)):
+        f = _rhs_scalar(m)
+        for q, p in rng.normal(scale=10.0, size=(200, 2)):
+            assert hamilton_rhs(m, ClassicalState(q, p)) == f(q, p)
+
+
+@pytest.mark.parametrize("case", INTEGRATE_CASES)
+def test_integrate_equals_reference(case):
+    args = INTEGRATE_CASES[case]
+    new, ref = integrate(*args), reference_integrate(*args)
+    for name in ("times", "qs", "ps"):
+        # bytes, so that signed zeros count (== and np.array_equal ignore them)
+        assert getattr(new, name).tobytes() == getattr(ref, name).tobytes(), name
+    assert new.energy0 == ref.energy0
+
+
+def test_step_too_large_equals_reference():
+    # an h = 0.05 step drifts the energy past the bound on the first step
+    args = (HIHO, ClassicalState(8.0, 9.0), 5.0, 0.05)
+    with pytest.raises(StepTooLarge) as ref:
+        reference_integrate(*args)
+    with pytest.raises(StepTooLarge) as new:
+        integrate(*args)
+    assert str(new.value) == str(ref.value)
+    assert "at t=0.05 " in str(new.value)
+
+
+def test_lyapunov_zero_steps_is_a_value_error():
+    # round(4e-4 / 1e-3) = 0 steps: nothing to average over
+    with pytest.raises(ValueError, match="under half a step"):
+        lyapunov_tangent(iho(), ClassicalState(1.0, 0.0), 4e-4)
+
+
+NON_FINITE = [(math.nan, 1e-3), (1.0, math.nan), (math.inf, 1e-3), (1.0, math.inf),
+              (1e300, 1e-300)]
+
+
+@pytest.mark.parametrize("t, dt", NON_FINITE)
+def test_lyapunov_non_finite_time_is_a_value_error(t, dt):
+    with pytest.raises(ValueError, match="finite"):
+        lyapunov_tangent(iho(), ClassicalState(1.0, 0.0), t, dt)
+
+
+@pytest.mark.parametrize("t, dt", NON_FINITE + [(-math.inf, 1e-3)])
+def test_integrate_non_finite_time_is_a_value_error(t, dt):
+    with pytest.raises(ValueError, match="finite"):
+        integrate(iho(), ClassicalState(1.0, 0.0), t, dt)
+
+
+@pytest.mark.parametrize("kw", [
+    dict(renorm_every=0), dict(renorm_every=10.0),
+    dict(tangent0=(0.0, 0.0)), dict(tangent0=(math.nan, 1.0)), dict(tangent0=(math.inf, 0.0)),
+])
+def test_lyapunov_bad_renorm_or_tangent_is_a_value_error(kw):
+    with pytest.raises(ValueError, match="renorm_every|tangent0"):
+        lyapunov_tangent(iho(), ClassicalState(1.0, 0.0), 1.0, **kw)

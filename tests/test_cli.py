@@ -1,4 +1,5 @@
 import json
+import math
 import os
 from importlib import resources
 from pathlib import Path
@@ -67,6 +68,11 @@ def test_config_validation_errors():
     with pytest.raises(ConfigError):
         # point too far out for the truncation
         small_cfg(points=(LabeledPoint("X", 9.0, 9.0),)).validate()
+    for bad in (0.0, -1.0, math.nan, math.inf, -math.inf):
+        with pytest.raises(ConfigError, match="t_end must be positive and finite"):
+            small_cfg(t_end=bad).validate()
+        with pytest.raises(ConfigError, match="dt must be positive and finite"):
+            small_cfg(dt=bad).validate()
     for fit in (
         FitSpec(window=(0.8, 0.2)),
         FitSpec(window=(0.5, 0.5)),
@@ -156,6 +162,27 @@ def test_husimi_command(tmp_path):
     assert vals.max() == pytest.approx(1 / np.pi, abs=1e-6)
 
 
+def test_husimi_grid_too_small(tmp_path, capsys):
+    # the packet from (2, 2) rides the unstable manifold out of the window:
+    # a later snapshot records no centroid, a missed first one is an error
+    def run(grid, name):
+        cfg = write_cfg(tmp_path, small_cfg(
+            points=(LabeledPoint("U", 2.0, 2.0),),
+            husimi=HusimiSpec(grid=grid, snapshot_times=(0.0, 1.0)),
+        ), name)
+        return main(["husimi", "--config", cfg, "--out", str(tmp_path / name[:-5])])
+
+    assert run(PhaseGrid(-4.0, 8.0, -4.0, 8.0, 61, 61), "escapes.json") == 0
+    summary = json.loads((tmp_path / "escapes" / "husimi_summary.json").read_text())
+    first, later = summary["snapshots"]
+    assert first["centroid"] == pytest.approx([2.0, 2.0], abs=0.02)
+    assert later["norm"] < 0.99
+    assert later["centroid"] is None and later["second_moments"] is None
+    capsys.readouterr()
+    assert run(PhaseGrid(-1.0, 1.0, -1.0, 1.0, 21, 21), "missed.json") == 2
+    assert "grid misses the initial packet at U" in capsys.readouterr().err
+
+
 def test_cli_overrides(tmp_path):
     cfg = write_cfg(tmp_path, small_cfg())
     out = str(tmp_path / "out")
@@ -175,6 +202,14 @@ def test_cli_config_error_exit_code(tmp_path, capsys):
     capsys.readouterr()
     assert main(["otoc", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
     assert capsys.readouterr().err.startswith("config error: fit window")
+    # json writes and reads NaN and Infinity; validation rejects them
+    for key, bad in (("t_end", math.nan), ("dt", math.nan), ("dt", math.inf),
+                     ("t_end", -math.inf)):
+        cfg = write_cfg(tmp_path, small_cfg(**{key: bad}), f"bad_{key}.json")
+        assert ("NaN" if bad != bad else "Infinity") in Path(cfg).read_text()
+        for cmd in ("portrait", "otoc"):
+            assert main([cmd, "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+            assert capsys.readouterr().err.startswith(f"config error: {key} must be")
 
 
 def test_cli_bad_point_exit_code(tmp_path):

@@ -14,6 +14,7 @@ from otoclab.husimi import (
     PhaseGrid,
     count_local_maxima,
     husimi_centroid,
+    husimi_diagnostics,
     husimi_norm,
     husimi_q,
     husimi_second_moments,
@@ -173,6 +174,17 @@ def test_centroid_grid_too_small():
     small = PhaseGrid(-1.0, 1.0, -1.0, 1.0, 51, 51)
     with pytest.raises(GridTooSmall):
         husimi_centroid(husimi_q(psi, small))
+
+
+def test_diagnostics_equal_the_separate_functions():
+    psi = coherent_state(FockDim(120), CoherentParams(3.0, -2.0))
+    hg = husimi_q(psi, PhaseGrid(-4.0, 10.0, -9.0, 5.0, 121, 101))
+    norm, centroid, mom = husimi_diagnostics(hg)
+    assert norm == husimi_norm(hg)
+    assert centroid == husimi_centroid(hg)
+    assert np.array_equal(mom, husimi_second_moments(hg))
+    small = husimi_q(psi, PhaseGrid(-1.0, 1.0, -1.0, 1.0, 51, 51))
+    assert husimi_diagnostics(small) == (husimi_norm(small), None, None)
 
 
 def test_centroid_tracks_iho_flow(iho_prop):
