@@ -4,14 +4,14 @@ from __future__ import annotations
 
 import hashlib
 import json
-import math
+import os
+import sys
 from dataclasses import dataclass, field
-
-import numpy as np
 
 from .errors import ConfigError
 from .fock import (
     TAIL_TOL,
+    Banded,
     CoherentParams,
     FockDim,
     HihoParams,
@@ -69,7 +69,7 @@ class ExperimentConfig:
         """The Hamiltonian named by ``system``."""
         return iho() if self.system == "iho" else hiho(self.gamma, self.g)
 
-    def hamiltonian(self, dim: FockDim) -> np.ndarray:
+    def hamiltonian(self, dim: FockDim) -> Banded:
         """``build_hamiltonian(dim, self.model())``, reached through the named
         builders: bench/tracer.py charges builds to ``fock.build_s`` by
         hooking ``build_iho`` and ``build_hiho``."""
@@ -80,22 +80,49 @@ class ExperimentConfig:
     def validate(self):
         if self.system not in ("iho", "hiho"):
             raise ConfigError(f"unknown system {self.system!r}")
+        for name in ("gamma", "g"):
+            value = getattr(self, name)
+            if value is not None and not _is_finite(value):
+                raise ConfigError(f"{name} must be a finite number, got {value!r}")
         if self.system == "hiho":
             if self.gamma is None or self.g is None:
                 raise ConfigError("hiho requires gamma and g")
             if self.gamma <= 0 or self.g <= 0:
                 raise ConfigError("gamma and g must be positive")
-        if not self.n_p or any(k < 1 for k in self.n_p):
-            raise ConfigError("n_p entries must be >= 1")
+        if not self.n_p or not all(_is_int(k) and k >= 1 for k in self.n_p):
+            raise ConfigError(f"n_p must be a non-empty list of integers >= 1, got {self.n_p!r}")
         if not self.points:
             raise ConfigError("at least one initial point is required")
+        for pt in self.points:
+            # labels name the output files
+            if not (isinstance(pt.label, str) and pt.label
+                    and "/" not in pt.label and os.sep not in pt.label):
+                raise ConfigError(f"point label {pt.label!r} must be a non-empty "
+                                  f"string without a path separator")
+            if not (_is_finite(pt.q) and _is_finite(pt.p)):
+                raise ConfigError(f"point {pt.label} needs finite numbers q and p, "
+                                  f"got ({pt.q!r}, {pt.p!r})")
+        labels = [pt.label for pt in self.points]
+        if len(set(labels)) != len(labels):
+            raise ConfigError(f"point labels must be distinct, got {labels}")
         # json reads NaN and Infinity, and NaN fails every comparison
-        if not (self.t_end > 0 and math.isfinite(self.t_end)):
+        if not (_is_finite(self.t_end) and self.t_end > 0):
             raise ConfigError(f"t_end must be positive and finite, got {self.t_end!r}")
-        if self.n_samples < 2:
-            raise ConfigError("n_samples must be >= 2")
-        if not (self.dt > 0 and math.isfinite(self.dt)):
+        if not (_is_int(self.n_samples) and self.n_samples >= 2):
+            raise ConfigError(f"n_samples must be an integer >= 2, got {self.n_samples!r}")
+        if not (_is_finite(self.dt) and self.dt > 0):
             raise ConfigError(f"dt must be positive and finite, got {self.dt!r}")
+        if self.husimi is not None:
+            grid = self.husimi.grid
+            bounds = (grid.q_min, grid.q_max, grid.p_min, grid.p_max)
+            if not all(_is_finite(x) for x in bounds):
+                raise ConfigError(f"husimi grid bounds must be finite numbers, got {bounds}")
+            if not (_is_int(grid.n_q) and _is_int(grid.n_p)):
+                raise ConfigError(f"husimi n_q and n_p must be integers, "
+                                  f"got {grid.n_q!r} and {grid.n_p!r}")
+            if not all(_is_finite(t) for t in self.husimi.snapshot_times):
+                raise ConfigError(f"husimi snapshot times must be finite numbers, "
+                                  f"got {list(self.husimi.snapshot_times)}")
         fit = self.fit
         if fit is not None and fit.auto:
             if not (_is_number(fit.min_span) and fit.min_span > 0):
@@ -118,6 +145,16 @@ class ExperimentConfig:
 def _is_number(x) -> bool:
     """An int or float; JSON's true/false load as bool, a subclass of int."""
     return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
+def _is_finite(x) -> bool:
+    """A number with a finite float value: not NaN or +-Infinity, which json
+    reads, nor an int past the float range."""
+    return _is_number(x) and abs(x) <= sys.float_info.max
+
+
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
 
 
 def _is_interval(w) -> bool:

@@ -3,9 +3,10 @@ mean-photon and OTOC time series.
 
 Both Hamiltonians are real symmetric, commute with photon-number parity and
 are banded inside each parity block (bandwidth 1 for IHO, 2 for HIHO).
-``diagonalize`` splits H into its even and odd blocks whenever the
-cross-parity block is exactly zero (otherwise it keeps one whole block) and
-solves every block with the banded solver ``scipy.linalg.eig_banded``.
+``diagonalize`` takes H as a ``fock.Banded`` lower band. When its odd
+diagonals are zero, the even and odd photon-number blocks are
+``lower[0::2, 0::2]`` and ``lower[0::2, 1::2]``, each solved as it is by
+``scipy.linalg.eig_banded``; otherwise H is one block.
 Evolution then multiplies each block's real eigenvectors into the
 complex-as-real view of the phased coefficients: one real GEMM per block,
 about 4x fewer flops than one complex D x D product. Eigenvector storage is
@@ -27,9 +28,7 @@ import numpy as np
 from scipy.linalg import eig_banded
 
 from .errors import DimMismatch, NotHermitian, TruncationGuardError
-from .fock import FockDim, hermiticity_defect
-
-HERMITICITY_TOL = 1e-12
+from .fock import HERMITICITY_TOL, Banded, FockDim, hermiticity_defect
 
 # Production guard: population above n = D - ceil(D/10) must stay below this,
 # otherwise the run is reflecting off the truncation edge of an undersized
@@ -94,29 +93,16 @@ class Propagator:
         return self._full[1]
 
 
-def _eigh_banded(H: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenpairs of a Hermitian matrix through its lower band, whose width
-    is read from the nonzero diagonals."""
-    n = H.shape[0]
-    rows, cols = np.nonzero(H)
-    u = int(np.max(np.abs(rows - cols), initial=0))
-    band = np.zeros((u + 1, n), dtype=H.dtype)
-    for k in range(u + 1):
-        band[k, : n - k] = np.diagonal(H, -k)
-    return eig_banded(band, lower=True)
-
-
-def diagonalize(H: np.ndarray) -> Propagator:
-    """Diagonalize a Hermitian operator, block by block when it commutes
-    with photon-number parity; eigenvalues ascending within each block."""
-    defect = hermiticity_defect(H)
-    if defect > HERMITICITY_TOL:
-        raise NotHermitian(f"relative Hermiticity defect {defect:.3e}")
-    if np.any(H[0::2, 1::2]) or np.any(H[1::2, 0::2]):
-        parts = (slice(None),)
+def diagonalize(H: Banded) -> Propagator:
+    """Diagonalize a banded Hermitian operator, block by block when it
+    commutes with photon-number parity; eigenvalues ascending within each
+    block."""
+    if np.any(H.lower[1::2]):
+        parts = ((slice(None), H.lower),)
     else:
-        parts = (slice(0, None, 2), slice(1, None, 2))
-    blocks = tuple((idx, *_eigh_banded(H[idx, idx])) for idx in parts)
+        parts = ((slice(0, None, 2), H.lower[0::2, 0::2]),
+                 (slice(1, None, 2), H.lower[0::2, 1::2]))
+    blocks = tuple((idx, *eig_banded(band, lower=True)) for idx, band in parts)
     return Propagator(dim=FockDim(H.shape[0] - 1), blocks=blocks)
 
 

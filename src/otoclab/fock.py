@@ -13,10 +13,10 @@ energy in ``classical`` all derive from it:
 - iho:  kappa = 1/2, V = -X^2/2, i.e. H = -(a^2 + a^dag^2)/2;
 - hiho: kappa = 1,   V = -gamma^2 X^2/4 + g X^4 + gamma^4/(64 g).
 
-The ladder helpers return dense complex matrices; the Hamiltonian is real
-symmetric and is assembled from its diagonals in O(D) arithmetic: a band
-algebra multiplies the truncated ladder bands exactly as the dense truncated
-products would, so edge artifacts such as (B B)[D-1, D-1] = D - 1 are kept.
+The ladder helpers return dense complex matrices; the Hamiltonian is a
+``Banded`` matrix built in O(D) memory and arithmetic: a band algebra
+multiplies the truncated ladder bands exactly as the dense truncated products
+would, so edge artifacts such as (B B)[D-1, D-1] = D - 1 are kept.
 """
 from __future__ import annotations
 
@@ -25,9 +25,10 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import gammainc, gammaln
 
-from .errors import TailTooHeavy
+from .errors import NotHermitian, TailTooHeavy
 
 TAIL_TOL = 1e-10
+HERMITICITY_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -106,10 +107,6 @@ def quadratures(dim: FockDim) -> tuple[np.ndarray, np.ndarray]:
     return (ad + a) / np.sqrt(2), 1j * (ad - a) / np.sqrt(2)
 
 
-def number_op(dim: FockDim) -> np.ndarray:
-    return np.diag(np.arange(dim.dim, dtype=float)).astype(complex)
-
-
 # A banded matrix as {offset k: d} with d[r] = M[r, r + k] for every row r,
 # zero where column r + k falls outside the truncation.
 _Bands = dict[int, np.ndarray]
@@ -149,18 +146,23 @@ def _ladder_diagonals(dim: FockDim) -> tuple[np.ndarray, np.ndarray]:
     return up, np.sqrt(n)
 
 
-def _dense(bands: _Bands, D: int) -> np.ndarray:
-    """Real D x D matrix with the given diagonals."""
-    H = np.zeros((D, D))
-    for k, d in bands.items():
-        r = np.arange(max(0, -k), min(D, D - k))
-        H[r, r + k] = d[r]
-    return H
+@dataclass(frozen=True, eq=False)
+class Banded:
+    """Hermitian D x D matrix in the LAPACK lower band layout that
+    ``eig_banded`` reads: lower[k, r] = H[r + k, r], zero for r >= D - k."""
+
+    lower: np.ndarray
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        D = self.lower.shape[1]
+        return D, D
 
 
-def build_hamiltonian(dim: FockDim, model: Model) -> np.ndarray:
+def build_hamiltonian(dim: FockDim, model: Model) -> Banded:
     """kappa P^2 + v2 X^2 + v4 X^4 + v0 with P^2 = -A^2/2, X^2 = B^2/2 and
-    X^4 = B^4/4, where A = a^dag - a and B = a^dag + a."""
+    X^4 = B^4/4, where A = a^dag - a and B = a^dag + a. Raises NotHermitian
+    when a band k differs from band -k by more than HERMITICITY_TOL max |H|."""
     up, down = _ladder_diagonals(dim)
     A = {-1: down, 1: -up}
     B = {-1: down, 1: up}
@@ -176,15 +178,25 @@ def build_hamiltonian(dim: FockDim, model: Model) -> np.ndarray:
         for k, d in term.items():
             bands[k] = bands.get(k, 0.0) + c * d
     bands[0] = bands[0] + model.v0
-    return _dense(bands, dim.dim)
+    D = dim.dim
+    scale = max(np.max(np.abs(d)) for d in bands.values())
+    defect = max((np.max(np.abs(bands[k][: D - k] - bands[-k][k:]))
+                  for k in bands if k > 0), default=0.0)
+    if defect > HERMITICITY_TOL * scale:
+        raise NotHermitian(f"relative Hermiticity defect {defect / scale:.3e}")
+    lower = np.zeros((max(bands) + 1, D))
+    for k in range(lower.shape[0]):
+        if -k in bands:
+            lower[k, : D - k] = bands[-k][k:]
+    return Banded(lower)
 
 
-def build_iho(dim: FockDim) -> np.ndarray:
+def build_iho(dim: FockDim) -> Banded:
     """Inverted-oscillator Hamiltonian -(a^2 + a^dag^2)/2."""
     return build_hamiltonian(dim, iho())
 
 
-def build_hiho(dim: FockDim, params: HihoParams) -> np.ndarray:
+def build_hiho(dim: FockDim, params: HihoParams) -> Banded:
     """Double-well Hamiltonian, including the constant offset gamma^4/(64 g)."""
     return build_hamiltonian(dim, hiho(params.gamma, params.g))
 

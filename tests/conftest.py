@@ -1,11 +1,36 @@
+import numpy as np
 import pytest
 
 from otoclab.evolution import diagonalize
-from otoclab.fock import FockDim, HihoParams, build_hiho, build_iho
+from otoclab.fock import Banded, FockDim, HihoParams, build_hiho, build_iho
 
 # Heavy diagonalizations are shared across the whole session.
 _iho_cache = {}
 _hiho_cache = {}
+
+
+def dense(H: Banded) -> np.ndarray:
+    """The full D x D matrix of a banded Hermitian operator."""
+    D = H.shape[0]
+    M = np.zeros((D, D), dtype=H.lower.dtype)
+    for k, row in enumerate(H.lower):
+        r = np.arange(D - k)
+        M[r + k, r] = row[: D - k]
+        M[r, r + k] = row[: D - k].conj()
+    return M
+
+
+def banded(M: np.ndarray) -> Banded:
+    """Lower band of a Hermitian matrix, as wide as its farthest nonzero
+    diagonal."""
+    assert np.array_equal(M, M.conj().T), "banded() needs a Hermitian matrix"
+    rows, cols = np.nonzero(M)
+    u = int(np.max(np.abs(rows - cols), initial=0))
+    D = M.shape[0]
+    lower = np.zeros((u + 1, D), dtype=M.dtype)
+    for k in range(u + 1):
+        lower[k, : D - k] = np.diagonal(M, -k)
+    return Banded(lower)
 
 
 @pytest.fixture(scope="session")

@@ -68,7 +68,7 @@ def test_config_validation_errors():
     with pytest.raises(ConfigError):
         # point too far out for the truncation
         small_cfg(points=(LabeledPoint("X", 9.0, 9.0),)).validate()
-    for bad in (0.0, -1.0, math.nan, math.inf, -math.inf):
+    for bad in (0.0, -1.0, math.nan, math.inf, -math.inf, 10**400, "1", True, None):
         with pytest.raises(ConfigError, match="t_end must be positive and finite"):
             small_cfg(t_end=bad).validate()
         with pytest.raises(ConfigError, match="dt must be positive and finite"):
@@ -88,6 +88,43 @@ def test_config_validation_errors():
     ):
         with pytest.raises(ConfigError):
             small_cfg(fit=fit).validate()
+    grid = PhaseGrid(-6.0, 6.0, -6.0, 6.0, 21, 21)
+    for bad in (math.nan, math.inf, -math.inf, -10**400, "3", True, None):
+        gamma_error = "hiho requires gamma and g" if bad is None else "must be a finite number"
+        with pytest.raises(ConfigError, match=gamma_error):
+            small_cfg(system="hiho", gamma=bad, g=0.04).validate()
+        with pytest.raises(ConfigError, match=gamma_error):
+            small_cfg(system="hiho", gamma=3.0, g=bad).validate()
+        with pytest.raises(ConfigError, match="needs finite numbers q and p"):
+            small_cfg(points=(LabeledPoint("A", bad, 0.0),)).validate()
+        with pytest.raises(ConfigError, match="needs finite numbers q and p"):
+            small_cfg(points=(LabeledPoint("A", 0.0, bad),)).validate()
+        with pytest.raises(ConfigError, match="snapshot times must be finite"):
+            small_cfg(husimi=HusimiSpec(grid, (0.0, bad))).validate()
+    for bad in (40.5, 40.0, "40", True):
+        with pytest.raises(ConfigError, match="n_p must be a non-empty list of integers >= 1"):
+            small_cfg(n_p=(bad,)).validate()
+        with pytest.raises(ConfigError, match="n_samples must be an integer >= 2"):
+            small_cfg(n_samples=bad).validate()
+    for n_q, n_p in ((21.5, 21), (21, 21.0)):  # PhaseGrid rejects str and bool itself
+        with pytest.raises(ConfigError, match="husimi n_q and n_p must be integers"):
+            small_cfg(husimi=HusimiSpec(PhaseGrid(-6.0, 6.0, -6.0, 6.0, n_q, n_p),
+                                        (0.0,))).validate()
+    with pytest.raises(ConfigError, match="grid bounds must be finite"):
+        small_cfg(husimi=HusimiSpec(PhaseGrid(-math.inf, 6.0, -6.0, 6.0, 21, 21),
+                                    (0.0,))).validate()
+    # labels name the output files
+    for labels, message in (
+        (("A", "A"), "must be distinct"),
+        (("A", "B", "A"), "must be distinct"),
+        (("",), "non-empty string without a path separator"),
+        (("a/b",), "non-empty string without a path separator"),
+        (("a" + os.sep + "b",), "non-empty string without a path separator"),
+        ((7,), "non-empty string without a path separator"),
+    ):
+        points = tuple(LabeledPoint(label, 0.5 * i, 0.0) for i, label in enumerate(labels))
+        with pytest.raises(ConfigError, match=message):
+            small_cfg(points=points).validate()
 
 
 def test_config_hash_stable():
@@ -210,6 +247,35 @@ def test_cli_config_error_exit_code(tmp_path, capsys):
         for cmd in ("portrait", "otoc"):
             assert main([cmd, "--config", cfg, "--out", str(tmp_path / "o")]) == 1
             assert capsys.readouterr().err.startswith(f"config error: {key} must be")
+    # inputs that used to end in a traceback, or exit 0 with NaN data
+    base = json.loads(serialize(small_cfg()))
+    grid = {"q_min": -6.0, "q_max": 6.0, "p_min": -6.0, "p_max": 6.0, "n_q": 21,
+            "n_p": 21, "snapshot_times": [0.0]}
+    hiho = {"system": "hiho", "gamma": 3.0, "g": 0.04}
+    for name, patch, cmd in (
+        ("gamma_nan", {**hiho, "gamma": math.nan}, "otoc"),
+        ("gamma_inf", {**hiho, "gamma": math.inf}, "otoc"),
+        ("g_ninf", {**hiho, "g": -math.inf}, "otoc"),
+        ("gamma_str", {**hiho, "gamma": "3"}, "otoc"),
+        ("q_nan", {"points": [{"label": "A", "q": math.nan, "p": 0.0}]}, "otoc"),
+        ("q_str", {"points": [{"label": "A", "q": "1", "p": 0.0}]}, "otoc"),
+        ("t_end_str", {"t_end": "1"}, "otoc"),
+        ("n_p_float", {"n_p": [40.5]}, "otoc"),
+        ("n_samples_float", {"n_samples": 11.5}, "otoc"),
+        ("snapshot_nan", {"husimi": {**grid, "snapshot_times": [0.0, math.nan]}}, "husimi"),
+        ("n_q_float", {"husimi": {**grid, "n_q": 21.5}}, "husimi"),
+        ("label_repeated", {"points": [{"label": "A", "q": 0.0, "p": 0.0},
+                                       {"label": "A", "q": 1.0, "p": 0.0}]}, "otoc"),
+        ("label_slash", {"points": [{"label": "a/b", "q": 0.0, "p": 0.0}]}, "otoc"),
+        ("label_empty", {"points": [{"label": "", "q": 0.0, "p": 0.0}]}, "otoc"),
+    ):
+        path = tmp_path / f"bad_{name}.json"
+        path.write_text(json.dumps({**base, **patch}), encoding="utf-8")
+        out = tmp_path / f"o_{name}"
+        capsys.readouterr()
+        assert main([cmd, "--config", str(path), "--out", str(out)]) == 1, name
+        assert capsys.readouterr().err.startswith("config error: "), name
+        assert not out.exists(), name
 
 
 def test_cli_bad_point_exit_code(tmp_path):

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+from conftest import banded, dense
 from hypothesis import given, settings, strategies as st
 from scipy.linalg import eigh
 
+from otoclab import fock
 from otoclab.errors import DimMismatch, NotHermitian
 from otoclab.evolution import (
     commutator_otoc,
@@ -26,15 +28,23 @@ from otoclab.fock import (
 
 
 def test_diagonalize_diagonal_matrix():
-    prop = diagonalize(np.diag([0.0, 1.0, 2.0]).astype(complex))
+    prop = diagonalize(banded(np.diag([0.0, 1.0, 2.0]).astype(complex)))
     assert np.allclose(prop.eigenvalues, [0, 1, 2])
     assert np.allclose(np.abs(prop.eigenvectors), np.eye(3))
 
 
-def test_diagonalize_rejects_non_hermitian():
-    M = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
-    with pytest.raises(NotHermitian):
-        diagonalize(M)
+def test_diagonalize_rejects_non_hermitian(monkeypatch):
+    # the Hermiticity guard compares band k with band -k at build time
+    band_matmul = fock._band_matmul
+
+    def skewed(M, N):
+        out = band_matmul(M, N)
+        out[-2] = out[-2] * (1 + 1e-9)
+        return out
+
+    monkeypatch.setattr(fock, "_band_matmul", skewed)
+    with pytest.raises(NotHermitian, match="Hermiticity defect"):
+        diagonalize(build_iho(FockDim(10)))
 
 
 def _random_hermitian(D, seed=3):
@@ -54,9 +64,9 @@ def test_banded_propagator_matches_dense_eigh(case, n_blocks):
     H = {
         "iho": lambda: build_iho(d),
         "hiho": lambda: build_hiho(d, HihoParams(3.0, 0.04)),
-        "random": lambda: _random_hermitian(d.dim),
+        "random": lambda: banded(_random_hermitian(d.dim)),
     }[case]()
-    lam, V = eigh(H)
+    lam, V = eigh(dense(H))
     prop = diagonalize(H)
     assert len(prop.blocks) == n_blocks
     assert np.max(np.abs(prop.eigenvalues - lam)) <= 1e-12 * np.max(np.abs(lam))
@@ -75,9 +85,7 @@ def test_propagator_invariants(hiho_prop):
     V = prop.eigenvectors
     assert np.max(np.abs(V.conj().T @ V - np.eye(251))) <= 1e-10
     H = V @ (prop.eigenvalues[:, None] * V.conj().T)
-    from otoclab.fock import HihoParams, build_hiho
-
-    H_ref = build_hiho(FockDim(250), HihoParams(3.0, 0.04))
+    H_ref = dense(build_hiho(FockDim(250), HihoParams(3.0, 0.04)))
     assert np.max(np.abs(H - H_ref)) <= 1e-9 * np.max(np.abs(H_ref))
 
 
@@ -118,7 +126,7 @@ def test_unitarity_and_group_law(iho_prop):
 
 def test_energy_conservation(iho_prop):
     prop = iho_prop(120)
-    H = build_iho(FockDim(120))
+    H = dense(build_iho(FockDim(120)))
     psi = coherent_state(FockDim(120), CoherentParams(2.0, -2.0))
     e0 = expect(psi, H)
     for t in (0.5, 1.0, 1.5):

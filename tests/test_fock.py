@@ -1,5 +1,8 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from conftest import dense
 from hypothesis import given, settings, strategies as st
 from scipy.linalg import eigh
 
@@ -8,10 +11,12 @@ from otoclab.fock import (
     CoherentParams,
     FockDim,
     HihoParams,
+    build_hamiltonian,
     build_hiho,
     build_iho,
     coherent_state,
     hermiticity_defect,
+    hiho,
     make_ladder,
     mean_photon,
     quadratures,
@@ -73,8 +78,8 @@ def test_quadrature_commutator():
 @pytest.mark.parametrize("n_p", [1, 2, 3, 4, 5, 6, 39, 150, 599])
 def test_hamiltonians_hermitian(n_p):
     d = FockDim(n_p)
-    H_iho = build_iho(d)
-    H_hiho = build_hiho(d, HihoParams(3.0, 0.04))
+    H_iho = dense(build_iho(d))
+    H_hiho = dense(build_hiho(d, HihoParams(3.0, 0.04)))
     assert hermiticity_defect(H_iho) <= 1e-12
     assert hermiticity_defect(H_hiho) <= 1e-12
     # the band-built matrices equal the truncated ladder products, including
@@ -89,25 +94,43 @@ def test_hamiltonians_hermitian(n_p):
     assert np.max(np.abs(H_hiho - hiho_ref)) <= 1e-14 * np.max(np.abs(hiho_ref))
 
 
+def test_banded_shape_is_the_matrix_shape():
+    for n_p in (1, 2, 4, 39):
+        d = FockDim(n_p)
+        assert build_iho(d).shape == (d.dim, d.dim)
+        assert build_hiho(d, HihoParams(3.0, 0.04)).shape == (d.dim, d.dim)
+
+
+def test_build_is_o_of_d_memory():
+    # a dense D x D float64 matrix at D = 3001 alone is 68.7 MiB
+    tracemalloc.start()
+    try:
+        build_hamiltonian(FockDim(3000), hiho(3.0, 0.04))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20
+
+
 def test_iho_entries():
-    H = build_iho(FockDim(2))
+    H = dense(build_iho(FockDim(2)))
     assert H[0, 2] == pytest.approx(-np.sqrt(2) / 2)
     assert H[2, 0] == pytest.approx(-np.sqrt(2) / 2)
-    assert np.allclose(np.diag(build_iho(FockDim(24))), 0.0)
+    assert np.allclose(np.diag(dense(build_iho(FockDim(24)))), 0.0)
 
 
 def test_iho_spectrum_symmetric():
-    lam = np.linalg.eigvalsh(build_iho(FockDim(39)))
+    lam = np.linalg.eigvalsh(dense(build_iho(FockDim(39))))
     assert np.allclose(lam, -lam[::-1], atol=1e-10)
 
 
 def test_hiho_constant_shift():
     d = FockDim(10)
     params = HihoParams(3.0, 1 / 25)
-    H = build_hiho(d, params)
+    H = dense(build_hiho(d, params))
     H_noshift = H - 31.640625 * np.eye(d.dim)  # 3^4/(64/25) exactly
     assert H_noshift[0, 0] == pytest.approx(
-        build_hiho(d, params)[0, 0] - 31.640625
+        dense(build_hiho(d, params))[0, 0] - 31.640625
     )
     # the shift sits on every diagonal entry: rebuild without it
     a, a_dag = make_ladder(d)
@@ -120,7 +143,7 @@ def test_hiho_equals_momentum_plus_potential():
     # independent assembly through operator polynomials in X
     d = FockDim(29)
     params = HihoParams(3.0, 0.04)
-    H = build_hiho(d, params)
+    H = dense(build_hiho(d, params))
     X, P = quadratures(d)
     X2 = X @ X
     V = -params.gamma**2 * X2 / 4 + params.g * X2 @ X2
@@ -130,7 +153,7 @@ def test_hiho_equals_momentum_plus_potential():
 
 
 def test_hiho_ground_state_positive():
-    H = build_hiho(FockDim(250), HihoParams(3.0, 1 / 25))
+    H = dense(build_hiho(FockDim(250), HihoParams(3.0, 1 / 25)))
     e0 = eigh(H, eigvals_only=True, subset_by_index=(0, 0))[0]
     assert e0 > 0
 
