@@ -29,6 +29,7 @@ from .errors import (
     GridMismatch,
     GridTooSmall,
     InvalidRate,
+    NonFiniteValues,
     NonPositiveValues,
     NotHermitian,
     OtocLabError,
@@ -79,6 +80,7 @@ EXIT_CODES: dict[type[OtocLabError], tuple[int, str]] = {
     NotHermitian: (2, "numerical guard"),
     DimMismatch: (2, "numerical guard"),
     NonPositiveValues: (3, "analysis"),
+    NonFiniteValues: (3, "analysis"),
     WindowTooSparse: (3, "analysis"),
     GridMismatch: (3, "analysis"),
     InvalidRate: (3, "analysis"),
@@ -234,7 +236,7 @@ def cmd_otoc(cfg: ExperimentConfig, out_dir: str, oracle: bool = False) -> dict:
                         ehrenfest_time(fit.rate, k) if fit.rate > 0 else None
                     ),
                 )
-            except (NonPositiveValues, WindowTooSparse) as exc:
+            except (NonPositiveValues, NonFiniteValues, WindowTooSparse) as exc:
                 entry["fit_error"] = str(exc)
             runs.append(entry)
     summary = {"runs": runs}

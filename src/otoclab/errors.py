@@ -35,6 +35,10 @@ class NonPositiveValues(OtocLabError):
     """Log-domain fit requested on a series with non-positive values."""
 
 
+class NonFiniteValues(OtocLabError):
+    """Fit or window search requested on a series holding nan or inf."""
+
+
 class WindowTooSparse(OtocLabError):
     """Fit window contains fewer than the minimum number of samples."""
 
@@ -44,7 +48,7 @@ class GridMismatch(OtocLabError):
 
 
 class InvalidRate(OtocLabError):
-    """Non-positive growth rate passed where a positive one is required."""
+    """Non-positive or non-finite growth rate passed where a positive one is required."""
 
 
 class ConfigError(OtocLabError):

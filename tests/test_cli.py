@@ -324,6 +324,29 @@ def test_otoc_empty_a_priori_window_is_a_fit_error(tmp_path, capsys):
     assert "rate" not in run
 
 
+@pytest.mark.parametrize("fit", [
+    FitSpec(auto=True, min_span=0.1, search=(0.0, 1.0)),
+    FitSpec(window=(0.2, 0.8)),
+], ids=["auto", "fixed"])
+def test_otoc_non_finite_series_is_a_fit_error(tmp_path, monkeypatch, fit):
+    # a nan sample in the fitted range is kept in the CSV, and the summary
+    # entry records the fit error instead of rate = nan
+    real = cli.variance_otoc
+
+    def poisoned(*args, **kwargs):
+        series = real(*args, **kwargs)
+        series.values[10] = np.nan
+        return series
+
+    monkeypatch.setattr(cli, "variance_otoc", poisoned)
+    cfg = write_cfg(tmp_path, small_cfg(fit=fit))
+    out = tmp_path / "o"
+    assert main(["otoc", "--config", cfg, "--out", str(out)]) == 0
+    (run,) = json.loads((out / "otoc_summary.json").read_text())["runs"]
+    assert "finite" in run["fit_error"]
+    assert "rate" not in run
+
+
 def test_determinism_bit_identical(tmp_path):
     cfg = write_cfg(tmp_path, small_cfg())
     out1, out2 = str(tmp_path / "r1"), str(tmp_path / "r2")
