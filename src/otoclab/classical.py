@@ -1,6 +1,6 @@
 """Classical Hamiltonian dynamics for both oscillators: analytic inverted-
-oscillator flow, fixed-step RK4 integration, Jacobian analysis, Benettin
-tangent-space Lyapunov exponents, and saddle-manifold classification.
+oscillator flow, fixed-step RK4 integration, Jacobian analysis and Benettin
+tangent-space Lyapunov exponents.
 
 Both systems are the classical limit of one ``fock.Model``,
 H = kappa p^2 + V(q) with V(q) = v0 + v2 q^2 + v4 q^4, so
@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
@@ -244,28 +243,6 @@ def lyapunov_tangent(
         log_sum += math.log(nrm)
         u, v = u / nrm, v / nrm
     return log_sum / (n * dt)
-
-
-class ManifoldClass(Enum):
-    SADDLE = "saddle"
-    STABLE_MANIFOLD = "stable_manifold"
-    UNSTABLE_MANIFOLD = "unstable_manifold"
-    GENERIC = "generic"
-
-
-def classify_iho_point(s: ClassicalState, tol: float = 1e-9) -> ManifoldClass:
-    """Locate a point relative to the IHO saddle and its manifolds
-    p = -q (stable) / p = q (unstable)."""
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    if abs(s.q) <= tol and abs(s.p) <= tol:
-        return ManifoldClass.SADDLE
-    scale = max(1.0, abs(s.q))
-    if abs(s.p + s.q) <= tol * scale:
-        return ManifoldClass.STABLE_MANIFOLD
-    if abs(s.p - s.q) <= tol * scale:
-        return ManifoldClass.UNSTABLE_MANIFOLD
-    return ManifoldClass.GENERIC
 
 
 def phase_portrait(

@@ -147,21 +147,14 @@ def evolve_batch(prop: Propagator, psi0: np.ndarray, times: np.ndarray) -> np.nd
     return out
 
 
-def expect(state: np.ndarray, M: np.ndarray, check_hermitian: bool = True) -> float:
+def expect(state: np.ndarray, M: np.ndarray) -> float:
     """<psi|M|psi> for Hermitian M; the (tiny) imaginary part is discarded."""
     if state.shape[0] != M.shape[0]:
         raise DimMismatch("state/operator dimension mismatch")
-    if check_hermitian and hermiticity_defect(M) > HERMITICITY_TOL:
+    if hermiticity_defect(M) > HERMITICITY_TOL:
         raise NotHermitian("expect() requires a Hermitian operator")
     val = np.vdot(state, M @ state)
     return float(val.real)
-
-
-def tail_population(state: np.ndarray, k: int) -> float:
-    """Probability mass at photon numbers >= k."""
-    if not 0 <= k < state.shape[0]:
-        raise IndexError(f"k={k} outside [0, {state.shape[0]})")
-    return float(np.sum(np.abs(state[k:]) ** 2))
 
 
 def _guard_tails(Psi: np.ndarray, times: np.ndarray, label: str):

@@ -22,6 +22,9 @@ from scipy.ndimage import label, maximum_filter
 
 from .errors import GridTooSmall
 
+# count_local_maxima counts peaks above this fraction of max(Q)
+PEAK_FRAC = 0.1
+
 
 @dataclass(frozen=True)
 class PhaseGrid:
@@ -157,10 +160,10 @@ def husimi_diagnostics(
     return w / 2, centroid, _second_moments(hg, w, centroid)
 
 
-def count_local_maxima(hg: HusimiGrid, frac: float = 0.1) -> int:
-    """Number of distinct local maxima above frac * max(Q); plateau peaks
+def count_local_maxima(hg: HusimiGrid) -> int:
+    """Number of distinct local maxima above PEAK_FRAC * max(Q); plateau peaks
     are merged via connected-component labelling."""
     Q = hg.values
-    peaks = (Q == maximum_filter(Q, size=3, mode="constant")) & (Q > frac * Q.max())
+    peaks = (Q == maximum_filter(Q, size=3, mode="constant")) & (Q > PEAK_FRAC * Q.max())
     _, n_comp = label(peaks)
     return int(n_comp)

@@ -6,10 +6,8 @@ import pytest
 from otoclab.classical import (
     ENERGY_DRIFT_TOL,
     ClassicalState,
-    ManifoldClass,
     Model,
     Trajectory,
-    classify_iho_point,
     energy,
     flow_iho_analytic,
     hamilton_rhs,
@@ -127,13 +125,6 @@ def test_lyapunov_hiho_displaced_saddle():
 def test_lyapunov_hiho_periodic_orbit_vanishes():
     lam = lyapunov_tangent(HIHO, ClassicalState(8.0, 9.0), t_total=1000.0)
     assert abs(lam) <= 1e-2
-
-
-def test_classify_points():
-    assert classify_iho_point(ClassicalState(0.0, 0.0)) is ManifoldClass.SADDLE
-    assert classify_iho_point(ClassicalState(5.0, -5.0)) is ManifoldClass.STABLE_MANIFOLD
-    assert classify_iho_point(ClassicalState(3.0, 3.0)) is ManifoldClass.UNSTABLE_MANIFOLD
-    assert classify_iho_point(ClassicalState(-4.267, 5.643)) is ManifoldClass.GENERIC
 
 
 def test_phase_portrait_manifold_rays():

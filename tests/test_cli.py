@@ -19,6 +19,7 @@ from otoclab.config import (
     serialize,
 )
 from otoclab.errors import ConfigError, OtocLabError
+from otoclab.evolution import TimeSeries
 from otoclab.husimi import PhaseGrid
 from otoclab.output import read_grid
 
@@ -405,12 +406,75 @@ def test_reproduce_all_single_figure(tmp_path):
     assert report["figures"]["fig1"]["status"] == "ok"
 
 
-def test_reproduce_all_missing_config_dir(tmp_path):
-    out = str(tmp_path / "o")
-    cfg_dir = str(tmp_path / "empty")
-    os.makedirs(cfg_dir)
-    rc = main(["reproduce-all", "--out", out, "--only", "fig1",
-               "--config", cfg_dir])
-    assert rc == 3
-    report = json.loads(open(os.path.join(out, "report.json")).read())
-    assert report["figures"]["fig1"]["status"] == "error"
+def test_figure_table_matches_bundled_configs():
+    stems = {Path(f.name).stem
+             for f in resources.files("otoclab.figconfigs").iterdir()
+             if f.name.endswith(".json")}
+    assert set(cli.FIGURES) == stems
+
+
+def cosh_series(point, n_p, scale=1.0, n=61):
+    """The untruncated IHO variance cosh(2t)/2 on [0, 3], times ``scale``."""
+    t = np.linspace(0.0, 3.0, n)
+    return TimeSeries(t, scale * np.cosh(2 * t) / 2, f"{point}/np{n_p}")
+
+
+def assert_all_failed(checks, names):
+    assert [c["name"] for c in checks] == names
+    assert not any(c["passed"] for c in checks), checks
+
+
+def test_checks_fig2a_missing_correspondence_time_fails():
+    runs = [{"point": "B", "n_p": k, "t_p": t}
+            for k, t in ((100, 0.9), (200, None), (300, 1.5))]
+    assert_all_failed(cli._checks_fig2a({"summary": {"runs": runs}}),
+                      ["fig2a_tp_monotone"])
+
+
+def test_checks_fig3_fit_error_fails():
+    # a faithful series never departs, so its exponential duration is None
+    runs = [{"point": "B", "n_p": 75, "rate": 1.3},
+            {"point": "B", "n_p": 150, "fit_error": "window too sparse"}]
+    series = {("B", r["n_p"]): cosh_series("B", r["n_p"]) for r in runs}
+    checks = cli._checks_fig3({"summary": {"runs": runs}, "series": series})
+    assert_all_failed(checks, ["fig3_rate_spread", "fig3_exponential_duration"])
+    assert checks[0]["value"] == [1.3, None]
+
+
+def test_checks_fig4a_fit_error_and_no_faithful_samples_fail():
+    # both curves depart from cosh(2t)/2 at t = 0, so nothing is compared
+    runs = [{"point": "O", "n_p": 300, "fit_error": "non-positive values"},
+            {"point": "A", "n_p": 300, "rate": 3.0}]
+    series = {(r["point"], 300): cosh_series(r["point"], 300, scale=2.0)
+              for r in runs}
+    checks = cli._checks_fig4a({"summary": {"runs": runs}, "series": series})
+    assert_all_failed(checks, ["rate_O_np300", "rate_A_np300",
+                               "fig4a_pointwise_agreement"])
+    assert checks[-1]["value"] is None
+
+
+def test_checks_fig5_without_late_snapshot_fails():
+    snaps = [{"point": "O", "time": 0.0, "n_local_maxima": 1}]
+    checks = cli._checks_fig5({"summary": {"n_p": 300, "snapshots": snaps}})
+    assert_all_failed(checks, ["fig5_fragmentation"])
+
+
+@pytest.mark.parametrize("runs", [
+    [{"point": "T", "n_p": 250, "rate": 25.5, "ehrenfest_time": 0.22}],
+    [{"point": "F", "n_p": 250, "fit_error": "window too sparse"}],
+], ids=["no-F-run", "F-fit-error"])
+def test_checks_fig7_otoc_missing_f_values_fail(runs):
+    checks = cli._checks_fig7_otoc({"summary": {"runs": runs}})
+    assert_all_failed(checks, ["rate_F", "tau_F"])
+    assert [c["value"] for c in checks] == [None, None]
+
+
+def test_checks_fig8_lost_last_moments_fail():
+    # the last snapshot is the one compared, never an earlier one
+    moments = {"qq": 1.0, "qp": 0.0, "pp": 1.0}
+    stretched = {"qq": 1.0, "qp": 0.0, "pp": 9.0}
+    snaps = [{"point": "F", "time": t, "second_moments": m}
+             for t, m in ((0.0, moments), (0.14, stretched), (0.21, None))]
+    checks = cli._checks_fig8({"summary": {"snapshots": snaps}})
+    assert_all_failed(checks, ["fig8_vertical_stretch"])
+    assert checks[0]["value"] is None

@@ -13,7 +13,6 @@ from otoclab.evolution import (
     evolve_batch,
     expect,
     photon_series,
-    tail_population,
     variance_otoc,
 )
 from otoclab.fock import (
@@ -219,14 +218,3 @@ def test_photon_series_point_a_dips_then_grows(iho_prop):
     assert 0 < i_min < len(series.values) - 1
     assert series.values[i_min] < series.values[0]
     assert series.values[-1] > series.values[0]
-
-
-def test_tail_population():
-    d = FockDim(300)
-    psi = coherent_state(d, CoherentParams(3.0, 3.0))
-    assert tail_population(psi, 0) == pytest.approx(1.0)
-    vac = coherent_state(FockDim(10), CoherentParams(0.0, 0.0))
-    assert tail_population(vac, 1) == 0.0
-    assert tail_population(psi, 60) < 1e-10  # Poisson(9) tail at 60
-    with pytest.raises(IndexError):
-        tail_population(psi, 301)
