@@ -275,7 +275,8 @@ def cmd_husimi(cfg: ExperimentConfig, out_dir: str) -> dict:
             if centroid is not None:
                 entry["centroid"] = list(centroid)
                 entry["second_moments"] = {
-                    "qq": mom[0, 0], "qp": mom[0, 1], "pp": mom[1, 1],
+                    "qq": float(mom[0, 0]), "qp": float(mom[0, 1]),
+                    "pp": float(mom[1, 1]),
                 }
             elif si == 0:
                 # first snapshot must be captured; later ones may

@@ -15,6 +15,7 @@ from otoclab.config import (
     HusimiSpec,
     LabeledPoint,
     config_hash,
+    load,
     parse,
     serialize,
 )
@@ -198,6 +199,10 @@ def test_husimi_command(tmp_path):
     hdr, vals = read_grid(os.path.join(out, snap["file"]))
     assert hdr == (-6.0, 6.0, 61, -6.0, 6.0, 61)
     assert vals.max() == pytest.approx(1 / np.pi, abs=1e-6)
+    # the in-memory summary holds plain floats, so printed checks read cleanly
+    mem = cli.cmd_husimi(load(cfg), out)["summary"]
+    moments = mem["snapshots"][0]["second_moments"]
+    assert all(type(v) is float for v in moments.values()), moments
 
 
 def test_husimi_grid_too_small(tmp_path, capsys):

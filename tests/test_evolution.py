@@ -1,11 +1,14 @@
+import gc
+import tracemalloc
+
 import numpy as np
 import pytest
 from conftest import banded, dense
 from hypothesis import given, settings, strategies as st
 from scipy.linalg import eigh
 
-from otoclab import fock
-from otoclab.errors import DimMismatch, NotHermitian
+from otoclab import evolution, fock
+from otoclab.errors import DimMismatch, NotHermitian, TruncationGuardError
 from otoclab.evolution import (
     commutator_otoc,
     diagonalize,
@@ -218,3 +221,255 @@ def test_photon_series_point_a_dips_then_grows(iho_prop):
     assert 0 < i_min < len(series.values) - 1
     assert series.values[i_min] < series.values[0]
     assert series.values[-1] > series.values[0]
+
+
+# ---------------------------------------------------------------------------
+# Reference implementations: evolution and observables as they were before the
+# phase table and the column blocks. Production must equal them bit for bit.
+
+def _reference_apply(M, X):
+    if np.iscomplexobj(M):
+        return M @ X
+    X = np.ascontiguousarray(X, dtype=complex)
+    out = M @ X.view(np.float64).reshape(X.shape[0], -1)
+    return out.view(np.complex128).reshape(X.shape)
+
+
+def _reference_evolve_batch(prop, psi0, times):
+    times = np.asarray(times, dtype=float)
+    psi0 = np.asarray(psi0, dtype=complex)
+    out = np.empty((prop.dim.dim, times.size), dtype=complex)
+    for idx, lam, V in prop.blocks:
+        c = _reference_apply(V.conj().T, psi0[idx])
+        phases = np.exp(-1j * np.outer(lam, times))
+        out[idx] = _reference_apply(V, phases * c[:, None])
+    return out
+
+
+def _reference_variance(prop, psi0, times, label="", tail_guard=False):
+    Psi = _reference_evolve_batch(prop, psi0, times)
+    if tail_guard:
+        evolution._guard_tails(Psi, times, label)
+    PPsi = evolution._apply_momentum(Psi)
+    exp_p = np.real(np.sum(Psi.conj() * PPsi, axis=0))
+    exp_p2 = np.real(np.sum(PPsi.conj() * PPsi, axis=0))
+    return exp_p2 - exp_p**2
+
+
+def _reference_photon(prop, psi0, times, label="", tail_guard=False):
+    Psi = _reference_evolve_batch(prop, psi0, times)
+    if tail_guard:
+        evolution._guard_tails(Psi, times, label)
+    n = np.arange(prop.dim.dim)
+    return np.sum(n[:, None] * np.abs(Psi) ** 2, axis=0)
+
+
+def _outcome(fn, *args, **kwargs):
+    """The values fn returns, or the message of the guard error it raises."""
+    try:
+        out = fn(*args, **kwargs)
+    except TruncationGuardError as exc:
+        return str(exc)
+    return getattr(out, "values", out)
+
+
+def _assert_same(got, want):
+    if isinstance(want, str):
+        assert got == want
+    else:
+        assert not isinstance(got, str), got
+        assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("tail_guard", [False, True])
+@pytest.mark.parametrize("n_samples", [601, 37])
+@pytest.mark.parametrize("n_p", [75, 300, 1200])
+@pytest.mark.parametrize("system", ["iho", "hiho"])
+def test_evolution_and_observables_equal_reference(
+        system, n_p, n_samples, tail_guard, iho_prop, hiho_prop):
+    prop = iho_prop(n_p) if system == "iho" else hiho_prop(n_p)
+    psi0 = coherent_state(FockDim(n_p), CoherentParams(2.0, -1.0))
+    times = np.linspace(0.0, 3.0, n_samples)
+    label = f"{system}/np{n_p}"
+    assert np.array_equal(evolve_batch(prop, psi0, times),
+                          _reference_evolve_batch(prop, psi0, times))
+    for fn, ref in ((variance_otoc, _reference_variance),
+                    (photon_series, _reference_photon)):
+        want = _outcome(ref, prop, psi0, times, label, tail_guard)
+        _assert_same(_outcome(fn, prop, psi0, times, label, tail_guard), want)
+
+
+def test_guard_names_the_same_first_bad_time(iho_prop):
+    prop = iho_prop(75)
+    psi0 = coherent_state(FockDim(75), CoherentParams(2.0, -1.0))
+    times = np.linspace(0.0, 3.0, 601)
+    want = _outcome(_reference_variance, prop, psi0, times, "g", True)
+    assert isinstance(want, str) and "at t=" in want
+    for fn in (variance_otoc, photon_series):
+        assert _outcome(fn, prop, psi0, times, "g", tail_guard=True) == want
+
+
+def test_random_hermitian_evolution_equals_reference():
+    # one complex block: the complex GEMM path
+    d = FockDim(200)
+    prop = diagonalize(banded(_random_hermitian(d.dim)))
+    assert np.iscomplexobj(prop.blocks[0][2])
+    psi0 = coherent_state(d, CoherentParams(1.0, 0.5))
+    for times in (np.linspace(0.0, 2.0, 601), np.linspace(0.0, 2.0, 37)):
+        assert np.array_equal(evolve_batch(prop, psi0, times),
+                              _reference_evolve_batch(prop, psi0, times))
+        assert np.array_equal(variance_otoc(prop, psi0, times).values,
+                              _reference_variance(prop, psi0, times))
+        assert np.array_equal(photon_series(prop, psi0, times).values,
+                              _reference_photon(prop, psi0, times))
+
+
+# ---------------------------------------------------------------------------
+# The process-wide phase table
+
+def _exact_phases(prop, times):
+    return [np.exp(-1j * np.outer(lam, times)) for _, lam, _ in prop.blocks]
+
+
+def _assert_phases(tables, prop, times):
+    want = _exact_phases(prop, times)
+    assert len(tables) == len(want)
+    for got, ref in zip(tables, want):
+        assert np.array_equal(got, ref)
+
+
+@pytest.fixture
+def no_phase_table(monkeypatch):
+    monkeypatch.setattr(evolution, "_phase_table", None)
+
+
+def test_phase_table_hits_for_same_propagator_and_equal_times(
+        iho_prop, no_phase_table):
+    prop = iho_prop(120)
+    first = evolution._phases(prop, np.linspace(0.0, 1.0, 11))
+    again = evolution._phases(prop, np.linspace(0.0, 1.0, 11))
+    assert again is first
+    _assert_phases(again, prop, np.linspace(0.0, 1.0, 11))
+
+
+def test_phase_table_misses_for_another_propagator_of_same_dim(
+        iho_prop, hiho_prop, no_phase_table):
+    times = np.linspace(0.0, 1.0, 11)
+    first = evolution._phases(iho_prop(120), times)
+    other = evolution._phases(hiho_prop(120), times)
+    assert other is not first
+    _assert_phases(other, hiho_prop(120), times)
+
+
+def test_phase_table_misses_for_collected_propagator(no_phase_table):
+    times = np.linspace(0.0, 1.0, 11)
+    d = FockDim(60)
+    prop = diagonalize(build_iho(d))
+    evolution._phases(prop, times)
+    del prop
+    gc.collect()
+    assert evolution._phase_table is None  # freed with its propagator
+    fresh = diagonalize(build_hiho(d, HihoParams(3.0, 0.04)))
+    _assert_phases(evolution._phases(fresh, times), fresh, times)
+
+
+def test_phase_table_misses_for_changed_times(iho_prop, no_phase_table):
+    prop = iho_prop(120)
+    first = evolution._phases(prop, np.linspace(0.0, 1.0, 11))
+    longer = np.linspace(0.0, 2.0, 11)
+    assert evolution._phases(prop, longer) is not first
+    _assert_phases(evolution._phases(prop, longer), prop, longer)
+
+
+def test_phase_table_ignores_in_place_mutation_of_times(iho_prop, no_phase_table):
+    prop = iho_prop(120)
+    times = np.linspace(0.0, 1.0, 11)
+    evolution._phases(prop, times)
+    times *= 2
+    _assert_phases(evolution._phases(prop, times), prop, times)
+    psi0 = coherent_state(FockDim(120), CoherentParams(1.0, 1.0))
+    times += 0.5
+    assert np.array_equal(evolve_batch(prop, psi0, times),
+                          _reference_evolve_batch(prop, psi0, times))
+
+
+def test_alternating_propagators_give_correct_results(
+        iho_prop, hiho_prop, no_phase_table):
+    times = np.linspace(0.0, 2.0, 41)
+    psi0 = coherent_state(FockDim(120), CoherentParams(1.5, -0.5))
+    props = (iho_prop(120), hiho_prop(120))
+    for k in range(4):
+        prop = props[k % 2]
+        assert np.array_equal(evolve_batch(prop, psi0, times),
+                              _reference_evolve_batch(prop, psi0, times))
+
+
+# ---------------------------------------------------------------------------
+# Memory: no D x T temporary beyond the documented ones. The slack covers
+# ufunc buffers and per-call vectors; at D = T = 601 a D x T float64 array is
+# 2.9 MB, far more than it allows.
+
+_SLACK = 256 * 1024
+
+
+def _peak_bytes(fn):
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.fixture
+def memory_case(iho_prop, no_phase_table):
+    prop = iho_prop(600)
+    psi0 = coherent_state(FockDim(600), CoherentParams(2.0, -1.0))
+    times = np.linspace(0.0, 1.5, 601)  # inside the tail guard
+    D, T = prop.dim.dim, times.size
+    largest_block = max(lam.size for _, lam, _ in prop.blocks)
+    sizes = {"psi": 16 * D * T, "table": 16 * D * T,
+             "x": 16 * largest_block * T,
+             "columns": 16 * D * evolution.COLUMN_BLOCK}
+    return prop, psi0, times, sizes
+
+
+def test_cold_evolve_batch_peak_is_out_table_and_one_block(memory_case):
+    prop, psi0, times, b = memory_case
+    peak = _peak_bytes(lambda: evolve_batch(prop, psi0, times))
+    assert peak <= b["psi"] + b["table"] + b["x"] + _SLACK
+
+
+def test_table_miss_frees_the_old_table_before_building(memory_case):
+    # the old entry (another grid, same size) is dropped first, so the peak
+    # above the level that includes it is out + one block's X
+    prop, psi0, times, b = memory_case
+    tracemalloc.start()
+    try:
+        evolution._phases(prop, times / 2)
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        evolve_batch(prop, psi0, times)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= b["psi"] + b["x"] + _SLACK
+
+
+def test_warm_evolve_batch_peak_is_out_and_one_block(memory_case):
+    prop, psi0, times, b = memory_case
+    evolve_batch(prop, psi0, times)
+    peak = _peak_bytes(lambda: evolve_batch(prop, psi0, times))
+    assert peak <= b["psi"] + b["x"] + _SLACK
+
+
+@pytest.mark.parametrize("fn", [variance_otoc, photon_series])
+def test_observables_peak_is_psi_and_column_blocks(memory_case, monkeypatch, fn):
+    # Psi comes from evolve_batch (bounded above); on top of it the momentum
+    # stencil and the products hold at most four column blocks at once
+    prop, psi0, times, b = memory_case
+    Psi = evolve_batch(prop, psi0, times)
+    monkeypatch.setattr(evolution, "evolve_batch", lambda *a: Psi.copy())
+    for tail_guard in (False, True):
+        peak = _peak_bytes(lambda: fn(prop, psi0, times, tail_guard=tail_guard))
+        assert peak <= b["psi"] + 4 * b["columns"]
