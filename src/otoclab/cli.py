@@ -11,13 +11,14 @@ import argparse
 import math
 import os
 import sys
+from dataclasses import replace
 from importlib import resources
 
 import numpy as np
 
 from . import classical
 from .analysis import auto_window, correspondence_time, ehrenfest_time, fit_exponential
-from .config import ExperimentConfig, LabeledPoint, config_hash, load, parse
+from .config import AUTO_MIN_SPAN, ExperimentConfig, LabeledPoint, config_hash, load, parse
 from .errors import (
     ConfigError,
     DimMismatch,
@@ -58,6 +59,9 @@ ENV_OUT = "OTOCLAB_OUT"
 ORACLE_MAX_DIM = 80
 CORRESPONDENCE_EPS = 0.02
 REFERENCE_FACTOR = 4
+# A coherent packet's Q is a Gaussian of unit width in q and in p, so a
+# window reaching 4 past its centre on every side holds all but 1.3e-4 of it.
+PACKET_MARGIN = 4.0
 
 # Exit code and stderr prefix of every error type; the README's exit-code
 # table lists the same mapping.
@@ -177,7 +181,7 @@ def _default_fit(cfg: ExperimentConfig, n_p: int, series) -> tuple[float, float]
                 f"a-priori fit window [0.5, {t_hi:.4g}] is empty at n_p={n_p}"
             )
         return (0.5, t_hi)
-    return auto_window(series, 0.08, (0.0, 0.25))
+    return auto_window(series, AUTO_MIN_SPAN, (0.0, 0.25))
 
 
 def cmd_otoc(cfg: ExperimentConfig, out_dir: str, oracle: bool = False) -> dict:
@@ -241,6 +245,11 @@ def cmd_otoc(cfg: ExperimentConfig, out_dir: str, oracle: bool = False) -> dict:
     return {"summary": summary, "series": series_map}
 
 
+def _widened(lo: float, hi: float, centre: float) -> tuple[float, float]:
+    """The smallest interval holding [lo, hi] and centre +/- PACKET_MARGIN."""
+    return min(lo, centre - PACKET_MARGIN), max(hi, centre + PACKET_MARGIN)
+
+
 def cmd_husimi(cfg: ExperimentConfig, out_dir: str) -> dict:
     """Husimi snapshots per point (first n_p), with norm/centroid/moment
     diagnostics and a generated plot script."""
@@ -281,10 +290,11 @@ def cmd_husimi(cfg: ExperimentConfig, out_dir: str) -> dict:
             elif si == 0:
                 # first snapshot must be captured; later ones may
                 # legitimately spread beyond any finite window
+                q_lo, q_hi = _widened(grid.q_min, grid.q_max, pt.q)
+                p_lo, p_hi = _widened(grid.p_min, grid.p_max, pt.p)
                 raise GridTooSmall(
                     f"grid misses the initial packet at {pt.label}; try "
-                    f"q in [{grid.q_min * 1.5:g}, {grid.q_max * 1.5:g}], "
-                    f"p in [{grid.p_min * 1.5:g}, {grid.p_max * 1.5:g}]"
+                    f"q in [{q_lo:g}, {q_hi:g}], p in [{p_lo:g}, {p_hi:g}]"
                 )
             snapshots.append(entry)
             gp.append(
@@ -301,9 +311,7 @@ def cmd_husimi(cfg: ExperimentConfig, out_dir: str) -> dict:
 
 def _load_bundled(name: str) -> ExperimentConfig:
     ref = resources.files("otoclab.figconfigs").joinpath(f"{name}.json")
-    cfg = parse(ref.read_text(encoding="utf-8"))
-    cfg.validate()
-    return cfg
+    return parse(ref.read_text(encoding="utf-8"))
 
 
 def _check(name: str, value, ok: bool, target: str) -> dict:
@@ -518,14 +526,14 @@ def _resolve_out(args, cfg: ExperimentConfig | None) -> str:
 
 
 def _apply_overrides(cfg: ExperimentConfig, args) -> ExperimentConfig:
-    from dataclasses import replace
-
-    if getattr(args, "np_", None) is not None:
-        cfg = replace(cfg, n_p=(args.np_,))
-    if getattr(args, "point", None) is not None:
-        cfg = replace(cfg, points=(_parse_point(args.point),))
-    cfg.validate()
-    return cfg
+    """``cfg`` with ``--np`` and ``--point`` applied in one step, so that
+    only the config they state together is built and validated."""
+    changes = {}
+    if args.np_ is not None:
+        changes["n_p"] = (args.np_,)
+    if args.point is not None:
+        changes["points"] = (_parse_point(args.point),)
+    return replace(cfg, **changes) if changes else cfg
 
 
 def build_parser() -> argparse.ArgumentParser:

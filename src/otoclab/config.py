@@ -1,12 +1,14 @@
-"""Experiment configuration: a JSON-serializable dataclass mirroring the
-run parameters of the figure reproductions, with validation and hashing."""
+"""Experiment configuration: the frozen dataclasses are the JSON file
+format, with the ``PhaseGrid`` fields flat in ``husimi`` and None fields left
+out. Building a config validates it; a key that names no field, or an
+invalid value, is a ConfigError."""
 from __future__ import annotations
 
 import hashlib
 import json
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, fields
 
 from .errors import ConfigError
 from .fock import (
@@ -24,6 +26,9 @@ from .fock import (
 )
 from .husimi import PhaseGrid
 
+# the shortest window an auto fit searches when its config states none
+AUTO_MIN_SPAN = 0.08
+
 
 @dataclass(frozen=True)
 class LabeledPoint:
@@ -34,12 +39,20 @@ class LabeledPoint:
 
 @dataclass(frozen=True)
 class FitSpec:
-    """Either a fixed window (t_lo, t_hi) or an auto window search."""
+    """A fixed fit window (t_lo, t_hi), or "auto": the best window at least
+    ``min_span`` long inside ``search`` (default: the whole series)."""
 
-    window: tuple[float, float] | None = None
-    auto: bool = False
-    min_span: float = 0.08
+    window: tuple[float, float] | str
+    min_span: float | None = None
     search: tuple[float, float] | None = None
+
+    def __post_init__(self):
+        if self.auto and self.min_span is None:
+            object.__setattr__(self, "min_span", AUTO_MIN_SPAN)
+
+    @property
+    def auto(self) -> bool:
+        return self.window == "auto"
 
 
 @dataclass(frozen=True)
@@ -61,6 +74,9 @@ class ExperimentConfig:
     husimi: HusimiSpec | None = None
     fit: FitSpec | None = None
     output_dir: str | None = None
+
+    def __post_init__(self):
+        self.validate()
 
     def hiho_params(self) -> HihoParams:
         return HihoParams(self.gamma, self.g)
@@ -89,9 +105,10 @@ class ExperimentConfig:
                 raise ConfigError("hiho requires gamma and g")
             if self.gamma <= 0 or self.g <= 0:
                 raise ConfigError("gamma and g must be positive")
-        if not self.n_p or not all(_is_int(k) and k >= 1 for k in self.n_p):
+        if not (isinstance(self.n_p, tuple) and self.n_p
+                and all(_is_int(k) and k >= 1 for k in self.n_p)):
             raise ConfigError(f"n_p must be a non-empty list of integers >= 1, got {self.n_p!r}")
-        if not self.points:
+        if not (isinstance(self.points, tuple) and self.points):
             raise ConfigError("at least one initial point is required")
         for pt in self.points:
             # labels name the output files
@@ -113,24 +130,30 @@ class ExperimentConfig:
         if not (_is_finite(self.dt) and self.dt > 0):
             raise ConfigError(f"dt must be positive and finite, got {self.dt!r}")
         if self.husimi is not None:
-            grid = self.husimi.grid
+            grid, times = self.husimi.grid, self.husimi.snapshot_times
             bounds = (grid.q_min, grid.q_max, grid.p_min, grid.p_max)
             if not all(_is_finite(x) for x in bounds):
                 raise ConfigError(f"husimi grid bounds must be finite numbers, got {bounds}")
             if not (_is_int(grid.n_q) and _is_int(grid.n_p)):
                 raise ConfigError(f"husimi n_q and n_p must be integers, "
                                   f"got {grid.n_q!r} and {grid.n_p!r}")
-            if not all(_is_finite(t) for t in self.husimi.snapshot_times):
+            if not (isinstance(times, tuple) and all(_is_finite(t) for t in times)):
                 raise ConfigError(f"husimi snapshot times must be finite numbers, "
-                                  f"got {list(self.husimi.snapshot_times)}")
+                                  f"got {times!r}")
         fit = self.fit
         if fit is not None and fit.auto:
             if not (_is_number(fit.min_span) and fit.min_span > 0):
                 raise ConfigError(f"fit min_span must be positive, got {fit.min_span!r}")
             if fit.search is not None and not _is_interval(fit.search):
                 raise ConfigError(f"fit search {fit.search!r} is not (t_lo, t_hi) with t_lo < t_hi")
-        elif fit is not None and not _is_interval(fit.window):
-            raise ConfigError(f"fit window {fit.window!r} is not (t_lo, t_hi) with t_lo < t_hi")
+        elif fit is not None:
+            if not _is_interval(fit.window):
+                raise ConfigError(f'fit window {fit.window!r} is neither "auto" '
+                                  f"nor (t_lo, t_hi) with t_lo < t_hi")
+            if fit.min_span is not None or fit.search is not None:
+                raise ConfigError('fit min_span and search apply only to window "auto"')
+        if not (self.output_dir is None or isinstance(self.output_dir, str)):
+            raise ConfigError(f"output_dir must be a string, got {self.output_dir!r}")
         for k in self.n_p:
             dim = FockDim(k)
             for pt in self.points:
@@ -159,90 +182,54 @@ def _is_int(x) -> bool:
 
 def _is_interval(w) -> bool:
     """A (t_lo, t_hi) pair of numbers with t_lo < t_hi."""
-    return (w is not None and len(w) == 2
+    return (isinstance(w, tuple) and len(w) == 2
             and all(_is_number(x) for x in w) and w[0] < w[1])
 
 
+def _without_none(d: dict) -> dict:
+    return {k: _without_none(v) if isinstance(v, dict) else v
+            for k, v in d.items() if v is not None}
+
+
 def config_to_dict(cfg: ExperimentConfig) -> dict:
-    d = {
-        "system": cfg.system,
-        "n_p": list(cfg.n_p),
-        "points": [{"label": p.label, "q": p.q, "p": p.p} for p in cfg.points],
-        "t_end": cfg.t_end,
-        "n_samples": cfg.n_samples,
-        "dt": cfg.dt,
-    }
-    if cfg.gamma is not None:
-        d["gamma"] = cfg.gamma
-    if cfg.g is not None:
-        d["g"] = cfg.g
+    """The file's JSON object: the dataclass fields, the Husimi grid flat in
+    ``husimi``, None values left out."""
+    d = asdict(cfg)
     if cfg.husimi is not None:
-        g = cfg.husimi.grid
-        d["husimi"] = {
-            "q_min": g.q_min,
-            "q_max": g.q_max,
-            "p_min": g.p_min,
-            "p_max": g.p_max,
-            "n_q": g.n_q,
-            "n_p": g.n_p,
-            "snapshot_times": list(cfg.husimi.snapshot_times),
-        }
-    if cfg.fit is not None:
-        if cfg.fit.auto:
-            f = {"window": "auto", "min_span": cfg.fit.min_span}
-            if cfg.fit.search is not None:
-                f["search"] = list(cfg.fit.search)
-        else:
-            f = {"window": list(cfg.fit.window)}
-        d["fit"] = f
-    if cfg.output_dir is not None:
-        d["output_dir"] = cfg.output_dir
+        d["husimi"] = {**d["husimi"]["grid"], "snapshot_times": cfg.husimi.snapshot_times}
+    return _without_none(d)
+
+
+def _object(d, where: str) -> dict:
+    if not isinstance(d, dict):
+        raise ConfigError(f"{where} must be a JSON object, got {d!r}")
     return d
 
 
+def _build(cls, d, where: str):
+    """``cls(**d)`` with JSON lists made tuples; a key that names no field
+    of ``cls`` is a ConfigError."""
+    names = [f.name for f in fields(cls)]
+    unknown = sorted(set(_object(d, where)) - set(names))
+    if unknown:
+        raise ConfigError(f"unknown key {', '.join(map(repr, unknown))} in {where}; "
+                          f"the keys are {', '.join(names)}")
+    return cls(**{k: tuple(v) if isinstance(v, list) else v for k, v in d.items()})
+
+
 def config_from_dict(d: dict) -> ExperimentConfig:
+    """Build, and so validate, the config a file's JSON object states."""
+    d = dict(_object(d, "a config"))
     try:
-        husimi = None
-        if "husimi" in d:
-            h = d["husimi"]
-            husimi = HusimiSpec(
-                grid=PhaseGrid(
-                    q_min=h["q_min"],
-                    q_max=h["q_max"],
-                    p_min=h["p_min"],
-                    p_max=h["p_max"],
-                    n_q=h["n_q"],
-                    n_p=h["n_p"],
-                ),
-                snapshot_times=tuple(h["snapshot_times"]),
-            )
-        fit = None
-        if "fit" in d:
-            f = d["fit"]
-            if f.get("window") == "auto":
-                fit = FitSpec(
-                    auto=True,
-                    min_span=f.get("min_span", 0.08),
-                    search=tuple(f["search"]) if "search" in f else None,
-                )
-            else:
-                fit = FitSpec(window=tuple(f["window"]))
-        return ExperimentConfig(
-            system=d["system"],
-            n_p=tuple(d["n_p"]),
-            points=tuple(
-                LabeledPoint(label=p["label"], q=p["q"], p=p["p"])
-                for p in d["points"]
-            ),
-            t_end=d["t_end"],
-            n_samples=d["n_samples"],
-            gamma=d.get("gamma"),
-            g=d.get("g"),
-            dt=d.get("dt", 1e-3),
-            husimi=husimi,
-            fit=fit,
-            output_dir=d.get("output_dir"),
-        )
+        if "points" in d:
+            d["points"] = [_build(LabeledPoint, p, "a point") for p in d["points"]]
+        if d.get("fit") is not None:
+            d["fit"] = _build(FitSpec, d["fit"], "fit")
+        if d.get("husimi") is not None:
+            grid = dict(_object(d["husimi"], "husimi"))
+            times = grid.pop("snapshot_times")
+            d["husimi"] = HusimiSpec(_build(PhaseGrid, grid, "husimi"), tuple(times))
+        return _build(ExperimentConfig, d, "the config")
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"malformed config: {exc}") from exc
 
@@ -253,16 +240,15 @@ def serialize(cfg: ExperimentConfig) -> str:
 
 def parse(text: str) -> ExperimentConfig:
     try:
-        return config_from_dict(json.loads(text))
+        d = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"invalid JSON: {exc}") from exc
+    return config_from_dict(d)
 
 
 def load(path) -> ExperimentConfig:
     with open(path, "r", encoding="utf-8") as fh:
-        cfg = parse(fh.read())
-    cfg.validate()
-    return cfg
+        return parse(fh.read())
 
 
 def config_hash(cfg: ExperimentConfig) -> str:

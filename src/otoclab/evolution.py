@@ -241,13 +241,10 @@ def variance_otoc(
     psi0: np.ndarray,
     times: np.ndarray,
     label: str = "",
-    tail_guard: bool = False,
 ) -> TimeSeries:
     """C(t) = Var[P](t) = <psi(t)|P^2|psi(t)> - <psi(t)|P|psi(t)>^2."""
     times = np.asarray(times, dtype=float)
     Psi = evolve_batch(prop, psi0, times)
-    if tail_guard:
-        _guard_tails(Psi, times, label)
     values = np.empty(times.size)
     for j in range(0, times.size, COLUMN_BLOCK):
         cols = slice(j, j + COLUMN_BLOCK)

@@ -2,14 +2,13 @@
 Husimi grid files, gnuplot scripts, and a JSON-lines manifest.
 
 All floats are written with 17 significant digits, LF endings, UTF-8, and
-JSON keys sorted, so identical configs reproduce bit-identical data files.
-Wall-clock times live only in the manifest.
+JSON keys sorted, so identical configs reproduce bit-identical data files,
+manifest included: it records no times.
 """
 from __future__ import annotations
 
 import json
 import os
-import time
 
 import numpy as np
 import scipy
@@ -30,7 +29,7 @@ class Manifest:
         self.path = os.path.join(out_dir, "manifest.jsonl")
         self.config_hash = config_hash
 
-    def record(self, file_path: str, wall_time: float):
+    def record(self, file_path: str):
         entry = {
             "config_hash": self.config_hash,
             "file": os.path.basename(file_path),
@@ -39,7 +38,6 @@ class Manifest:
                 "otoclab": __version__,
                 "scipy": scipy.__version__,
             },
-            "wall_time_s": round(wall_time, 6),
         }
         lines = []
         if os.path.exists(self.path):
@@ -53,29 +51,26 @@ class Manifest:
 
 def write_csv(path: str, header: list[str], columns: list[np.ndarray],
               manifest: Manifest | None = None):
-    t0 = time.monotonic()
     rows = len(columns[0])
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
         for i in range(rows):
             fh.write(",".join(fmt(col[i]) for col in columns) + "\n")
     if manifest is not None:
-        manifest.record(path, time.monotonic() - t0)
+        manifest.record(path)
 
 
 def write_json(path: str, obj, manifest: Manifest | None = None):
-    t0 = time.monotonic()
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         json.dump(obj, fh, sort_keys=True, indent=2)
         fh.write("\n")
     if manifest is not None:
-        manifest.record(path, time.monotonic() - t0)
+        manifest.record(path)
 
 
 def write_grid(path: str, hg: HusimiGrid, manifest: Manifest | None = None):
     """Self-describing text grid: header 'q_min q_max n_q p_min p_max n_p',
     then row-major Q values, one grid row per line."""
-    t0 = time.monotonic()
     g = hg.grid
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(
@@ -85,7 +80,7 @@ def write_grid(path: str, hg: HusimiGrid, manifest: Manifest | None = None):
         for row in hg.values:
             fh.write(" ".join(fmt(v) for v in row) + "\n")
     if manifest is not None:
-        manifest.record(path, time.monotonic() - t0)
+        manifest.record(path)
 
 
 def read_grid(path: str) -> tuple[tuple[float, float, int, float, float, int], np.ndarray]:
@@ -98,8 +93,7 @@ def read_grid(path: str) -> tuple[tuple[float, float, int, float, float, int], n
 
 
 def write_gnuplot(path: str, lines: list[str], manifest: Manifest | None = None):
-    t0 = time.monotonic()
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
     if manifest is not None:
-        manifest.record(path, time.monotonic() - t0)
+        manifest.record(path)

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import re
 from importlib import resources
 from pathlib import Path
 
@@ -10,6 +11,7 @@ import pytest
 from otoclab import cli
 from otoclab.cli import main
 from otoclab.config import (
+    AUTO_MIN_SPAN,
     ExperimentConfig,
     FitSpec,
     HusimiSpec,
@@ -56,65 +58,112 @@ def test_config_round_trip():
 
 
 def test_config_round_trip_auto_fit():
-    cfg = small_cfg(fit=FitSpec(auto=True, min_span=0.1, search=(0.0, 0.5)))
+    cfg = small_cfg(fit=FitSpec("auto", min_span=0.1, search=(0.0, 0.5)))
+    assert parse(serialize(cfg)) == cfg
+    # an auto fit that states no min_span searches windows of AUTO_MIN_SPAN
+    cfg = small_cfg(fit=FitSpec("auto"))
+    assert cfg.fit.min_span == AUTO_MIN_SPAN and cfg.fit.auto
     assert parse(serialize(cfg)) == cfg
 
 
+@pytest.mark.parametrize("name", sorted(cli.FIGURES))
+def test_bundled_config_round_trip(name):
+    cfg = cli._load_bundled(name)
+    assert parse(serialize(cfg)) == cfg
+
+
+def _patched_cfg_file(tmp_path, name, patch):
+    """A config file holding small_cfg's keys updated by ``patch``, which may
+    hold values small_cfg itself refuses to build."""
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps({**json.loads(serialize(small_cfg())), **patch}),
+                    encoding="utf-8")
+    return str(path)
+
+
+@pytest.mark.parametrize("patch", [
+    {"dtt": 5},
+    {"fit": {"windw": [0.2, 0.8], "window": [0.2, 0.8]}},
+    {"husimi": {"q_min": -6.0, "q_max": 6.0, "p_min": -6.0, "p_max": 6.0,
+                "n_q": 21, "n_p": 21, "nq": 21, "snapshot_times": [0.0]}},
+    {"points": [{"label": "A", "q": 2.0, "p": -2.0, "qq": 1.0}]},
+], ids=["top", "fit", "husimi", "point"])
+def test_unknown_key_is_a_config_error(tmp_path, capsys, patch):
+    cfg = _patched_cfg_file(tmp_path, "unknown", patch)
+    out = tmp_path / "o"
+    for cmd in ("otoc", "husimi"):
+        assert main([cmd, "--config", cfg, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: unknown key"), err
+        assert not out.exists()
+
+
 def test_config_validation_errors():
+    # building a config validates it, so an invalid one never exists
     with pytest.raises(ConfigError):
-        small_cfg(n_p=(0,)).validate()
+        small_cfg(n_p=(0,))
     with pytest.raises(ConfigError):
-        small_cfg(points=()).validate()
+        small_cfg(points=())
     with pytest.raises(ConfigError):
-        small_cfg(system="hiho").validate()  # missing gamma/g
+        small_cfg(system="hiho")  # missing gamma/g
     with pytest.raises(ConfigError):
         # point too far out for the truncation
-        small_cfg(points=(LabeledPoint("X", 9.0, 9.0),)).validate()
+        small_cfg(points=(LabeledPoint("X", 9.0, 9.0),))
     for bad in (0.0, -1.0, math.nan, math.inf, -math.inf, 10**400, "1", True, None):
         with pytest.raises(ConfigError, match="t_end must be positive and finite"):
-            small_cfg(t_end=bad).validate()
+            small_cfg(t_end=bad)
         with pytest.raises(ConfigError, match="dt must be positive and finite"):
-            small_cfg(dt=bad).validate()
+            small_cfg(dt=bad)
     for fit in (
         FitSpec(window=(0.8, 0.2)),
         FitSpec(window=(0.5, 0.5)),
         FitSpec(window=(0.1, 0.2, 0.3)),
         FitSpec(window=(0.1,)),
-        FitSpec(auto=True, min_span=0.0),
-        FitSpec(auto=True, min_span=-0.1),
-        FitSpec(auto=True, search=(0.5, 0.1)),
-        FitSpec(auto=True, search=(0.2, 0.2)),
+        FitSpec(window="automatic"),
+        FitSpec(window=None),
+        FitSpec("auto", min_span=0.0),
+        FitSpec("auto", min_span=-0.1),
+        FitSpec("auto", search=(0.5, 0.1)),
+        FitSpec("auto", search=(0.2, 0.2)),
         FitSpec(window=(False, True)),  # JSON booleans are not times
-        FitSpec(auto=True, min_span=True),
-        FitSpec(auto=True, search=(False, True)),
+        FitSpec("auto", min_span=True),
+        FitSpec("auto", search=(False, True)),
+        # min_span and search would have no effect on a fixed window
+        FitSpec(window=(0.2, 0.8), min_span=0.1),
+        FitSpec(window=(0.2, 0.8), search=(0.0, 1.0)),
     ):
-        with pytest.raises(ConfigError):
-            small_cfg(fit=fit).validate()
+        with pytest.raises(ConfigError, match="fit"):
+            small_cfg(fit=fit)
+    for bad in ((), [40], 40):
+        with pytest.raises(ConfigError, match="n_p must be a non-empty list"):
+            small_cfg(n_p=bad)
+    with pytest.raises(ConfigError, match="output_dir must be a string"):
+        small_cfg(output_dir=7)
     grid = PhaseGrid(-6.0, 6.0, -6.0, 6.0, 21, 21)
     for bad in (math.nan, math.inf, -math.inf, -10**400, "3", True, None):
         gamma_error = "hiho requires gamma and g" if bad is None else "must be a finite number"
         with pytest.raises(ConfigError, match=gamma_error):
-            small_cfg(system="hiho", gamma=bad, g=0.04).validate()
+            small_cfg(system="hiho", gamma=bad, g=0.04)
         with pytest.raises(ConfigError, match=gamma_error):
-            small_cfg(system="hiho", gamma=3.0, g=bad).validate()
+            small_cfg(system="hiho", gamma=3.0, g=bad)
         with pytest.raises(ConfigError, match="needs finite numbers q and p"):
-            small_cfg(points=(LabeledPoint("A", bad, 0.0),)).validate()
+            small_cfg(points=(LabeledPoint("A", bad, 0.0),))
         with pytest.raises(ConfigError, match="needs finite numbers q and p"):
-            small_cfg(points=(LabeledPoint("A", 0.0, bad),)).validate()
+            small_cfg(points=(LabeledPoint("A", 0.0, bad),))
         with pytest.raises(ConfigError, match="snapshot times must be finite"):
-            small_cfg(husimi=HusimiSpec(grid, (0.0, bad))).validate()
+            small_cfg(husimi=HusimiSpec(grid, (0.0, bad)))
     for bad in (40.5, 40.0, "40", True):
         with pytest.raises(ConfigError, match="n_p must be a non-empty list of integers >= 1"):
-            small_cfg(n_p=(bad,)).validate()
+            small_cfg(n_p=(bad,))
         with pytest.raises(ConfigError, match="n_samples must be an integer >= 2"):
-            small_cfg(n_samples=bad).validate()
+            small_cfg(n_samples=bad)
     for n_q, n_p in ((21.5, 21), (21, 21.0)):  # PhaseGrid rejects str and bool itself
         with pytest.raises(ConfigError, match="husimi n_q and n_p must be integers"):
             small_cfg(husimi=HusimiSpec(PhaseGrid(-6.0, 6.0, -6.0, 6.0, n_q, n_p),
-                                        (0.0,))).validate()
+                                        (0.0,)))
     with pytest.raises(ConfigError, match="grid bounds must be finite"):
         small_cfg(husimi=HusimiSpec(PhaseGrid(-math.inf, 6.0, -6.0, 6.0, 21, 21),
-                                    (0.0,))).validate()
+                                    (0.0,)))
     # labels name the output files
     for labels, message in (
         (("A", "A"), "must be distinct"),
@@ -126,7 +175,7 @@ def test_config_validation_errors():
     ):
         points = tuple(LabeledPoint(label, 0.5 * i, 0.0) for i, label in enumerate(labels))
         with pytest.raises(ConfigError, match=message):
-            small_cfg(points=points).validate()
+            small_cfg(points=points)
 
 
 def test_config_hash_stable():
@@ -208,10 +257,10 @@ def test_husimi_command(tmp_path):
 def test_husimi_grid_too_small(tmp_path, capsys):
     # the packet from (2, 2) rides the unstable manifold out of the window:
     # a later snapshot records no centroid, a missed first one is an error
-    def run(grid, name):
+    def run(grid, name, centre=(2.0, 2.0), times=(0.0, 1.0)):
         cfg = write_cfg(tmp_path, small_cfg(
-            points=(LabeledPoint("U", 2.0, 2.0),),
-            husimi=HusimiSpec(grid=grid, snapshot_times=(0.0, 1.0)),
+            points=(LabeledPoint("U", *centre),),
+            husimi=HusimiSpec(grid=grid, snapshot_times=times),
         ), name)
         return main(["husimi", "--config", cfg, "--out", str(tmp_path / name[:-5])])
 
@@ -221,9 +270,21 @@ def test_husimi_grid_too_small(tmp_path, capsys):
     assert first["centroid"] == pytest.approx([2.0, 2.0], abs=0.02)
     assert later["norm"] < 0.99
     assert later["centroid"] is None and later["second_moments"] is None
-    capsys.readouterr()
-    assert run(PhaseGrid(-1.0, 1.0, -1.0, 1.0, 21, 21), "missed.json") == 2
-    assert "grid misses the initial packet at U" in capsys.readouterr().err
+    # the hinted window holds the missed one and the packet centre, also
+    # when the missed window lies off to one side, and captures the packet
+    for centre, lo, hi in (((2.0, 2.0), -1.0, 1.0), ((1.0, 1.0), 4.0, 12.0)):
+        capsys.readouterr()
+        assert run(PhaseGrid(lo, hi, lo, hi, 21, 21), "missed.json", centre) == 2
+        err = capsys.readouterr().err
+        assert "grid misses the initial packet at U" in err
+        hint = re.search(r"q in \[(\S+), (\S+)\], p in \[(\S+), (\S+)\]", err)
+        q_lo, q_hi, p_lo, p_hi = map(float, hint.groups())
+        for h_lo, h_hi, c in ((q_lo, q_hi, centre[0]), (p_lo, p_hi, centre[1])):
+            assert h_lo <= min(lo, c) and h_hi >= max(hi, c), err
+        grid = PhaseGrid(q_lo, q_hi, p_lo, p_hi, 81, 81)
+        assert run(grid, "hinted.json", centre, (0.0,)) == 0
+        (snap,) = json.loads((tmp_path / "hinted" / "husimi_summary.json").read_text())["snapshots"]
+        assert snap["centroid"] == pytest.approx(list(centre), abs=0.02)
 
 
 def test_cli_overrides(tmp_path):
@@ -241,14 +302,14 @@ def test_cli_config_error_exit_code(tmp_path, capsys):
     bad.write_text('{"system": "iho", "n_p": [0], "points": [], "t_end": 1.0, "n_samples": 5}')
     assert main(["otoc", "--config", str(bad), "--out", str(tmp_path / "o")]) == 1
     # bad fit settings are caught by validation, not by the fit itself
-    cfg = write_cfg(tmp_path, small_cfg(fit=FitSpec(window=(0.8, 0.2))), "bad_fit.json")
+    cfg = _patched_cfg_file(tmp_path, "bad_fit", {"fit": {"window": [0.8, 0.2]}})
     capsys.readouterr()
     assert main(["otoc", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
     assert capsys.readouterr().err.startswith("config error: fit window")
     # json writes and reads NaN and Infinity; validation rejects them
     for key, bad in (("t_end", math.nan), ("dt", math.nan), ("dt", math.inf),
                      ("t_end", -math.inf)):
-        cfg = write_cfg(tmp_path, small_cfg(**{key: bad}), f"bad_{key}.json")
+        cfg = _patched_cfg_file(tmp_path, f"bad_{key}", {key: bad})
         assert ("NaN" if bad != bad else "Infinity") in Path(cfg).read_text()
         for cmd in ("portrait", "otoc"):
             assert main([cmd, "--config", cfg, "--out", str(tmp_path / "o")]) == 1
@@ -331,7 +392,7 @@ def test_otoc_empty_a_priori_window_is_a_fit_error(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("fit", [
-    FitSpec(auto=True, min_span=0.1, search=(0.0, 1.0)),
+    FitSpec("auto", min_span=0.1, search=(0.0, 1.0)),
     FitSpec(window=(0.2, 0.8)),
 ], ids=["auto", "fixed"])
 def test_otoc_non_finite_series_is_a_fit_error(tmp_path, monkeypatch, fit):
@@ -375,19 +436,22 @@ def test_manifest_entries(tmp_path):
     for e in entries:
         assert e["config_hash"] == config_hash(cfg_obj)
         assert "otoclab" in e["versions"]
-        assert e["wall_time_s"] >= 0
+        # no times, so a rerun writes the same manifest
+        assert set(e) == {"config_hash", "file", "versions"}
 
 
 def test_manifest_one_record_per_file_on_rerun(tmp_path):
     cfg = write_cfg(tmp_path, small_cfg())
     out = str(tmp_path / "out")
+    manifest = Path(out) / "manifest.jsonl"
     assert main(["otoc", "--config", cfg, "--out", out]) == 0
+    first = manifest.read_bytes()
     assert main(["otoc", "--config", cfg, "--out", out]) == 0
-    entries = [json.loads(line) for line in open(os.path.join(out, "manifest.jsonl"))]
+    entries = [json.loads(line) for line in manifest.read_text().splitlines()]
     files = [e["file"] for e in entries]
     assert len(files) == len(set(files))
     assert set(files) == {"otoc_A_np40.csv", "otoc_summary.json", "otoc.gp"}
-    assert all(e["wall_time_s"] >= 0 for e in entries)
+    assert manifest.read_bytes() == first
 
 
 def test_env_var_output_dir(tmp_path, monkeypatch):

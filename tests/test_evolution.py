@@ -246,10 +246,8 @@ def _reference_evolve_batch(prop, psi0, times):
     return out
 
 
-def _reference_variance(prop, psi0, times, label="", tail_guard=False):
+def _reference_variance(prop, psi0, times):
     Psi = _reference_evolve_batch(prop, psi0, times)
-    if tail_guard:
-        evolution._guard_tails(Psi, times, label)
     PPsi = evolution._apply_momentum(Psi)
     exp_p = np.real(np.sum(Psi.conj() * PPsi, axis=0))
     exp_p2 = np.real(np.sum(PPsi.conj() * PPsi, axis=0))
@@ -293,20 +291,19 @@ def test_evolution_and_observables_equal_reference(
     label = f"{system}/np{n_p}"
     assert np.array_equal(evolve_batch(prop, psi0, times),
                           _reference_evolve_batch(prop, psi0, times))
-    for fn, ref in ((variance_otoc, _reference_variance),
-                    (photon_series, _reference_photon)):
-        want = _outcome(ref, prop, psi0, times, label, tail_guard)
-        _assert_same(_outcome(fn, prop, psi0, times, label, tail_guard), want)
+    assert np.array_equal(variance_otoc(prop, psi0, times, label).values,
+                          _reference_variance(prop, psi0, times))
+    want = _outcome(_reference_photon, prop, psi0, times, label, tail_guard)
+    _assert_same(_outcome(photon_series, prop, psi0, times, label, tail_guard), want)
 
 
 def test_guard_names_the_same_first_bad_time(iho_prop):
     prop = iho_prop(75)
     psi0 = coherent_state(FockDim(75), CoherentParams(2.0, -1.0))
     times = np.linspace(0.0, 3.0, 601)
-    want = _outcome(_reference_variance, prop, psi0, times, "g", True)
+    want = _outcome(_reference_photon, prop, psi0, times, "g", True)
     assert isinstance(want, str) and "at t=" in want
-    for fn in (variance_otoc, photon_series):
-        assert _outcome(fn, prop, psi0, times, "g", tail_guard=True) == want
+    assert _outcome(photon_series, prop, psi0, times, "g", tail_guard=True) == want
 
 
 def test_random_hermitian_evolution_equals_reference():
@@ -470,6 +467,6 @@ def test_observables_peak_is_psi_and_column_blocks(memory_case, monkeypatch, fn)
     prop, psi0, times, b = memory_case
     Psi = evolve_batch(prop, psi0, times)
     monkeypatch.setattr(evolution, "evolve_batch", lambda *a: Psi.copy())
-    for tail_guard in (False, True):
-        peak = _peak_bytes(lambda: fn(prop, psi0, times, tail_guard=tail_guard))
+    for kw in [{}, {"tail_guard": True}] if fn is photon_series else [{}]:
+        peak = _peak_bytes(lambda: fn(prop, psi0, times, **kw))
         assert peak <= b["psi"] + 4 * b["columns"]
