@@ -247,8 +247,13 @@ def parse(text: str) -> ExperimentConfig:
 
 
 def load(path) -> ExperimentConfig:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse(fh.read())
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        reason = getattr(exc, "strerror", None) or exc
+        raise ConfigError(f"cannot read {path}: {reason}") from exc
+    return parse(text)
 
 
 def config_hash(cfg: ExperimentConfig) -> str:

@@ -1,5 +1,5 @@
-"""Exact unitary evolution by spectral decomposition, expectation values,
-mean-photon and OTOC time series.
+"""Exact unitary evolution by spectral decomposition, mean-photon and OTOC
+time series.
 
 Both Hamiltonians are real symmetric, commute with photon-number parity and
 are banded inside each parity block (bandwidth 1 for IHO, 2 for HIHO).
@@ -16,10 +16,14 @@ lazily, only for the commutator oracle and the tests.
 The phase table e^{-i lam t} depends only on the propagator and the time
 grid, so the process keeps one: a single entry keyed on the propagator
 object (held by weakref) and on a private copy of the grid, rebuilt on any
-other request and freed with its propagator. It takes 8 D T 2 bytes
-(11 MiB at D = 1201, T = 601). ``evolve_batch`` writes each block's GEMM
-straight into that block's rows of the result, and the observables reduce
-the D x T result in column blocks, so no other D x T array is formed.
+other request and freed with its propagator. The same entry holds the last
+evolved state Psi, keyed also on a private copy of psi0, so the observables
+of one (propagator, state, grid) share one evolution; any other state drops
+that Psi before the next one is evolved. Table and Psi take 2 * 16 D T
+bytes (22 MiB at D = 1201, T = 601). ``evolve_batch`` itself is uncached: it
+writes each block's GEMM straight into that block's rows of a fresh result,
+and the observables reduce the D x T result in column blocks, so no other
+D x T array is formed.
 
 The OTOC is evaluated in two ways: the cheap Schroedinger-picture momentum
 variance (production path, P applied as a two-term stencil) and the
@@ -36,8 +40,8 @@ from functools import cached_property
 import numpy as np
 from scipy.linalg import eig_banded
 
-from .errors import DimMismatch, NotHermitian, TruncationGuardError
-from .fock import HERMITICITY_TOL, Banded, FockDim, hermiticity_defect
+from .errors import DimMismatch, TruncationGuardError
+from .fock import Banded, FockDim
 
 # Production guard: population above n = D - ceil(D/10) must stay below this,
 # otherwise the run is reflecting off the truncation edge of an undersized
@@ -48,9 +52,11 @@ TAIL_GUARD_TOL = 1e-6
 # D x T temporary is formed; each column's sum is unchanged by the split.
 COLUMN_BLOCK = 64
 
-# The one phase table of the process: (weakref to its propagator, a copy of
-# its time grid, one e^{-i lam t} array per block); see ``_phases``.
-_phase_table: tuple[weakref.ref, np.ndarray, list[np.ndarray]] | None = None
+# The one cache entry of the process: (weakref to its propagator, a copy of
+# its time grid, one e^{-i lam t} array per block, and the last evolved state
+# as (a copy of psi0, read-only Psi) or None); see ``_phases`` and ``_evolved``.
+_phase_table: tuple[weakref.ref, np.ndarray, list[np.ndarray],
+                    tuple[np.ndarray, np.ndarray] | None] | None = None
 
 
 @dataclass(frozen=True)
@@ -154,6 +160,11 @@ def evolve(prop: Propagator, psi0: np.ndarray, t: float) -> np.ndarray:
     return out
 
 
+def _is_for(entry, prop: Propagator, times: np.ndarray) -> bool:
+    """Whether the cache entry belongs to this propagator and time grid."""
+    return entry is not None and entry[0]() is prop and np.array_equal(entry[1], times)
+
+
 def _phases(prop: Propagator, times: np.ndarray) -> list[np.ndarray]:
     """Per-block phase tables e^{-i lam_b t_k}, kept in one process-wide entry.
 
@@ -163,7 +174,7 @@ def _phases(prop: Propagator, times: np.ndarray) -> list[np.ndarray]:
     """
     global _phase_table
     entry = _phase_table
-    if entry is not None and entry[0]() is prop and np.array_equal(entry[1], times):
+    if _is_for(entry, prop, times):
         return entry[2]
     _phase_table = entry = None
     tables = []
@@ -176,12 +187,12 @@ def _phases(prop: Propagator, times: np.ndarray) -> list[np.ndarray]:
         np.negative(table.imag, out=table.imag)
         del theta  # before the next block's table is allocated
         tables.append(table)
-    _phase_table = (weakref.ref(prop, _drop_phases), times.copy(), tables)
+    _phase_table = (weakref.ref(prop, _drop_phases), times.copy(), tables, None)
     return tables
 
 
 def _drop_phases(ref: weakref.ref):
-    """Free the phase table as soon as its propagator is collected."""
+    """Free the phase table and Psi as soon as their propagator is collected."""
     global _phase_table
     if _phase_table is not None and _phase_table[0] is ref:
         _phase_table = None
@@ -203,14 +214,27 @@ def evolve_batch(prop: Propagator, psi0: np.ndarray, times: np.ndarray) -> np.nd
     return out
 
 
-def expect(state: np.ndarray, M: np.ndarray) -> float:
-    """<psi|M|psi> for Hermitian M; the (tiny) imaginary part is discarded."""
-    if state.shape[0] != M.shape[0]:
-        raise DimMismatch("state/operator dimension mismatch")
-    if hermiticity_defect(M) > HERMITICITY_TOL:
-        raise NotHermitian("expect() requires a Hermitian operator")
-    val = np.vdot(state, M @ state)
-    return float(val.real)
+def _evolved(prop: Propagator, psi0: np.ndarray, times: np.ndarray) -> np.ndarray:
+    """``evolve_batch(prop, psi0, times)``, read-only, kept in the phase-table
+    entry.
+
+    The cached Psi is returned only for the same propagator object, a grid
+    equal to the entry's and a psi0 equal to its private copy; anything else
+    drops the cached Psi before evolving, so at most one Psi is alive.
+    """
+    global _phase_table
+    entry = _phase_table
+    if entry is not None and entry[3] is not None:
+        if _is_for(entry, prop, times) and np.array_equal(entry[3][0], psi0):
+            return entry[3][1]
+        _phase_table = entry[:3] + (None,)
+    del entry  # so the old Psi is freed before the new one is evolved
+    Psi = evolve_batch(prop, psi0, times)
+    Psi.flags.writeable = False
+    entry = _phase_table
+    if _is_for(entry, prop, times):
+        _phase_table = entry[:3] + ((np.array(psi0), Psi),)
+    return Psi
 
 
 def _guard_tails(Psi: np.ndarray, times: np.ndarray, label: str):
@@ -244,7 +268,7 @@ def variance_otoc(
 ) -> TimeSeries:
     """C(t) = Var[P](t) = <psi(t)|P^2|psi(t)> - <psi(t)|P|psi(t)>^2."""
     times = np.asarray(times, dtype=float)
-    Psi = evolve_batch(prop, psi0, times)
+    Psi = _evolved(prop, psi0, times)
     values = np.empty(times.size)
     for j in range(0, times.size, COLUMN_BLOCK):
         cols = slice(j, j + COLUMN_BLOCK)
@@ -282,7 +306,7 @@ def photon_series(
 ) -> TimeSeries:
     """<a^dag a>(t) on the requested time grid."""
     times = np.asarray(times, dtype=float)
-    Psi = evolve_batch(prop, psi0, times)
+    Psi = _evolved(prop, psi0, times)
     if tail_guard:
         _guard_tails(Psi, times, label)
     n = np.arange(prop.dim.dim)[:, None]

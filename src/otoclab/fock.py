@@ -242,17 +242,3 @@ def coherent_state(dim: FockDim, cp: CoherentParams) -> np.ndarray:
         )
     c = coherent_amplitudes(cp.beta, dim)
     return c / np.linalg.norm(c)
-
-
-def mean_photon(state: np.ndarray) -> float:
-    """<a^dag a> = sum_n n |c_n|^2 on a normalized state."""
-    n = np.arange(state.shape[0])
-    return float(np.sum(n * np.abs(state) ** 2))
-
-
-def hermiticity_defect(M: np.ndarray) -> float:
-    """max |M - M^dag| relative to max |M| (0 for the zero matrix)."""
-    scale = np.max(np.abs(M))
-    if scale == 0.0:
-        return 0.0
-    return float(np.max(np.abs(M - M.conj().T)) / scale)

@@ -17,6 +17,9 @@ from . import __version__
 from .husimi import HusimiGrid
 
 
+CSV_ROW_BLOCK = 1024
+
+
 def fmt(x: float) -> str:
     return format(float(x), ".17g")
 
@@ -51,11 +54,15 @@ class Manifest:
 
 def write_csv(path: str, header: list[str], columns: list[np.ndarray],
               manifest: Manifest | None = None):
-    rows = len(columns[0])
+    # one %-format per row ("%.17g" % x is the same text as fmt(x)), over
+    # Python floats made CSV_ROW_BLOCK rows at a time to bound the memory
+    row = ",".join(["%.17g"] * len(columns)) + "\n"
+    columns = [np.asarray(col, dtype=float) for col in columns]
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
-        for i in range(rows):
-            fh.write(",".join(fmt(col[i]) for col in columns) + "\n")
+        for j in range(0, len(columns[0]), CSV_ROW_BLOCK):
+            block = [col[j:j + CSV_ROW_BLOCK].tolist() for col in columns]
+            fh.writelines(row % r for r in zip(*block, strict=True))
     if manifest is not None:
         manifest.record(path)
 

@@ -2,7 +2,14 @@ import numpy as np
 import pytest
 
 from otoclab.evolution import diagonalize
-from otoclab.fock import Banded, FockDim, HihoParams, build_hiho, build_iho
+from otoclab.fock import (
+    HERMITICITY_TOL,
+    Banded,
+    FockDim,
+    HihoParams,
+    build_hiho,
+    build_iho,
+)
 
 # Heavy diagonalizations are shared across the whole session.
 _iho_cache = {}
@@ -31,6 +38,28 @@ def banded(M: np.ndarray) -> Banded:
     for k in range(u + 1):
         lower[k, : D - k] = np.diagonal(M, -k)
     return Banded(lower)
+
+
+def hermiticity_defect(M: np.ndarray) -> float:
+    """max |M - M^dag| relative to max |M| (0 for the zero matrix)."""
+    scale = np.max(np.abs(M))
+    if scale == 0.0:
+        return 0.0
+    return float(np.max(np.abs(M - M.conj().T)) / scale)
+
+
+def expect(state: np.ndarray, M: np.ndarray) -> float:
+    """Reference <psi|M|psi> for a dense Hermitian M; the (tiny) imaginary
+    part is discarded."""
+    assert state.shape[0] == M.shape[0], "state/operator dimension mismatch"
+    assert hermiticity_defect(M) <= HERMITICITY_TOL, "expect() needs a Hermitian M"
+    return float(np.vdot(state, M @ state).real)
+
+
+def mean_photon(state: np.ndarray) -> float:
+    """Reference <a^dag a> = sum_n n |c_n|^2 of one normalized state."""
+    n = np.arange(state.shape[0])
+    return float(np.sum(n * np.abs(state) ** 2))
 
 
 @pytest.fixture(scope="session")

@@ -10,12 +10,13 @@ import os
 
 import numpy as np
 import pytest
+from conftest import expect
 
 from otoclab import classical
 from otoclab.analysis import auto_window, correspondence_time, ehrenfest_time, fit_exponential
 from otoclab.cli import main
 from otoclab.config import ExperimentConfig, LabeledPoint, serialize
-from otoclab.evolution import commutator_otoc, evolve, expect, photon_series, variance_otoc
+from otoclab.evolution import commutator_otoc, evolve, photon_series, variance_otoc
 from otoclab.fock import CoherentParams, FockDim, coherent_state, quadratures
 from otoclab.husimi import (
     PhaseGrid,

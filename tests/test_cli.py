@@ -345,6 +345,21 @@ def test_cli_config_error_exit_code(tmp_path, capsys):
         assert not out.exists(), name
 
 
+@pytest.mark.parametrize("case", ["missing", "not_utf8", "directory"])
+def test_unreadable_config_is_a_config_error(tmp_path, capsys, case):
+    path = tmp_path / "cfg.json"
+    if case == "not_utf8":
+        path.write_bytes(serialize(small_cfg()).encode("utf-16"))
+    elif case == "directory":
+        path.mkdir()
+    out = tmp_path / "o"
+    assert main(["otoc", "--config", str(path), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: cannot read {path}: ")
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 def test_cli_bad_point_exit_code(tmp_path):
     # the tail precondition fails at n_p=40 for a far-out point
     cfg = write_cfg(tmp_path, small_cfg())

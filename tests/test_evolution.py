@@ -1,9 +1,10 @@
 import gc
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
-from conftest import banded, dense
+from conftest import banded, dense, expect
 from hypothesis import given, settings, strategies as st
 from scipy.linalg import eigh
 
@@ -14,7 +15,6 @@ from otoclab.evolution import (
     diagonalize,
     evolve,
     evolve_batch,
-    expect,
     photon_series,
     variance_otoc,
 )
@@ -402,6 +402,106 @@ def test_alternating_propagators_give_correct_results(
 
 
 # ---------------------------------------------------------------------------
+# The evolved state kept beside the phase table
+
+@pytest.fixture
+def evolutions(monkeypatch, no_phase_table):
+    """The propagators evolve_batch is called with, in call order."""
+    calls = []
+    real = evolution.evolve_batch
+
+    def counted(prop, psi0, times):
+        calls.append(prop)
+        return real(prop, psi0, times)
+
+    monkeypatch.setattr(evolution, "evolve_batch", counted)
+    return calls
+
+
+def _assert_series_equal_reference(prop, psi0, times):
+    assert np.array_equal(variance_otoc(prop, psi0, times).values,
+                          _reference_variance(prop, psi0, times))
+    assert np.array_equal(photon_series(prop, psi0, times).values,
+                          _reference_photon(prop, psi0, times))
+
+
+@pytest.mark.parametrize("system", ["iho", "hiho"])
+def test_variance_then_photon_evolve_once(system, iho_prop, hiho_prop, evolutions):
+    prop = iho_prop(300) if system == "iho" else hiho_prop(300)
+    psi0 = coherent_state(FockDim(300), CoherentParams(2.0, -1.0))
+    times = np.linspace(0.0, 3.0, 601)
+    _assert_series_equal_reference(prop, psi0, times)
+    assert evolutions == [prop]
+    # an equal grid and an equal state in other arrays still hit
+    _assert_series_equal_reference(prop, psi0.copy(), times.copy())
+    assert evolutions == [prop]
+
+
+@pytest.mark.parametrize("system", ["iho", "hiho"])
+def test_evolved_state_misses(system, iho_prop, hiho_prop, evolutions):
+    d = FockDim(120)
+    prop, other = (iho_prop(120), hiho_prop(120))[::1 if system == "iho" else -1]
+    psi0 = coherent_state(d, CoherentParams(1.5, -0.5))
+    times = np.linspace(0.0, 2.0, 201)
+    _assert_series_equal_reference(prop, psi0, times)
+    assert len(evolutions) == 1
+    # another state
+    _assert_series_equal_reference(prop, coherent_state(d, CoherentParams(1.0, 0.5)), times)
+    assert len(evolutions) == 2
+    # the same state array, changed in place after it was cached
+    _assert_series_equal_reference(prop, psi0, times)
+    psi0 *= np.exp(0.3j)
+    _assert_series_equal_reference(prop, psi0, times)
+    assert len(evolutions) == 4
+    # another propagator of the same dimension
+    _assert_series_equal_reference(other, psi0, times)
+    assert evolutions[-1] is other and len(evolutions) == 5
+    # a changed grid, also when the cached grid array is changed in place
+    times += 0.25
+    _assert_series_equal_reference(other, psi0, times)
+    _assert_series_equal_reference(other, psi0, times[:-1])
+    assert len(evolutions) == 7
+
+
+def test_evolved_state_freed_with_its_propagator(no_phase_table):
+    d = FockDim(60)
+    prop = diagonalize(build_iho(d))
+    psi0 = coherent_state(d, CoherentParams(1.0, 1.0))
+    variance_otoc(prop, psi0, np.linspace(0.0, 1.0, 11))
+    psi = weakref.ref(evolution._phase_table[3][1])
+    del prop
+    gc.collect()
+    assert evolution._phase_table is None
+    assert psi() is None
+
+
+def test_guard_on_the_evolved_state_names_the_same_time(iho_prop, evolutions):
+    prop = iho_prop(75)
+    psi0 = coherent_state(FockDim(75), CoherentParams(2.0, -1.0))
+    times = np.linspace(0.0, 3.0, 601)
+    want = _outcome(_reference_photon, prop, psi0, times, "g", True)
+    assert isinstance(want, str) and "at t=" in want
+    assert _outcome(photon_series, prop, psi0, times, "g", tail_guard=True) == want
+    variance_otoc(prop, psi0, times)
+    assert _outcome(photon_series, prop, psi0, times, "g", tail_guard=True) == want
+    assert len(evolutions) == 1
+
+
+def test_evolved_state_is_read_only_and_evolve_batch_is_fresh(iho_prop, no_phase_table):
+    prop = iho_prop(120)
+    psi0 = coherent_state(FockDim(120), CoherentParams(1.0, 1.0))
+    times = np.linspace(0.0, 1.0, 11)
+    Psi = evolution._evolved(prop, psi0, times)
+    assert evolution._evolved(prop, psi0, times) is Psi
+    assert not Psi.flags.writeable
+    with pytest.raises(ValueError):
+        Psi[0, 0] = 0.0
+    fresh = evolve_batch(prop, psi0, times)
+    assert fresh is not Psi and fresh.flags.writeable
+    assert np.array_equal(fresh, Psi)
+
+
+# ---------------------------------------------------------------------------
 # Memory: no D x T temporary beyond the documented ones. The slack covers
 # ufunc buffers and per-call vectors; at D = T = 601 a D x T float64 array is
 # 2.9 MB, far more than it allows.
@@ -470,3 +570,32 @@ def test_observables_peak_is_psi_and_column_blocks(memory_case, monkeypatch, fn)
     for kw in [{}, {"tail_guard": True}] if fn is photon_series else [{}]:
         peak = _peak_bytes(lambda: fn(prop, psi0, times, **kw))
         assert peak <= b["psi"] + 4 * b["columns"]
+
+
+def test_evolved_state_hit_forms_no_dxt_array(memory_case):
+    prop, psi0, times, b = memory_case
+    photon_series(prop, psi0, times)
+    assert 4 * b["columns"] < 8 * prop.dim.dim * times.size
+    for fn, kw in ((variance_otoc, {}), (photon_series, {"tail_guard": True})):
+        peak = _peak_bytes(lambda: fn(prop, psi0, times, **kw))
+        assert peak <= 4 * b["columns"]
+
+
+@pytest.mark.parametrize("change", ["state", "grid"])
+def test_evolved_state_miss_drops_the_old_state_first(memory_case, change):
+    # above the level that holds the old table and Psi, a miss needs one
+    # block's X while evolving and the column blocks while reducing
+    prop, psi0, times, b = memory_case
+    other = coherent_state(FockDim(600), CoherentParams(1.0, 1.0))
+    tracemalloc.start()
+    try:
+        variance_otoc(prop, other if change == "state" else psi0,
+                      times if change == "state" else times / 2)
+        base = tracemalloc.get_traced_memory()[0]
+        assert base >= b["psi"] + b["table"]
+        tracemalloc.reset_peak()
+        photon_series(prop, psi0, times, tail_guard=True)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= b["x"] + 4 * b["columns"] + _SLACK

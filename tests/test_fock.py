@@ -2,7 +2,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from conftest import dense
+from conftest import dense, hermiticity_defect, mean_photon
 from hypothesis import given, settings, strategies as st
 from scipy.linalg import eigh
 
@@ -15,10 +15,8 @@ from otoclab.fock import (
     build_hiho,
     build_iho,
     coherent_state,
-    hermiticity_defect,
     hiho,
     make_ladder,
-    mean_photon,
     quadratures,
 )
 
