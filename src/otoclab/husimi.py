@@ -81,16 +81,19 @@ def husimi_q(state: np.ndarray, grid: PhaseGrid) -> HusimiGrid:
     inv_sqrt = 1.0 / np.sqrt(np.arange(1, D))
     b = np.full(alpha_c.shape, state[D - 1], dtype=complex)
     log_scale = np.zeros(alpha_c.shape)
-    coeff_scale = np.ones(alpha_c.shape)
+    # complex, so each step's c_n exp(-log_scale) goes into one buffer
+    coeff_scale = np.ones(alpha_c.shape, dtype=complex)
+    term = np.empty_like(b)
     for n in range(D - 2, -1, -1):
         b *= alpha_c
         b *= inv_sqrt[n]
-        b += state[n] * coeff_scale
+        np.multiply(coeff_scale, state[n], out=term)
+        b += term
         if n % RESCALE_EVERY == 0:
             factor = np.maximum(np.abs(b), 1.0)
             b /= factor
             log_scale += np.log(factor)
-            coeff_scale = np.exp(-log_scale)
+            coeff_scale[:] = np.exp(-log_scale)
     with np.errstate(divide="ignore"):  # b = 0 gives ln 0 = -inf, so Q = 0
         log_q = 2 * (np.log(np.abs(b)) + log_scale) - np.abs(alpha_c) ** 2
     values = np.exp(log_q).reshape(grid.n_q, grid.n_p) / np.pi

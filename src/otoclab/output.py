@@ -3,7 +3,9 @@ Husimi grid files, gnuplot scripts, and a JSON-lines manifest.
 
 All floats are written with 17 significant digits, LF endings, UTF-8, and
 JSON keys sorted, so identical configs reproduce bit-identical data files,
-manifest included: it records no times.
+manifest included: it records no times. CSV and grid values are formatted
+by one vectorised kernel (``_g17.write_rows``) whose bytes equal
+``'%.17g' % x`` for every float64; ``fmt`` formats the grid header.
 """
 from __future__ import annotations
 
@@ -14,6 +16,7 @@ import numpy as np
 import scipy
 
 from . import __version__
+from ._g17 import write_rows
 from .husimi import HusimiGrid
 
 
@@ -54,15 +57,14 @@ class Manifest:
 
 def write_csv(path: str, header: list[str], columns: list[np.ndarray],
               manifest: Manifest | None = None):
-    # one %-format per row ("%.17g" % x is the same text as fmt(x)), over
-    # Python floats made CSV_ROW_BLOCK rows at a time to bound the memory
-    row = ",".join(["%.17g"] * len(columns)) + "\n"
+    # CSV_ROW_BLOCK rows are stacked at a time to bound the memory
     columns = [np.asarray(col, dtype=float) for col in columns]
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(header) + "\n")
+    if len({len(col) for col in columns}) > 1:
+        raise ValueError("CSV columns differ in length")
+    with open(path, "wb") as fh:
+        fh.write((",".join(header) + "\n").encode())
         for j in range(0, len(columns[0]), CSV_ROW_BLOCK):
-            block = [col[j:j + CSV_ROW_BLOCK].tolist() for col in columns]
-            fh.writelines(row % r for r in zip(*block, strict=True))
+            write_rows(fh, np.column_stack([col[j:j + CSV_ROW_BLOCK] for col in columns]), b",")
     if manifest is not None:
         manifest.record(path)
 
@@ -79,13 +81,12 @@ def write_grid(path: str, hg: HusimiGrid, manifest: Manifest | None = None):
     """Self-describing text grid: header 'q_min q_max n_q p_min p_max n_p',
     then row-major Q values, one grid row per line."""
     g = hg.grid
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with open(path, "wb") as fh:
         fh.write(
             f"{fmt(g.q_min)} {fmt(g.q_max)} {g.n_q} "
-            f"{fmt(g.p_min)} {fmt(g.p_max)} {g.n_p}\n"
+            f"{fmt(g.p_min)} {fmt(g.p_max)} {g.n_p}\n".encode()
         )
-        for row in hg.values:
-            fh.write(" ".join(fmt(v) for v in row) + "\n")
+        write_rows(fh, hg.values, b" ")
     if manifest is not None:
         manifest.record(path)
 

@@ -10,6 +10,7 @@ from otoclab.errors import GridTooSmall
 from otoclab.evolution import evolve
 from otoclab.fock import CoherentParams, FockDim, coherent_state
 from otoclab.husimi import (
+    RESCALE_EVERY,
     HusimiGrid,
     PhaseGrid,
     count_local_maxima,
@@ -45,6 +46,30 @@ def reference_q(state, grid):
             coeff[rows, 0] = 1.0
         values[i] = np.abs(coeff @ state) ** 2 / np.pi
     return values
+
+
+def husimi_q_before(state, grid):
+    """husimi_q as it was before its Horner step reused one buffer: the
+    coefficient term is a fresh complex array on every step."""
+    D = state.shape[0]
+    q, p = np.meshgrid(grid.q_axis(), grid.p_axis(), indexing="ij")
+    alpha_c = ((q - 1j * p) / np.sqrt(2)).ravel()
+    inv_sqrt = 1.0 / np.sqrt(np.arange(1, D))
+    b = np.full(alpha_c.shape, state[D - 1], dtype=complex)
+    log_scale = np.zeros(alpha_c.shape)
+    coeff_scale = np.ones(alpha_c.shape)
+    for n in range(D - 2, -1, -1):
+        b *= alpha_c
+        b *= inv_sqrt[n]
+        b += state[n] * coeff_scale
+        if n % RESCALE_EVERY == 0:
+            factor = np.maximum(np.abs(b), 1.0)
+            b /= factor
+            log_scale += np.log(factor)
+            coeff_scale = np.exp(-log_scale)
+    with np.errstate(divide="ignore"):
+        log_q = 2 * (np.log(np.abs(b)) + log_scale) - np.abs(alpha_c) ** 2
+    return np.exp(log_q).reshape(grid.n_q, grid.n_p) / np.pi
 
 
 def test_grid_validation():
@@ -104,6 +129,17 @@ def test_matches_reference_on_evolved_hiho_states(hiho_prop):
         psit = evolve(hiho_prop(600), psi0, t)
         values = husimi_q(psit, WIDE_GRID).values
         assert np.max(np.abs(values - reference_q(psit, WIDE_GRID))) <= 1e-13
+
+
+def test_equals_the_previous_horner_loop_bit_for_bit(hiho_prop):
+    psi0 = coherent_state(FockDim(600), CoherentParams(8.0, 9.0))
+    rng = np.random.default_rng(4)
+    noise = rng.normal(size=(90, 2)) @ np.array([1, 1j])
+    states = [evolve(hiho_prop(600), psi0, t) for t in (0.0, 1.2)]
+    states += [noise / np.linalg.norm(noise), np.full(1201, 1 / math.sqrt(1201), dtype=complex)]
+    for psi in states:
+        got = husimi_q(psi, WIDE_GRID).values
+        assert np.array_equal(got.view(np.uint64), husimi_q_before(psi, WIDE_GRID).view(np.uint64))
 
 
 def test_flat_state_needs_the_rescale():

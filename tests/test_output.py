@@ -1,9 +1,39 @@
+import os
+import struct
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from otoclab.output import CSV_ROW_BLOCK, fmt, write_csv
+from otoclab._g17 import BLOCK, format_rows
+from otoclab.evolution import evolve
+from otoclab.fock import CoherentParams, FockDim, coherent_state
+from otoclab.husimi import PhaseGrid, husimi_q
+from otoclab.output import CSV_ROW_BLOCK, fmt, read_grid, write_csv, write_grid
+
+WIDE_GRID = PhaseGrid(-40.0, 40.0, -40.0, 40.0, 161, 161)
+
+
+def _oracle(block, sep):
+    """Python's own '%.17g', one value at a time: the bytes format_rows must
+    give for a 2-D block."""
+    return "".join(sep.join("%.17g" % v for v in row) + "\n"
+                   for row in np.asarray(block, dtype=float).tolist()).encode()
+
+
+def _reference_write_grid(path, hg):
+    """write_grid as it was: one fmt call per value."""
+    g = hg.grid
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(
+            f"{fmt(g.q_min)} {fmt(g.q_max)} {g.n_q} "
+            f"{fmt(g.p_min)} {fmt(g.p_max)} {g.n_p}\n"
+        )
+        for row in hg.values:
+            fh.write(" ".join(fmt(v) for v in row) + "\n")
 
 
 def _reference_write_csv(path, header, columns):
@@ -20,7 +50,7 @@ _SPECIAL = [np.nan, np.inf, -np.inf, 0.0, -0.0, 5e-324, -5e-324,
             1.0, -3.0, 4096.0, 1e16, 2.0**53 + 2, 1e22, 0.1, 1 / 3]
 
 
-@pytest.mark.parametrize("case", ["special", "random", "integers", "one_column"])
+@pytest.mark.parametrize("case", ["special", "random", "integers", "one_column", "empty"])
 def test_write_csv_equals_reference_bytes(tmp_path, case):
     rng = np.random.default_rng(5)
     if case == "special":
@@ -33,8 +63,10 @@ def test_write_csv_equals_reference_bytes(tmp_path, case):
                    np.exp(rng.uniform(-700, 700, n)) * rng.choice([-1, 1], n)]
     elif case == "integers":
         columns = [np.arange(-50, 50), np.arange(100) * 2.0**40, [float(k) for k in range(100)]]
-    else:
+    elif case == "one_column":
         columns = [rng.standard_normal(7)]
+    else:
+        columns = [np.zeros(0), []]
     header = [f"c{k}" for k in range(len(columns))]
     got, want = tmp_path / "got.csv", tmp_path / "want.csv"
     write_csv(str(got), header, columns)
@@ -59,3 +91,74 @@ def test_write_csv_memory_is_bounded_by_the_row_block(tmp_path):
     finally:
         tracemalloc.stop()
     assert peak <= 64 * len(columns) * CSV_ROW_BLOCK + 64 * 1024
+
+
+_BITS = st.integers(0, 2**64 - 1).map(lambda b: struct.unpack("<d", struct.pack("<Q", b))[0])
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(st.one_of(st.floats(allow_subnormal=True), _BITS), min_size=1, max_size=48))
+def test_format_rows_equals_percent_17g_for_any_float64(values):
+    # st.floats covers nan, inf, zeros and subnormals; the bit patterns
+    # cover every exponent evenly
+    column = np.array(values).reshape(-1, 1)
+    assert format_rows(column, b",") == _oracle(column, ",")
+    assert format_rows(column.T, b" ") == _oracle(column.T, " ")
+
+
+def _edge_values():
+    powers = np.array([10.0**k for k in range(-323, 309)])
+    ties = ([m / 4 for m in range(4 * 10**15 + 1, 4 * 10**15 + 400)]
+            + [m / 2**k for k in range(1, 12) for m in range(2**53 - 300, 2**53)]
+            + [(2**53 + 2 * m + 1) * 2.0**k for k in range(0, 8) for m in range(50)])
+    switches = [1e-5, 1e-4, 1e16, 1e17, 9.9999999999999992e22, 1e-270, 1e290,
+                1e-78]  # 1e-78 is below 10^-78 and rounds up to it at 17 digits
+    special = [0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324,
+               1.7976931348623157e308, -1.7976931348623157e308, 2.2250738585072014e-308]
+    values = np.concatenate([powers, ties, switches])
+    values = np.concatenate([values, np.nextafter(values, 0), np.nextafter(values, np.inf)])
+    return np.concatenate([values, -values, special])
+
+
+def test_format_rows_equals_percent_17g_on_edge_values():
+    # powers of ten +/- 1 ulp over the whole range, exact ties at the 18th
+    # digit, the fixed/scientific switches and the range limits of the fast
+    # path, blocks larger than BLOCK included
+    values = _edge_values()
+    for cols in (1, 7):
+        block = values[:values.size // cols * cols].reshape(-1, cols)
+        assert format_rows(block, b" ") == _oracle(block, " ")
+
+
+def test_write_grid_equals_reference_bytes(tmp_path, hiho_prop):
+    # an evolved HIHO state at D = 601 on the +/-40 grid, where Q spans
+    # about 1e-300 to 0.3
+    psi0 = coherent_state(FockDim(600), CoherentParams(8.0, 9.0))
+    hg = husimi_q(evolve(hiho_prop(600), psi0, 1.2), WIDE_GRID)
+    got, want = tmp_path / "got.grid", tmp_path / "want.grid"
+    write_grid(str(got), hg)
+    _reference_write_grid(str(want), hg)
+    assert got.read_bytes() == want.read_bytes()
+    assert np.array_equal(read_grid(str(got))[1], hg.values)
+
+
+def test_write_grid_memory_is_bounded_by_the_block(tmp_path):
+    # formatting the whole 161^2 grid at once would take about 3.5 MB
+    rng = np.random.default_rng(2)
+    hg = husimi_q(coherent_state(FockDim(60), CoherentParams(1.0, -2.0))
+                  * np.exp(1j * rng.uniform(0, 6, 61)), WIDE_GRID)
+    tracemalloc.start()
+    try:
+        write_grid(str(tmp_path / "x.grid"), hg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 200 * BLOCK + 64 * 1024
+
+
+def test_tables_are_built_on_first_write_not_at_import():
+    code = ("import otoclab.cli, otoclab._g17 as g; n = g._tables.cache_info().currsize; "
+            "g.format_rows(g.np.ones((1, 1)), b' '); print(n, g._tables.cache_info().currsize)")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
+                         env=dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path)))
+    assert out.stdout.split() == ["0", "1"]
