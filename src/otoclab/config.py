@@ -24,7 +24,7 @@ from .fock import (
     hiho,
     iho,
 )
-from .husimi import PhaseGrid
+from .husimi import ALPHA_MAX, PhaseGrid, max_abs_alpha
 
 # the shortest window an auto fit searches when its config states none
 AUTO_MIN_SPAN = 0.08
@@ -134,6 +134,10 @@ class ExperimentConfig:
             bounds = (grid.q_min, grid.q_max, grid.p_min, grid.p_max)
             if not all(_is_finite(x) for x in bounds):
                 raise ConfigError(f"husimi grid bounds must be finite numbers, got {bounds}")
+            reach = max_abs_alpha(grid)
+            if reach > ALPHA_MAX:
+                raise ConfigError(f"husimi grid corners reach |alpha| = {reach:.3g}, past "
+                                  f"the {ALPHA_MAX:g} that the Husimi kernel is valid to")
             if not (_is_int(grid.n_q) and _is_int(grid.n_p)):
                 raise ConfigError(f"husimi n_q and n_p must be integers, "
                                   f"got {grid.n_q!r} and {grid.n_p!r}")

@@ -345,6 +345,25 @@ def test_cli_config_error_exit_code(tmp_path, capsys):
         assert not out.exists(), name
 
 
+@pytest.mark.parametrize("q_max, p_max", [(1e308, 1e308), (1.5e19, 1.0), (1.0, 1.5e19)],
+                         ids=["1e308", "q_past_alpha_max", "p_past_alpha_max"])
+def test_husimi_grid_past_alpha_max_is_a_config_error(tmp_path, capsys, q_max, p_max):
+    # at +-1e308 the command used to exit 0 with a .grid file of nan;
+    # 1.5e19 / sqrt(2) is just past ALPHA_MAX = 1e19
+    grid = {"q_min": -q_max, "q_max": q_max, "p_min": -p_max, "p_max": p_max,
+            "n_q": 21, "n_p": 21, "snapshot_times": [0.0]}
+    cfg = _patched_cfg_file(tmp_path, "far", {"husimi": grid})
+    out = tmp_path / "o"
+    assert main(["husimi", "--config", cfg, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: husimi grid corners reach |alpha|"), err
+    assert not out.exists()
+    with pytest.raises(ConfigError, match="husimi grid corners"):
+        small_cfg(husimi=HusimiSpec(PhaseGrid(-q_max, q_max, -p_max, p_max, 21, 21), (0.0,)))
+    inside = PhaseGrid(-1.4e19, 1.4e19, -1.0, 1.0, 21, 21)
+    assert small_cfg(husimi=HusimiSpec(inside, (0.0,))).husimi.grid == inside
+
+
 @pytest.mark.parametrize("case", ["missing", "not_utf8", "directory"])
 def test_unreadable_config_is_a_config_error(tmp_path, capsys, case):
     path = tmp_path / "cfg.json"

@@ -1,15 +1,21 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy import ndimage
 from scipy.special import gammaln
 
+from otoclab import cli
 from otoclab.classical import ClassicalState, hiho, integrate
 from otoclab.errors import GridTooSmall
 from otoclab.evolution import evolve
 from otoclab.fock import CoherentParams, FockDim, coherent_state
 from otoclab.husimi import (
+    ALPHA_MAX,
+    CHUNK,
+    PEAK_FRAC,
     RESCALE_EVERY,
     HusimiGrid,
     PhaseGrid,
@@ -19,10 +25,14 @@ from otoclab.husimi import (
     husimi_norm,
     husimi_q,
     husimi_second_moments,
+    max_abs_alpha,
 )
 
 VAC_GRID = PhaseGrid(-6.0, 6.0, -6.0, 6.0, 201, 201)
 WIDE_GRID = PhaseGrid(-40.0, 40.0, -40.0, 40.0, 161, 161)  # corners |alpha|^2/2 = 800
+# |husimi_q - husimi_q_before| bound, absolute (Q <= 1/pi): the blocked
+# recurrence sums each block's terms in another order than the step-by-step loop
+HORNER_TOL = 2e-14
 
 
 def reference_q(state, grid):
@@ -49,8 +59,10 @@ def reference_q(state, grid):
 
 
 def husimi_q_before(state, grid):
-    """husimi_q as it was before its Horner step reused one buffer: the
-    coefficient term is a fresh complex array on every step."""
+    """The step-by-step Horner loop husimi_q ran before the blocked kernel,
+    bit for bit (there the coefficient term reused one buffer, here it is a
+    fresh array on every step): b = c_n + (z / sqrt(n + 1)) b, rescaled
+    every RESCALE_EVERY steps."""
     D = state.shape[0]
     q, p = np.meshgrid(grid.q_axis(), grid.p_axis(), indexing="ij")
     alpha_c = ((q - 1j * p) / np.sqrt(2)).ravel()
@@ -131,7 +143,7 @@ def test_matches_reference_on_evolved_hiho_states(hiho_prop):
         assert np.max(np.abs(values - reference_q(psit, WIDE_GRID))) <= 1e-13
 
 
-def test_equals_the_previous_horner_loop_bit_for_bit(hiho_prop):
+def test_within_horner_tol_of_the_step_by_step_horner_loop(hiho_prop):
     psi0 = coherent_state(FockDim(600), CoherentParams(8.0, 9.0))
     rng = np.random.default_rng(4)
     noise = rng.normal(size=(90, 2)) @ np.array([1, 1j])
@@ -139,7 +151,56 @@ def test_equals_the_previous_horner_loop_bit_for_bit(hiho_prop):
     states += [noise / np.linalg.norm(noise), np.full(1201, 1 / math.sqrt(1201), dtype=complex)]
     for psi in states:
         got = husimi_q(psi, WIDE_GRID).values
-        assert np.array_equal(got.view(np.uint64), husimi_q_before(psi, WIDE_GRID).view(np.uint64))
+        assert np.max(np.abs(got - husimi_q_before(psi, WIDE_GRID))) <= HORNER_TOL
+
+
+def _random_state(D, seed):
+    rng = np.random.default_rng(seed)
+    psi = rng.normal(size=D) + 1j * rng.normal(size=D)
+    return psi / np.linalg.norm(psi)
+
+
+@pytest.mark.parametrize("D", [1, 2, 16, 17, 18, 33, 34])
+def test_block_edges_match_reference(D):
+    # the highest block takes 1, 2, 16, 17, 2, 17 and 2 steps, above zero, one
+    # or two blocks of RESCALE_EVERY
+    psi = _random_state(D, D)
+    grid = PhaseGrid(-12.0, 12.0, -9.0, 9.0, 31, 25)
+    assert np.max(np.abs(husimi_q(psi, grid).values - reference_q(psi, grid))) <= 1e-13
+
+
+@pytest.mark.parametrize("n_q, n_p", [(2, 2), (64, CHUNK // 64), (65, 65), (CHUNK + 1, 2)])
+def test_chunk_edges_match_reference(n_q, n_p):
+    # a 2 x 2 grid, exactly one chunk, and point counts that leave a short last chunk
+    psi = _random_state(40, 7)
+    grid = PhaseGrid(-10.0, 10.0, -10.0, 10.0, n_q, n_p)
+    assert np.max(np.abs(husimi_q(psi, grid).values - reference_q(psi, grid))) <= 1e-13
+
+
+def test_finite_up_to_alpha_max():
+    # corners at |alpha| just below ALPHA_MAX, and q = 0 in the middle row
+    a = 0.99 * ALPHA_MAX * math.sqrt(2)
+    grid = PhaseGrid(-a, a, -1.0, 1.0, 3, 3)
+    assert max_abs_alpha(grid) <= ALPHA_MAX
+    psi = _random_state(601, 1)
+    values = husimi_q(psi, grid).values
+    assert np.all(np.isfinite(values))
+    assert values[1, 1] == pytest.approx(abs(psi[0]) ** 2 / math.pi, rel=1e-14)
+    assert np.all(values[[0, 2]] == 0.0)  # e^{-|alpha|^2} underflows
+
+
+def test_memory_is_bounded_by_the_chunk(hiho_prop):
+    # the step-by-step loop, with its grid-sized complex arrays, peaked at
+    # 3.1 MB here; the blocked kernel peaks at 2.1 MB
+    psi = evolve(hiho_prop(600), coherent_state(FockDim(600), CoherentParams(8.0, 9.0)), 0.3)
+    husimi_q(psi, WIDE_GRID)
+    tracemalloc.start()
+    try:
+        husimi_q(psi, WIDE_GRID)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3.1e6
 
 
 def test_flat_state_needs_the_rescale():
@@ -271,3 +332,61 @@ def test_count_local_maxima_synthetic():
     grid = PhaseGrid(-5, 5, -5, 5, 101, 101)
     assert count_local_maxima(HusimiGrid(grid, g1 + g2)) == 2
     assert count_local_maxima(HusimiGrid(grid, g1)) == 1
+
+
+def ndimage_local_maxima(Q):
+    """count_local_maxima by scipy.ndimage: a 3 x 3 maximum filter with 0 off
+    the grid, then labels with the default (4-connected) structure."""
+    peaks = (Q == ndimage.maximum_filter(Q, size=3, mode="constant")) & (Q > PEAK_FRAC * Q.max())
+    return ndimage.label(peaks)[1]
+
+
+def _peak_grids():
+    rng = np.random.default_rng(11)
+    plateau = np.zeros((9, 12))
+    plateau[2:4, 3:7] = 1.0   # one flat top of 8 points
+    plateau[6, 8:11] = 0.5    # a flat ridge
+    diagonal = np.zeros((7, 7))
+    diagonal[2, 2] = diagonal[3, 3] = diagonal[4, 2] = 1.0  # touch at corners only
+    border = np.zeros((6, 8))
+    border[0, 0] = border[0, 5] = border[5, 7] = border[3, 0] = 1.0
+    border[5, 3] = 0.05       # below PEAK_FRAC of the largest
+    smooth = ndimage.gaussian_filter(rng.random((60, 50)), 2.0)
+    return {
+        "plateau": plateau,
+        "diagonal": diagonal,
+        "border": border,
+        "all_equal": np.full((13, 17), 0.25),
+        "noise": rng.random((40, 45)),
+        "coarse_noise": rng.integers(0, 3, size=(30, 30)).astype(float),
+        "smooth": smooth,
+    }
+
+
+def _local_maxima(Q):
+    return count_local_maxima(HusimiGrid(PhaseGrid(0.0, 1.0, 0.0, 1.0, *Q.shape), Q))
+
+
+@pytest.mark.parametrize("name", sorted(_peak_grids()))
+def test_count_local_maxima_equals_ndimage(name):
+    Q = _peak_grids()[name]
+    assert _local_maxima(Q) == ndimage_local_maxima(Q)
+
+
+def test_count_local_maxima_on_the_plateau_grids():
+    counts = {name: _local_maxima(Q) for name, Q in _peak_grids().items()
+              if name in ("plateau", "diagonal", "border")}
+    assert counts == {"plateau": 2, "diagonal": 3, "border": 4}
+
+
+@pytest.mark.parametrize("figure", ["fig5", "fig8"])
+def test_count_local_maxima_equals_ndimage_on_the_figure_grids(figure, iho_prop, hiho_prop):
+    # every Husimi grid reproduce-all writes
+    cfg = cli._load_bundled(figure)
+    k = cfg.n_p[0]
+    prop = iho_prop(k) if cfg.system == "iho" else hiho_prop(k, cfg.gamma, cfg.g)
+    for pt in cfg.points:
+        psi0 = coherent_state(FockDim(k), CoherentParams(pt.q, pt.p))
+        for t in cfg.husimi.snapshot_times:
+            hg = husimi_q(evolve(prop, psi0, t), cfg.husimi.grid)
+            assert count_local_maxima(hg) == ndimage_local_maxima(hg.values), (pt.label, t)
