@@ -38,7 +38,7 @@ from .evolution import (
     Propagator,
     commutator_otoc,
     diagonalize,
-    evolve,
+    evolve_batch,
     photon_series,
     variance_otoc,
 )
@@ -50,8 +50,10 @@ from .fock import (
 )
 from .husimi import (
     count_local_maxima,
-    husimi_diagnostics,
+    husimi_centroid,
+    husimi_norm,
     husimi_q,
+    husimi_second_moments,
 )
 from .output import Manifest, write_csv, write_grid, write_gnuplot, write_json
 
@@ -251,14 +253,16 @@ def _widened(lo: float, hi: float, centre: float) -> tuple[float, float]:
 
 
 def cmd_husimi(cfg: ExperimentConfig, out_dir: str) -> dict:
-    """Husimi snapshots per point (first n_p), with norm/centroid/moment
-    diagnostics and a generated plot script."""
+    """Husimi snapshots per point (first n_p), each point's snapshot times
+    evolved in one batch, with norm/centroid/moment diagnostics and a
+    generated plot script."""
     if cfg.husimi is None:
         raise ConfigError("husimi command requires a husimi section with snapshot times")
     manifest = Manifest(out_dir, config_hash(cfg))
     grid = cfg.husimi.grid
     k = cfg.n_p[0]
     prop = _propagator(cfg, k)
+    times = np.asarray(cfg.husimi.snapshot_times, dtype=float)
     snapshots = []
     gp = [
         "set view map",
@@ -267,35 +271,35 @@ def cmd_husimi(cfg: ExperimentConfig, out_dir: str) -> dict:
         f"dp = {(grid.p_max - grid.p_min) / (grid.n_p - 1)}",
     ]
     for pt in cfg.points:
-        psi0 = _initial_state(k, pt)
+        Psi = evolve_batch(prop, _initial_state(k, pt), times)
         for si, t in enumerate(cfg.husimi.snapshot_times):
-            psit = evolve(prop, psi0, t)
-            hg = husimi_q(psit, grid)
+            hg = husimi_q(Psi[:, si], grid)
             fname = f"husimi_{pt.label}_s{si}.grid"
             write_grid(os.path.join(out_dir, fname), hg, manifest)
-            norm, centroid, mom = husimi_diagnostics(hg)
             entry = {
                 "point": pt.label, "snapshot": si, "time": t, "file": fname,
-                "norm": norm,
+                "norm": husimi_norm(hg),
                 "n_local_maxima": count_local_maxima(hg),
                 "centroid": None,
                 "second_moments": None,
             }
-            if centroid is not None:
-                entry["centroid"] = list(centroid)
+            try:
+                entry["centroid"] = list(husimi_centroid(hg))
+                mom = husimi_second_moments(hg)
                 entry["second_moments"] = {
                     "qq": float(mom[0, 0]), "qp": float(mom[0, 1]),
                     "pp": float(mom[1, 1]),
                 }
-            elif si == 0:
+            except GridTooSmall:
                 # first snapshot must be captured; later ones may
                 # legitimately spread beyond any finite window
-                q_lo, q_hi = _widened(grid.q_min, grid.q_max, pt.q)
-                p_lo, p_hi = _widened(grid.p_min, grid.p_max, pt.p)
-                raise GridTooSmall(
-                    f"grid misses the initial packet at {pt.label}; try "
-                    f"q in [{q_lo:g}, {q_hi:g}], p in [{p_lo:g}, {p_hi:g}]"
-                )
+                if si == 0:
+                    q_lo, q_hi = _widened(grid.q_min, grid.q_max, pt.q)
+                    p_lo, p_hi = _widened(grid.p_min, grid.p_max, pt.p)
+                    raise GridTooSmall(
+                        f"grid misses the initial packet at {pt.label}; try "
+                        f"q in [{q_lo:g}, {q_hi:g}], p in [{p_lo:g}, {p_hi:g}]"
+                    ) from None
             snapshots.append(entry)
             gp.append(
                 f"splot '{fname}' skip 1 matrix "

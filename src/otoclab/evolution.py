@@ -3,15 +3,16 @@ time series.
 
 Both Hamiltonians are real symmetric, commute with photon-number parity and
 are banded inside each parity block (bandwidth 1 for IHO, 2 for HIHO).
-``diagonalize`` takes H as a ``fock.Banded`` lower band. When its odd
-diagonals are zero, the even and odd photon-number blocks are
-``lower[0::2, 0::2]`` and ``lower[0::2, 1::2]``, each solved as it is by
-``scipy.linalg.eig_banded``; otherwise H is one block.
-Evolution then multiplies each block's real eigenvectors into the
-complex-as-real view of the phased coefficients: one real GEMM per block,
-about 4x fewer flops than one complex D x D product. Eigenvector storage is
-8 (D/2)^2 bytes per block; the full D x D eigenvector matrix is assembled
-lazily, only for the commutator oracle and the tests.
+``diagonalize`` takes H as ``fock.build_hamiltonian`` returns it: a real
+``fock.Banded`` lower band whose odd diagonals are zero. The even and odd
+photon-number blocks are ``lower[0::2, 0::2]`` and ``lower[0::2, 1::2]``,
+each solved as it is by ``scipy.linalg.eig_banded``. ``evolve`` and
+``evolve_batch`` share one product, ``_product``: it multiplies each block's
+real eigenvectors into the complex-as-real view of the phased coefficients,
+one real GEMM per block, about 4x fewer flops than one complex D x D
+product. Eigenvector storage is 8 (D/2)^2 bytes per block; the full D x D
+eigenvector matrix is assembled lazily, only for the commutator oracle and
+the tests.
 
 The phase table e^{-i lam t} depends only on the propagator and the time
 grid, so the process keeps one: a single entry keyed on the propagator
@@ -23,7 +24,8 @@ that Psi before the next one is evolved. Table and Psi take 2 * 16 D T
 bytes (22 MiB at D = 1201, T = 601). ``evolve_batch`` itself is uncached: it
 writes each block's GEMM straight into that block's rows of a fresh result,
 and the observables reduce the D x T result in column blocks, so no other
-D x T array is formed.
+D x T array is formed. ``evolve`` builds its own phase column for its one
+time and never reads or replaces the table.
 
 The OTOC is evaluated in two ways: the cheap Schroedinger-picture momentum
 variance (production path, P applied as a two-term stencil) and the
@@ -96,8 +98,7 @@ class Propagator:
     def _full(self) -> tuple[np.ndarray, np.ndarray]:
         lam = np.concatenate([b[1] for b in self.blocks])
         order = np.argsort(lam, kind="stable")
-        dtype = np.result_type(*(b[2] for b in self.blocks))
-        V = np.zeros((self.dim.dim, lam.size), dtype=dtype)
+        V = np.zeros((self.dim.dim, lam.size))
         col = 0
         for idx, lam_b, V_b in self.blocks:
             V[idx, col:col + lam_b.size] = V_b
@@ -117,14 +118,14 @@ class Propagator:
 
 
 def diagonalize(H: Banded) -> Propagator:
-    """Diagonalize a banded Hermitian operator, block by block when it
-    commutes with photon-number parity; eigenvalues ascending within each
-    block."""
-    if np.any(H.lower[1::2]):
-        parts = ((slice(None), H.lower),)
-    else:
-        parts = ((slice(0, None, 2), H.lower[0::2, 0::2]),
-                 (slice(1, None, 2), H.lower[0::2, 1::2]))
+    """Diagonalize H as ``fock.build_hamiltonian`` returns it, one
+    photon-number parity block at a time; eigenvalues ascending within each
+    block. Raises ValueError for a band that is not real or whose odd
+    diagonals are not zero."""
+    if H.lower.dtype.kind != "f" or np.any(H.lower[1::2]):
+        raise ValueError("diagonalize needs a real band whose odd diagonals are zero")
+    parts = ((slice(0, None, 2), H.lower[0::2, 0::2]),
+             (slice(1, None, 2), H.lower[0::2, 1::2]))
     blocks = tuple((idx, *eig_banded(band, lower=True)) for idx, band in parts)
     return Propagator(dim=FockDim(H.shape[0] - 1), blocks=blocks)
 
@@ -134,30 +135,36 @@ def _check_dim(prop: Propagator, psi: np.ndarray):
         raise DimMismatch(f"state dim {psi.shape[0]} != propagator dim {prop.dim.dim}")
 
 
-def _apply(M: np.ndarray, X: np.ndarray) -> np.ndarray:
-    """M @ X for complex X. A real M multiplies the complex-as-real view of
-    X: one real GEMM instead of a complex one."""
-    if np.iscomplexobj(M):
-        return M @ X
-    X = np.ascontiguousarray(X, dtype=complex)
-    out = M @ X.view(np.float64).reshape(X.shape[0], -1)
-    return out.view(np.complex128).reshape(X.shape)
-
-
-def _coefficients(prop: Propagator, psi0: np.ndarray) -> list[np.ndarray]:
-    """Eigen-coefficients V_b^dag psi0[indices_b] of every block."""
+def _product(prop: Propagator, psi0: np.ndarray, times: np.ndarray, phases) -> np.ndarray:
+    """Columns psi(t_k) of a fresh D x T array: per block b,
+    V_b (e^{-i lam_b t_k} V_b^T psi0[indices_b]), one real GEMM on the
+    complex-as-real view written straight into the block's rows.
+    ``phases(prop, times)`` gives the e^{-i lam_b t_k} arrays; it is called
+    after the coefficients, so a wrong-sized psi0 raises DimMismatch before
+    any phase is built."""
+    # out comes first: allocated after a new phase table instead, it raised
+    # the spectral-sweep benchmark's peak RSS by 0.7 MiB
+    out = np.empty((prop.dim.dim, times.size), dtype=complex)
     _check_dim(prop, psi0)
     psi0 = np.asarray(psi0, dtype=complex)
-    # conj() of a real array returns the array itself, so V.conj().T is a view
-    return [_apply(V.conj().T, psi0[idx]) for idx, _, V in prop.blocks]
+    coeffs = [(V.T @ np.ascontiguousarray(psi0[idx]).view(np.float64).reshape(-1, 2))
+              .view(np.complex128) for idx, _, V in prop.blocks]
+    for (idx, _, V), c, table in zip(prop.blocks, coeffs, phases(prop, times)):
+        X = table * c
+        np.matmul(V, X.view(np.float64), out=out.view(np.float64)[idx])
+        del X  # before the next block's X exists, so only one is alive
+    return out
+
+
+def _fresh_phases(prop: Propagator, times: np.ndarray) -> list[np.ndarray]:
+    """e^{-i lam_b t_k} of every block, built here and kept nowhere."""
+    return [np.exp(-1j * np.outer(lam, times)) for _, lam, _ in prop.blocks]
 
 
 def evolve(prop: Propagator, psi0: np.ndarray, t: float) -> np.ndarray:
-    """psi(t) = V diag(e^{-i L t}) V^dag psi0, block by block."""
-    out = np.empty(prop.dim.dim, dtype=complex)
-    for (idx, lam, V), c in zip(prop.blocks, _coefficients(prop, psi0)):
-        out[idx] = _apply(V, np.exp(-1j * lam * t) * c)
-    return out
+    """psi(t) = V diag(e^{-i L t}) V^T psi0, block by block. Its phases are
+    built for this one time: the phase table is neither read nor replaced."""
+    return _product(prop, psi0, np.array([t], dtype=float), _fresh_phases)[:, 0]
 
 
 def _is_for(entry, prop: Propagator, times: np.ndarray) -> bool:
@@ -199,19 +206,9 @@ def _drop_phases(ref: weakref.ref):
 
 
 def evolve_batch(prop: Propagator, psi0: np.ndarray, times: np.ndarray) -> np.ndarray:
-    """Columns psi(t_k) for every requested time, one matmul per block,
-    written straight into that block's rows of the result."""
-    times = np.asarray(times, dtype=float)
-    out = np.empty((prop.dim.dim, times.size), dtype=complex)
-    coeffs = _coefficients(prop, psi0)
-    for (idx, _, V), c, table in zip(prop.blocks, coeffs, _phases(prop, times)):
-        X = table * c[:, None]
-        if np.iscomplexobj(V):
-            np.matmul(V, X, out=out[idx])
-        else:
-            np.matmul(V, X.view(np.float64), out=out.view(np.float64)[idx])
-        del X  # before the next block's X exists, so only one is alive
-    return out
+    """Columns psi(t_k) for every requested time, one GEMM per block, with
+    the phases from the process-wide table."""
+    return _product(prop, psi0, np.asarray(times, dtype=float), _phases)
 
 
 def _evolved(prop: Propagator, psi0: np.ndarray, times: np.ndarray) -> np.ndarray:

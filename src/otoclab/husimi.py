@@ -65,7 +65,8 @@ class HusimiGrid:
 # block coefficient g_k and carry factor sigma is at most 1 in modulus and a
 # block leaves |b| <= 17 max(1, |alpha|)^16. That bound, and every power in
 # the table, stays finite for |alpha| up to about 1.5e19; grids are held to
-# ALPHA_MAX, inside that envelope (the config rejects a grid past it).
+# ALPHA_MAX, inside that envelope: husimi_q raises ValueError for a grid past
+# it, and the config rejects such a grid when it is loaded.
 RESCALE_EVERY = 16
 ALPHA_MAX = 1e19
 # grid points per power table z^0 .. z^RESCALE_EVERY: 16 * 17 bytes a point,
@@ -116,8 +117,13 @@ def husimi_q(state: np.ndarray, grid: PhaseGrid) -> HusimiGrid:
 
     The grid is evaluated CHUNK points at a time. Memory is the power table
     (1.1 MB), a few chunk-sized arrays and a few grid-sized ones, whatever
-    the dimension D.
+    the dimension D. A grid whose corners pass |alpha| = ALPHA_MAX raises
+    ValueError before any arithmetic.
     """
+    reach = max_abs_alpha(grid)
+    if reach > ALPHA_MAX:
+        raise ValueError(f"grid corners reach |alpha| = {reach:.3g}, "
+                         f"past ALPHA_MAX = {ALPHA_MAX:g}")
     blocks = _blocks(state)
     alpha_c = ((grid.q_axis()[:, None] - 1j * grid.p_axis()) / np.sqrt(2)).ravel()
     values = np.empty(alpha_c.size)
@@ -167,8 +173,12 @@ def husimi_norm(hg: HusimiGrid) -> float:
     return _trapz2(hg.values, hg.grid) / 2
 
 
-def _centroid(hg: HusimiGrid, w: float) -> tuple[float, float]:
-    """(qbar, pbar) given the grid integral w of Q (twice husimi_norm)."""
+def husimi_centroid(hg: HusimiGrid) -> tuple[float, float]:
+    """Normalized first moments (qbar, pbar) of Q over the grid.
+
+    Requires husimi_norm >= 0.99 so the centroid is meaningful.
+    """
+    w = _trapz2(hg.values, hg.grid)
     norm = w / 2
     if norm < 0.99:
         raise GridTooSmall(
@@ -181,42 +191,16 @@ def _centroid(hg: HusimiGrid, w: float) -> tuple[float, float]:
     return qbar, pbar
 
 
-def husimi_centroid(hg: HusimiGrid) -> tuple[float, float]:
-    """Normalized first moments (qbar, pbar) of Q over the grid.
-
-    Requires husimi_norm >= 0.99 so the centroid is meaningful.
-    """
-    return _centroid(hg, _trapz2(hg.values, hg.grid))
-
-
 def husimi_second_moments(hg: HusimiGrid) -> np.ndarray:
     """Central second-moment matrix [[<dq^2>, <dq dp>], [<dq dp>, <dp^2>]]."""
+    qbar, pbar = husimi_centroid(hg)
     w = _trapz2(hg.values, hg.grid)
-    return _second_moments(hg, w, _centroid(hg, w))
-
-
-def _second_moments(hg: HusimiGrid, w: float, centroid) -> np.ndarray:
-    qbar, pbar = centroid
     dq = hg.grid.q_axis()[:, None] - qbar
     dp = hg.grid.p_axis()[None, :] - pbar
     sqq = _trapz2(hg.values * dq * dq, hg.grid) / w
     spp = _trapz2(hg.values * dp * dp, hg.grid) / w
     sqp = _trapz2(hg.values * dq * dp, hg.grid) / w
     return np.array([[sqq, sqp], [sqp, spp]])
-
-
-def husimi_diagnostics(
-    hg: HusimiGrid,
-) -> tuple[float, tuple[float, float] | None, np.ndarray | None]:
-    """(husimi_norm, husimi_centroid, husimi_second_moments) from one
-    integral of Q; the last two are None where husimi_centroid would raise
-    GridTooSmall."""
-    w = _trapz2(hg.values, hg.grid)
-    try:
-        centroid = _centroid(hg, w)
-    except GridTooSmall:
-        return w / 2, None, None
-    return w / 2, centroid, _second_moments(hg, w, centroid)
 
 
 def count_local_maxima(hg: HusimiGrid) -> int:

@@ -2,6 +2,8 @@ import json
 import math
 import os
 import re
+import subprocess
+import sys
 from importlib import resources
 from pathlib import Path
 
@@ -21,9 +23,14 @@ from otoclab.config import (
     parse,
     serialize,
 )
-from otoclab.errors import ConfigError, OtocLabError
-from otoclab.evolution import TimeSeries
-from otoclab.husimi import PhaseGrid
+from otoclab.errors import ConfigError, GridTooSmall, OtocLabError
+from otoclab.evolution import TimeSeries, evolve
+from otoclab.husimi import (
+    PhaseGrid,
+    husimi_centroid,
+    husimi_norm,
+    husimi_second_moments,
+)
 from otoclab.output import read_grid
 
 
@@ -252,6 +259,54 @@ def test_husimi_command(tmp_path):
     mem = cli.cmd_husimi(load(cfg), out)["summary"]
     moments = mem["snapshots"][0]["second_moments"]
     assert all(type(v) is float for v in moments.values()), moments
+
+
+def test_husimi_snapshots_equal_evolve_bit_for_bit(tmp_path, monkeypatch):
+    # each point's snapshot times are evolved in one batch; every snapshot
+    # state is the single-time evolve's, and the summary holds the
+    # diagnostics of its grid
+    cfg = small_cfg(
+        points=(LabeledPoint("A", 2.0, -2.0), LabeledPoint("B", -1.0, 0.5)),
+        husimi=HusimiSpec(grid=PhaseGrid(-7.0, 7.0, -7.0, 7.0, 41, 41),
+                          snapshot_times=(0.0, 0.3, 0.9, 1.4, 2.5)),
+    )
+    seen = []
+    husimi_q = cli.husimi_q
+
+    def recorded(state, grid):
+        seen.append((state.copy(), husimi_q(state, grid)))
+        return seen[-1][1]
+
+    monkeypatch.setattr(cli, "husimi_q", recorded)
+    snapshots = cli.cmd_husimi(cfg, str(tmp_path))["summary"]["snapshots"]
+    prop = cli._propagator(cfg, 40)
+    want = [evolve(prop, cli._initial_state(40, pt), t)
+            for pt in cfg.points for t in cfg.husimi.snapshot_times]
+    assert len(seen) == len(snapshots) == len(want)
+    missed = 0
+    for (state, hg), entry, ref in zip(seen, snapshots, want):
+        assert np.array_equal(state.view(np.uint64), ref.view(np.uint64))
+        assert entry["norm"] == husimi_norm(hg)
+        if entry["centroid"] is None:
+            missed += 1
+            with pytest.raises(GridTooSmall):
+                husimi_centroid(hg)
+            continue
+        assert entry["centroid"] == list(husimi_centroid(hg))
+        mom = husimi_second_moments(hg)
+        assert entry["second_moments"] == {"qq": mom[0, 0], "qp": mom[0, 1], "pp": mom[1, 1]}
+    assert 0 < missed < len(want)  # both branches of the diagnostics run
+
+
+def test_import_loads_no_scipy_ndimage():
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = ("import sys, otoclab.cli; "
+            "print(sorted(m for m in sys.modules if m.startswith('scipy.ndimage')))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "[]"
 
 
 def test_husimi_grid_too_small(tmp_path, capsys):

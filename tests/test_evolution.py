@@ -30,9 +30,26 @@ from otoclab.fock import (
 
 
 def test_diagonalize_diagonal_matrix():
-    prop = diagonalize(banded(np.diag([0.0, 1.0, 2.0]).astype(complex)))
+    prop = diagonalize(banded(np.diag([0.0, 1.0, 2.0])))
     assert np.allclose(prop.eigenvalues, [0, 1, 2])
     assert np.allclose(np.abs(prop.eigenvectors), np.eye(3))
+
+
+def test_diagonalize_rejects_a_complex_band():
+    H = dense(build_iho(FockDim(10))).astype(complex)
+    H[2, 0], H[0, 2] = -1j, 1j
+    with pytest.raises(ValueError, match="real band"):
+        diagonalize(banded(H))
+    with pytest.raises(ValueError, match="real band"):
+        diagonalize(banded(dense(build_iho(FockDim(10))).astype(complex)))
+
+
+def test_diagonalize_rejects_nonzero_odd_diagonals():
+    # a cross-parity coupling |0><1| + |1><0|: H no longer commutes with parity
+    H = dense(build_hiho(FockDim(10), HihoParams(3.0, 0.04)))
+    H[1, 0] = H[0, 1] = 0.5
+    with pytest.raises(ValueError, match="odd diagonals"):
+        diagonalize(banded(H))
 
 
 def test_diagonalize_rejects_non_hermitian(monkeypatch):
@@ -49,24 +66,13 @@ def test_diagonalize_rejects_non_hermitian(monkeypatch):
         diagonalize(build_iho(FockDim(10)))
 
 
-def _random_hermitian(D, seed=3):
-    rng = np.random.default_rng(seed)
-    M = rng.standard_normal((D, D)) + 1j * rng.standard_normal((D, D))
-    return (M + M.conj().T) / 2
-
-
-@pytest.mark.parametrize("case, n_blocks", [
-    ("iho", 2),
-    ("hiho", 2),
-    ("random", 1),  # no parity structure: one whole, fully dense block
-])
+@pytest.mark.parametrize("case, n_blocks", [("iho", 2), ("hiho", 2)])
 def test_banded_propagator_matches_dense_eigh(case, n_blocks):
     # dense LAPACK eigh of the same H is the reference implementation
     d = FockDim(300)
     H = {
         "iho": lambda: build_iho(d),
         "hiho": lambda: build_hiho(d, HihoParams(3.0, 0.04)),
-        "random": lambda: banded(_random_hermitian(d.dim)),
     }[case]()
     lam, V = eigh(dense(H))
     prop = diagonalize(H)
@@ -228,8 +234,6 @@ def test_photon_series_point_a_dips_then_grows(iho_prop):
 # phase table and the column blocks. Production must equal them bit for bit.
 
 def _reference_apply(M, X):
-    if np.iscomplexobj(M):
-        return M @ X
     X = np.ascontiguousarray(X, dtype=complex)
     out = M @ X.view(np.float64).reshape(X.shape[0], -1)
     return out.view(np.complex128).reshape(X.shape)
@@ -243,6 +247,15 @@ def _reference_evolve_batch(prop, psi0, times):
         c = _reference_apply(V.conj().T, psi0[idx])
         phases = np.exp(-1j * np.outer(lam, times))
         out[idx] = _reference_apply(V, phases * c[:, None])
+    return out
+
+
+def _reference_evolve(prop, psi0, t):
+    psi0 = np.asarray(psi0, dtype=complex)
+    out = np.empty(prop.dim.dim, dtype=complex)
+    for idx, lam, V in prop.blocks:
+        c = _reference_apply(V.conj().T, psi0[idx])
+        out[idx] = _reference_apply(V, np.exp(-1j * lam * t) * c)
     return out
 
 
@@ -297,6 +310,21 @@ def test_evolution_and_observables_equal_reference(
     _assert_same(_outcome(photon_series, prop, psi0, times, label, tail_guard), want)
 
 
+@pytest.mark.parametrize("n_p", [1, 2, 75, 300, 1200])
+@pytest.mark.parametrize("system", ["iho", "hiho"])
+def test_evolve_equals_reference_bit_for_bit(system, n_p, iho_prop, hiho_prop):
+    prop = iho_prop(n_p) if system == "iho" else hiho_prop(n_p)
+    rng = np.random.default_rng(n_p)
+    states = [rng.standard_normal(n_p + 1) + 1j * rng.standard_normal(n_p + 1)]
+    if n_p >= 75:
+        states += [coherent_state(FockDim(n_p), CoherentParams(q, p))
+                   for q, p in ((0.0, 0.0), (2.0, -1.0), (-1.5, 0.5))]
+    for psi0 in states:
+        for t in (0.0, 0.1, 0.7, 1.5, 2.6, 6.0):
+            got, want = evolve(prop, psi0, t), _reference_evolve(prop, psi0, t)
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
 def test_guard_names_the_same_first_bad_time(iho_prop):
     prop = iho_prop(75)
     psi0 = coherent_state(FockDim(75), CoherentParams(2.0, -1.0))
@@ -304,21 +332,6 @@ def test_guard_names_the_same_first_bad_time(iho_prop):
     want = _outcome(_reference_photon, prop, psi0, times, "g", True)
     assert isinstance(want, str) and "at t=" in want
     assert _outcome(photon_series, prop, psi0, times, "g", tail_guard=True) == want
-
-
-def test_random_hermitian_evolution_equals_reference():
-    # one complex block: the complex GEMM path
-    d = FockDim(200)
-    prop = diagonalize(banded(_random_hermitian(d.dim)))
-    assert np.iscomplexobj(prop.blocks[0][2])
-    psi0 = coherent_state(d, CoherentParams(1.0, 0.5))
-    for times in (np.linspace(0.0, 2.0, 601), np.linspace(0.0, 2.0, 37)):
-        assert np.array_equal(evolve_batch(prop, psi0, times),
-                              _reference_evolve_batch(prop, psi0, times))
-        assert np.array_equal(variance_otoc(prop, psi0, times).values,
-                              _reference_variance(prop, psi0, times))
-        assert np.array_equal(photon_series(prop, psi0, times).values,
-                              _reference_photon(prop, psi0, times))
 
 
 # ---------------------------------------------------------------------------
@@ -388,6 +401,13 @@ def test_phase_table_ignores_in_place_mutation_of_times(iho_prop, no_phase_table
     times += 0.5
     assert np.array_equal(evolve_batch(prop, psi0, times),
                           _reference_evolve_batch(prop, psi0, times))
+
+
+def test_evolve_batch_checks_the_dimension_before_building_a_table(
+        iho_prop, no_phase_table):
+    with pytest.raises(DimMismatch):
+        evolve_batch(iho_prop(39), np.zeros(10, dtype=complex), np.linspace(0.0, 1.0, 11))
+    assert evolution._phase_table is None
 
 
 def test_alternating_propagators_give_correct_results(
@@ -499,6 +519,20 @@ def test_evolved_state_is_read_only_and_evolve_batch_is_fresh(iho_prop, no_phase
     fresh = evolve_batch(prop, psi0, times)
     assert fresh is not Psi and fresh.flags.writeable
     assert np.array_equal(fresh, Psi)
+
+
+def test_evolve_leaves_the_phase_table_and_its_psi(iho_prop, hiho_prop, evolutions):
+    prop = iho_prop(120)
+    psi0 = coherent_state(FockDim(120), CoherentParams(1.0, 1.0))
+    times = np.linspace(0.0, 1.0, 11)
+    variance_otoc(prop, psi0, times)
+    entry = evolution._phase_table
+    Psi = entry[3][1]
+    for p, t in ((prop, 0.5), (prop, 1.0), (hiho_prop(120), 0.5)):
+        evolve(p, psi0, t)
+        assert evolution._phase_table is entry
+    assert evolution._evolved(prop, psi0, times) is Psi
+    assert evolutions == [prop]
 
 
 # ---------------------------------------------------------------------------

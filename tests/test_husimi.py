@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from scipy import ndimage
 from scipy.special import gammaln
 
-from otoclab import cli
+from otoclab import cli, husimi
 from otoclab.classical import ClassicalState, hiho, integrate
 from otoclab.errors import GridTooSmall
 from otoclab.evolution import evolve
@@ -21,7 +21,6 @@ from otoclab.husimi import (
     PhaseGrid,
     count_local_maxima,
     husimi_centroid,
-    husimi_diagnostics,
     husimi_norm,
     husimi_q,
     husimi_second_moments,
@@ -189,6 +188,21 @@ def test_finite_up_to_alpha_max():
     assert np.all(values[[0, 2]] == 0.0)  # e^{-|alpha|^2} underflows
 
 
+@pytest.mark.parametrize("q_max, p_max", [(1e308, 1e308), (1.5e19, 1.0), (1.0, 1.5e19)],
+                         ids=["1e308", "q_past_alpha_max", "p_past_alpha_max"])
+def test_grid_past_alpha_max_raises_before_any_arithmetic(monkeypatch, q_max, p_max):
+    # 1.5e19 / sqrt(2) is just past ALPHA_MAX = 1e19; at +-1e308 the grid's
+    # own axes overflow, which np.errstate turns into FloatingPointError
+    grid = PhaseGrid(-q_max, q_max, -p_max, p_max, 21, 21)
+
+    def no_blocks(state):
+        raise AssertionError("husimi_q started on the state")
+
+    monkeypatch.setattr(husimi, "_blocks", no_blocks)
+    with np.errstate(all="raise"), pytest.raises(ValueError, match="past ALPHA_MAX"):
+        husimi_q(_random_state(40, 2), grid)
+
+
 def test_memory_is_bounded_by_the_chunk(hiho_prop):
     # the step-by-step loop, with its grid-sized complex arrays, peaked at
     # 3.1 MB here; the blocked kernel peaks at 2.1 MB
@@ -271,17 +285,6 @@ def test_centroid_grid_too_small():
     small = PhaseGrid(-1.0, 1.0, -1.0, 1.0, 51, 51)
     with pytest.raises(GridTooSmall):
         husimi_centroid(husimi_q(psi, small))
-
-
-def test_diagnostics_equal_the_separate_functions():
-    psi = coherent_state(FockDim(120), CoherentParams(3.0, -2.0))
-    hg = husimi_q(psi, PhaseGrid(-4.0, 10.0, -9.0, 5.0, 121, 101))
-    norm, centroid, mom = husimi_diagnostics(hg)
-    assert norm == husimi_norm(hg)
-    assert centroid == husimi_centroid(hg)
-    assert np.array_equal(mom, husimi_second_moments(hg))
-    small = husimi_q(psi, PhaseGrid(-1.0, 1.0, -1.0, 1.0, 51, 51))
-    assert husimi_diagnostics(small) == (husimi_norm(small), None, None)
 
 
 def test_centroid_tracks_iho_flow(iho_prop):
