@@ -6,26 +6,35 @@ are banded inside each parity block (bandwidth 1 for IHO, 2 for HIHO).
 ``diagonalize`` takes H as ``fock.build_hamiltonian`` returns it: a real
 ``fock.Banded`` lower band whose odd diagonals are zero. The even and odd
 photon-number blocks are ``lower[0::2, 0::2]`` and ``lower[0::2, 1::2]``,
-each solved as it is by ``scipy.linalg.eig_banded``. ``evolve`` and
-``evolve_batch`` share one product, ``_product``: it multiplies each block's
-real eigenvectors into the complex-as-real view of the phased coefficients,
-one real GEMM per block, about 4x fewer flops than one complex D x D
-product. Eigenvector storage is 8 (D/2)^2 bytes per block; the full D x D
-eigenvector matrix is assembled lazily, only for the commutator oracle and
-the tests.
+each solved as it is by ``scipy.linalg.eig_banded``. Eigenvector storage is
+8 (D/2)^2 bytes per block; the full D x D eigenvector matrix is assembled
+lazily, only for the commutator oracle and the tests.
 
-The phase table e^{-i lam t} depends only on the propagator and the time
-grid, so the process keeps one: a single entry keyed on the propagator
-object (held by weakref) and on a private copy of the grid, rebuilt on any
-other request and freed with its propagator. The same entry holds the last
-evolved state Psi, keyed also on a private copy of psi0, so the observables
-of one (propagator, state, grid) share one evolution; any other state drops
-that Psi before the next one is evolved. Table and Psi take 2 * 16 D T
-bytes (22 MiB at D = 1201, T = 601). ``evolve_batch`` itself is uncached: it
-writes each block's GEMM straight into that block's rows of a fresh result,
-and the observables reduce the D x T result in column blocks, so no other
-D x T array is formed. ``evolve`` builds its own phase column for its one
-time and never reads or replaces the table.
+``evolve`` and ``evolve_batch`` share one product, ``_product``. A coherent
+state populates a narrow band of each block's spectrum, so per block it
+keeps only the contiguous window [lo, hi) of c = V_b^T psi0 outside which
+the heads and tails each weigh at most tau^2 |psi0|^2 / 4, with
+tau = eps sqrt(D) (eps = 2.2e-16), the rounding error a computed V^T psi0
+already carries. V is orthogonal and |e^{-i lam t}| = 1, so the dropped
+components move every psi(t) by at most tau |psi0| (two blocks, two ends),
+at every t. The block is one real GEMM of V_b[:, lo:hi] (a view) into the
+complex-as-real view of the phased window coefficients, written straight
+into the block's rows; an empty window writes exact zeros, and a non-finite
+coefficient keeps the whole block so nan propagates. The phases
+e^{-i lam t} are built per state, for the window alone, and no D x T phase
+table is kept: summed over the spectral sweep, the windows of each
+propagator's three states hold about 40% of the phases one table per
+propagator would (13% of the components, D-weighted), and a kept table
+held 16 D T bytes (``reproduce-all`` peaked at 110 MiB with one, 101 MiB
+without, at one BLAS thread).
+
+The process keeps one evolved state Psi: a single entry keyed on the
+propagator object (held by weakref), a private copy of the grid and a
+private copy of psi0, so the observables of one (propagator, state, grid)
+share one evolution. Any other request drops that Psi before the next one
+is evolved, and it is freed with its propagator. ``evolve_batch`` itself
+is uncached, and the observables reduce the D x T result in column blocks,
+so no other D x T array is formed.
 
 The OTOC is evaluated in two ways: the cheap Schroedinger-picture momentum
 variance (production path, P applied as a two-term stencil) and the
@@ -55,10 +64,8 @@ TAIL_GUARD_TOL = 1e-6
 COLUMN_BLOCK = 64
 
 # The one cache entry of the process: (weakref to its propagator, a copy of
-# its time grid, one e^{-i lam t} array per block, and the last evolved state
-# as (a copy of psi0, read-only Psi) or None); see ``_phases`` and ``_evolved``.
-_phase_table: tuple[weakref.ref, np.ndarray, list[np.ndarray],
-                    tuple[np.ndarray, np.ndarray] | None] | None = None
+# its time grid, a copy of psi0, read-only Psi) or None; see ``_evolved``.
+_evolved_state: tuple[weakref.ref, np.ndarray, np.ndarray, np.ndarray] | None = None
 
 
 @dataclass(frozen=True)
@@ -135,102 +142,88 @@ def _check_dim(prop: Propagator, psi: np.ndarray):
         raise DimMismatch(f"state dim {psi.shape[0]} != propagator dim {prop.dim.dim}")
 
 
-def _product(prop: Propagator, psi0: np.ndarray, times: np.ndarray, phases) -> np.ndarray:
-    """Columns psi(t_k) of a fresh D x T array: per block b,
-    V_b (e^{-i lam_b t_k} V_b^T psi0[indices_b]), one real GEMM on the
-    complex-as-real view written straight into the block's rows.
-    ``phases(prop, times)`` gives the e^{-i lam_b t_k} arrays; it is called
-    after the coefficients, so a wrong-sized psi0 raises DimMismatch before
-    any phase is built."""
-    # out comes first: allocated after a new phase table instead, it raised
-    # the spectral-sweep benchmark's peak RSS by 0.7 MiB
+def _window(c: np.ndarray, tol2: float) -> tuple[int, int]:
+    """The range [lo, hi) of a block's coefficients c (eigenvalues
+    ascending) that is kept: the largest lo and smallest hi whose dropped
+    heads and tails each weigh at most tol2 in sum |c_j|^2. Each end sums
+    from its own side, small terms first. Non-finite coefficients keep
+    everything, so nan propagates instead of becoming zeros."""
+    w = (c.real**2 + c.imag**2).ravel()
+    head = np.cumsum(w)
+    if not (np.isfinite(head[-1]) and np.isfinite(tol2)):
+        return 0, w.size
+    lo = int(np.searchsorted(head, tol2, side="right"))
+    hi = w.size - int(np.searchsorted(np.cumsum(w[::-1]), tol2, side="right"))
+    return lo, max(lo, hi)
+
+
+def _product(prop: Propagator, psi0: np.ndarray, times: np.ndarray) -> np.ndarray:
+    """Columns psi(t_k) of a fresh D x T array: per block b, with
+    c = V_b^T psi0[indices_b] and [lo, hi) its ``_window``,
+    V_b[:, lo:hi] (e^{-i lam t_k} c)[lo:hi], one real GEMM on the
+    complex-as-real view written straight into the block's rows (exact
+    zeros for an empty window)."""
     out = np.empty((prop.dim.dim, times.size), dtype=complex)
     _check_dim(prop, psi0)
     psi0 = np.asarray(psi0, dtype=complex)
-    coeffs = [(V.T @ np.ascontiguousarray(psi0[idx]).view(np.float64).reshape(-1, 2))
-              .view(np.complex128) for idx, _, V in prop.blocks]
-    for (idx, _, V), c, table in zip(prop.blocks, coeffs, phases(prop, times)):
-        X = table * c
-        np.matmul(V, X.view(np.float64), out=out.view(np.float64)[idx])
+    # tau = eps sqrt(D); four dropped ends of tau^2 |psi0|^2 / 4 each
+    tol2 = np.finfo(float).eps ** 2 * prop.dim.dim * np.vdot(psi0, psi0).real / 4
+    for idx, lam, V in prop.blocks:
+        c = (V.T @ np.ascontiguousarray(psi0[idx]).view(np.float64).reshape(-1, 2)
+             ).view(np.complex128)
+        lo, hi = _window(c, tol2)
+        rows = out.view(np.float64)[idx]
+        if lo == hi:
+            rows[...] = 0.0
+            continue
+        # theta = lam t in X.imag, then X = (cos - i sin) theta * c, in place:
+        # the window's X is the only array of its size
+        X = np.empty((hi - lo, times.size), dtype=complex)
+        np.multiply(lam[lo:hi, None], times, out=X.imag)
+        np.cos(X.imag, out=X.real)
+        np.sin(X.imag, out=X.imag)
+        np.negative(X.imag, out=X.imag)
+        X *= c[lo:hi]
+        np.matmul(V[:, lo:hi], X.view(np.float64), out=rows)
         del X  # before the next block's X exists, so only one is alive
     return out
 
 
-def _fresh_phases(prop: Propagator, times: np.ndarray) -> list[np.ndarray]:
-    """e^{-i lam_b t_k} of every block, built here and kept nowhere."""
-    return [np.exp(-1j * np.outer(lam, times)) for _, lam, _ in prop.blocks]
-
-
 def evolve(prop: Propagator, psi0: np.ndarray, t: float) -> np.ndarray:
-    """psi(t) = V diag(e^{-i L t}) V^T psi0, block by block. Its phases are
-    built for this one time: the phase table is neither read nor replaced."""
-    return _product(prop, psi0, np.array([t], dtype=float), _fresh_phases)[:, 0]
-
-
-def _is_for(entry, prop: Propagator, times: np.ndarray) -> bool:
-    """Whether the cache entry belongs to this propagator and time grid."""
-    return entry is not None and entry[0]() is prop and np.array_equal(entry[1], times)
-
-
-def _phases(prop: Propagator, times: np.ndarray) -> list[np.ndarray]:
-    """Per-block phase tables e^{-i lam_b t_k}, kept in one process-wide entry.
-
-    The entry is reused only for the same propagator object and a time grid
-    equal to a private copy of the one it was built for; anything else
-    drops it before the new table is built, so at most one table is alive.
-    """
-    global _phase_table
-    entry = _phase_table
-    if _is_for(entry, prop, times):
-        return entry[2]
-    _phase_table = entry = None
-    tables = []
-    for _, lam, _ in prop.blocks:
-        theta = np.outer(lam, times)
-        # cos - i sin, filled in place: equal bit for bit to np.exp(-1j * theta)
-        table = np.empty(theta.shape, dtype=complex)
-        np.cos(theta, out=table.real)
-        np.sin(theta, out=table.imag)
-        np.negative(table.imag, out=table.imag)
-        del theta  # before the next block's table is allocated
-        tables.append(table)
-    _phase_table = (weakref.ref(prop, _drop_phases), times.copy(), tables, None)
-    return tables
-
-
-def _drop_phases(ref: weakref.ref):
-    """Free the phase table and Psi as soon as their propagator is collected."""
-    global _phase_table
-    if _phase_table is not None and _phase_table[0] is ref:
-        _phase_table = None
+    """psi(t) = V diag(e^{-i L t}) V^T psi0, block by block."""
+    return _product(prop, psi0, np.array([t], dtype=float))[:, 0]
 
 
 def evolve_batch(prop: Propagator, psi0: np.ndarray, times: np.ndarray) -> np.ndarray:
-    """Columns psi(t_k) for every requested time, one GEMM per block, with
-    the phases from the process-wide table."""
-    return _product(prop, psi0, np.asarray(times, dtype=float), _phases)
+    """Columns psi(t_k) for every requested time, one GEMM per block."""
+    return _product(prop, psi0, np.asarray(times, dtype=float))
+
+
+def _drop_evolved(ref: weakref.ref):
+    """Free the evolved state as soon as its propagator is collected."""
+    global _evolved_state
+    if _evolved_state is not None and _evolved_state[0] is ref:
+        _evolved_state = None
 
 
 def _evolved(prop: Propagator, psi0: np.ndarray, times: np.ndarray) -> np.ndarray:
-    """``evolve_batch(prop, psi0, times)``, read-only, kept in the phase-table
-    entry.
+    """``evolve_batch(prop, psi0, times)``, read-only, kept in the one
+    process-wide entry.
 
     The cached Psi is returned only for the same propagator object, a grid
-    equal to the entry's and a psi0 equal to its private copy; anything else
-    drops the cached Psi before evolving, so at most one Psi is alive.
+    equal to the entry's private copy and a psi0 equal to its private
+    copy; anything else drops the cached Psi before evolving, so at most
+    one Psi is alive.
     """
-    global _phase_table
-    entry = _phase_table
-    if entry is not None and entry[3] is not None:
-        if _is_for(entry, prop, times) and np.array_equal(entry[3][0], psi0):
-            return entry[3][1]
-        _phase_table = entry[:3] + (None,)
-    del entry  # so the old Psi is freed before the new one is evolved
+    global _evolved_state
+    entry = _evolved_state
+    if (entry is not None and entry[0]() is prop and np.array_equal(entry[1], times)
+            and np.array_equal(entry[2], psi0)):
+        return entry[3]
+    _evolved_state = entry = None  # so the old Psi is freed before the new one is evolved
     Psi = evolve_batch(prop, psi0, times)
     Psi.flags.writeable = False
-    entry = _phase_table
-    if _is_for(entry, prop, times):
-        _phase_table = entry[:3] + ((np.array(psi0), Psi),)
+    _evolved_state = (weakref.ref(prop, _drop_evolved), times.copy(), np.array(psi0), Psi)
     return Psi
 
 
