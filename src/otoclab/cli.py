@@ -2,8 +2,8 @@
 
 Subcommands: portrait, photon, otoc, husimi, reproduce-all. Exit codes:
 0 success, 1 config error, 2 numerical guard tripped, 3 a derived quantity
-could not be extracted or (in reproduce-all) missed its target; EXIT_CODES
-maps every error type to one of them.
+could not be extracted or (in reproduce-all) missed its target. An error's
+code and stderr prefix come from its category in ``errors``.
 """
 from __future__ import annotations
 
@@ -21,17 +21,10 @@ from .analysis import auto_window, correspondence_time, ehrenfest_time, fit_expo
 from .config import AUTO_MIN_SPAN, ExperimentConfig, LabeledPoint, config_hash, load, parse
 from .errors import (
     ConfigError,
-    DimMismatch,
-    GridMismatch,
     GridTooSmall,
-    InvalidRate,
     NonFiniteValues,
     NonPositiveValues,
-    NotHermitian,
     OtocLabError,
-    StepTooLarge,
-    TailTooHeavy,
-    TruncationGuardError,
     WindowTooSparse,
 )
 from .evolution import (
@@ -64,23 +57,6 @@ REFERENCE_FACTOR = 4
 # A coherent packet's Q is a Gaussian of unit width in q and in p, so a
 # window reaching 4 past its centre on every side holds all but 1.3e-4 of it.
 PACKET_MARGIN = 4.0
-
-# Exit code and stderr prefix of every error type; the README's exit-code
-# table lists the same mapping.
-EXIT_CODES: dict[type[OtocLabError], tuple[int, str]] = {
-    ConfigError: (1, "config error"),
-    TruncationGuardError: (2, "numerical guard"),
-    StepTooLarge: (2, "numerical guard"),
-    TailTooHeavy: (2, "numerical guard"),
-    GridTooSmall: (2, "numerical guard"),
-    NotHermitian: (2, "numerical guard"),
-    DimMismatch: (2, "numerical guard"),
-    NonPositiveValues: (3, "analysis"),
-    NonFiniteValues: (3, "analysis"),
-    WindowTooSparse: (3, "analysis"),
-    GridMismatch: (3, "analysis"),
-    InvalidRate: (3, "analysis"),
-}
 
 _prop_cache: dict[tuple, Propagator] = {}
 
@@ -123,6 +99,18 @@ def cmd_portrait(cfg: ExperimentConfig, out_dir: str) -> dict:
     return {"summary": {"files": files, "energies": [tr.energy0 for tr in trajs]}}
 
 
+def _series_script(runs: list[dict], ylabel: str, *setup: str) -> list[str]:
+    """Gnuplot lines plotting each run's CSV column 2 against t."""
+    return [
+        'set datafile separator ","', *setup,
+        "set xlabel 't'", f"set ylabel '{ylabel}'",
+        "plot " + ", ".join(
+            f"'{r['file']}' skip 1 using 1:2 with lines title '{r['point']} np={r['n_p']}'"
+            for r in runs
+        ),
+    ]
+
+
 def cmd_photon(cfg: ExperimentConfig, out_dir: str) -> dict:
     """Mean-photon series per (point, n_p), a 4x-truncation reference per
     point (tail-guarded), and detected correspondence times t_p."""
@@ -158,15 +146,8 @@ def cmd_photon(cfg: ExperimentConfig, out_dir: str) -> dict:
         "runs": runs,
     }
     write_json(os.path.join(out_dir, "photon_summary.json"), summary, manifest)
-    gp = [
-        'set datafile separator ","',
-        "set xlabel 't'", "set ylabel 'mean photon number'",
-        "plot " + ", ".join(
-            f"'{r['file']}' skip 1 using 1:2 with lines title '{r['point']} np={r['n_p']}'"
-            for r in runs
-        ),
-    ]
-    write_gnuplot(os.path.join(out_dir, "photon.gp"), gp, manifest)
+    write_gnuplot(os.path.join(out_dir, "photon.gp"),
+                  _series_script(runs, "mean photon number"), manifest)
     return {"summary": summary}
 
 
@@ -234,16 +215,8 @@ def cmd_otoc(cfg: ExperimentConfig, out_dir: str, oracle: bool = False) -> dict:
             runs.append(entry)
     summary = {"runs": runs}
     write_json(os.path.join(out_dir, "otoc_summary.json"), summary, manifest)
-    gp = [
-        'set datafile separator ","',
-        "set logscale y",
-        "set xlabel 't'", "set ylabel 'C(t)'",
-        "plot " + ", ".join(
-            f"'{r['file']}' skip 1 using 1:2 with lines title '{r['point']} np={r['n_p']}'"
-            for r in runs
-        ),
-    ]
-    write_gnuplot(os.path.join(out_dir, "otoc.gp"), gp, manifest)
+    write_gnuplot(os.path.join(out_dir, "otoc.gp"),
+                  _series_script(runs, "C(t)", "set logscale y"), manifest)
     return {"summary": summary, "series": series_map}
 
 
@@ -491,7 +464,7 @@ def cmd_reproduce_all(out_dir: str, only: str | None = None) -> int:
     for name in wanted:
         pipeline, figure_checks = FIGURES[name]
         fig_dir = os.path.join(out_dir, name)
-        os.makedirs(fig_dir, exist_ok=True)
+        _make_out_dir(fig_dir)
         try:
             res = pipeline(_load_bundled(name), fig_dir)
         except OtocLabError as exc:
@@ -527,6 +500,14 @@ def _resolve_out(args, cfg: ExperimentConfig | None) -> str:
     if cfg is not None and cfg.output_dir:
         return cfg.output_dir
     return os.environ.get(ENV_OUT, "otoclab_out")
+
+
+def _make_out_dir(path: str) -> None:
+    try:
+        os.makedirs(path, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create output directory {path}: "
+                          f"{exc.strerror or exc}") from exc
 
 
 def _apply_overrides(cfg: ExperimentConfig, args) -> ExperimentConfig:
@@ -571,11 +552,11 @@ def main(argv=None) -> int:
     try:
         if args.command == "reproduce-all":
             out = _resolve_out(args, None)
-            os.makedirs(out, exist_ok=True)
+            _make_out_dir(out)
             return cmd_reproduce_all(out, only=args.only)
         cfg = _apply_overrides(load(args.config), args)
         out = _resolve_out(args, cfg)
-        os.makedirs(out, exist_ok=True)
+        _make_out_dir(out)
         if args.command == "portrait":
             cmd_portrait(cfg, out)
         elif args.command == "photon":
@@ -586,9 +567,8 @@ def main(argv=None) -> int:
             cmd_husimi(cfg, out)
         return 0
     except OtocLabError as exc:
-        code, kind = EXIT_CODES[type(exc)]
-        print(f"{kind}: {exc}", file=sys.stderr)
-        return code
+        print(f"{exc.kind}: {exc}", file=sys.stderr)
+        return exc.exit_code
 
 
 if __name__ == "__main__":

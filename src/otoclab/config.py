@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 import sys
 from dataclasses import asdict, dataclass, fields
@@ -129,6 +130,8 @@ class ExperimentConfig:
             raise ConfigError(f"n_samples must be an integer >= 2, got {self.n_samples!r}")
         if not (_is_finite(self.dt) and self.dt > 0):
             raise ConfigError(f"dt must be positive and finite, got {self.dt!r}")
+        if not math.isfinite(self.t_end / self.dt):
+            raise ConfigError(f"t_end / dt = {self.t_end!r} / {self.dt!r} is not a finite step count")
         if self.husimi is not None:
             grid, times = self.husimi.grid, self.husimi.snapshot_times
             bounds = (grid.q_min, grid.q_max, grid.p_min, grid.p_max)

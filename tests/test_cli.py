@@ -121,6 +121,8 @@ def test_config_validation_errors():
             small_cfg(t_end=bad)
         with pytest.raises(ConfigError, match="dt must be positive and finite"):
             small_cfg(dt=bad)
+    with pytest.raises(ConfigError, match=r"t_end / dt = 1e\+300 / 1e-10 is not a finite step"):
+        small_cfg(t_end=1e300, dt=1e-10)
     for fit in (
         FitSpec(window=(0.8, 0.2)),
         FitSpec(window=(0.5, 0.5)),
@@ -382,6 +384,7 @@ def test_cli_config_error_exit_code(tmp_path, capsys):
         ("q_nan", {"points": [{"label": "A", "q": math.nan, "p": 0.0}]}, "otoc"),
         ("q_str", {"points": [{"label": "A", "q": "1", "p": 0.0}]}, "otoc"),
         ("t_end_str", {"t_end": "1"}, "otoc"),
+        ("step_count_inf", {"t_end": 1e300, "dt": 1e-10}, "portrait"),
         ("n_p_float", {"n_p": [40.5]}, "otoc"),
         ("n_samples_float", {"n_samples": 11.5}, "otoc"),
         ("snapshot_nan", {"husimi": {**grid, "snapshot_times": [0.0, math.nan]}}, "husimi"),
@@ -442,19 +445,60 @@ def test_cli_bad_point_exit_code(tmp_path):
     assert rc == 1
 
 
-@pytest.mark.parametrize("err", OtocLabError.__subclasses__(),
-                         ids=lambda e: e.__name__)
-def test_every_error_type_has_documented_exit_code(tmp_path, monkeypatch, err):
+def _concrete_errors(cls=OtocLabError) -> list[type[OtocLabError]]:
+    """Every error type below ``cls`` that has no subclass of its own: the
+    types code raises, not the categories they inherit their codes from."""
+    subs = cls.__subclasses__()
+    return [e for sub in subs for e in _concrete_errors(sub)] if subs else [cls]
+
+
+ERROR_TYPES = _concrete_errors()
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+@pytest.mark.parametrize("err", ERROR_TYPES, ids=lambda e: e.__name__)
+def test_every_error_type_has_documented_exit_code(tmp_path, monkeypatch, capsys, err):
     def fail(*args, **kwargs):
         raise err("injected")
 
     monkeypatch.setattr(cli, "cmd_otoc", fail)
     cfg = write_cfg(tmp_path, small_cfg())
     rc = main(["otoc", "--config", cfg, "--out", str(tmp_path / "o")])
-    assert rc == cli.EXIT_CODES[err][0]
     assert rc in (1, 2, 3)
-    readme = Path(__file__).resolve().parents[1] / "README.md"
-    assert f"| `{err.__name__}` | {rc} |" in readme.read_text(encoding="utf-8")
+    kind, sep, message = capsys.readouterr().err.partition(": ")
+    assert (sep, message) == (": ", "injected\n")
+    row = f"| `{err.__name__}` | {rc} | {kind} |"
+    assert row in README.read_text(encoding="utf-8")
+
+
+def test_readme_error_table_lists_exactly_the_concrete_error_types():
+    rows = re.findall(r"^\| `(\w+)` \| \d \|", README.read_text(encoding="utf-8"), re.M)
+    assert sorted(rows) == sorted(e.__name__ for e in ERROR_TYPES)
+
+
+@pytest.mark.parametrize("how", ["otoc_out_file", "reproduce_all_out_below_file",
+                                 "reproduce_all_figure_dir_file",
+                                 "output_dir_below_file", "env_below_file"])
+def test_uncreatable_output_dir_is_a_config_error(tmp_path, monkeypatch, capsys, how):
+    # os.makedirs used to end in FileExistsError or NotADirectoryError
+    blocker = tmp_path / "fig1"
+    blocker.write_text("")
+    below = str(blocker / "x")
+    cfg = write_cfg(tmp_path, small_cfg(output_dir=below if how == "output_dir_below_file"
+                                        else None))
+    argv = {
+        "otoc_out_file": ["otoc", "--config", cfg, "--out", str(blocker)],
+        "reproduce_all_out_below_file": ["reproduce-all", "--out", below],
+        "reproduce_all_figure_dir_file": ["reproduce-all", "--out", str(tmp_path),
+                                          "--only", "fig1"],
+        "output_dir_below_file": ["portrait", "--config", cfg],
+        "env_below_file": ["photon", "--config", cfg],
+    }[how]
+    monkeypatch.setenv("OTOCLAB_OUT", below)
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    target = str(blocker) if how in ("otoc_out_file", "reproduce_all_figure_dir_file") else below
+    assert err.startswith(f"config error: cannot create output directory {target}: "), err
 
 
 def test_otoc_np1_exits_with_analysis_code(tmp_path, capsys):
