@@ -30,6 +30,10 @@ from .husimi import ALPHA_MAX, PhaseGrid, max_abs_alpha
 # the shortest window an auto fit searches when its config states none
 AUTO_MIN_SPAN = 0.08
 
+# the most classical RK4 steps t_end / dt may ask for: each step of
+# ``classical.integrate`` keeps its (q, p), about 89 bytes a step
+MAX_STEPS = 10**6
+
 
 @dataclass(frozen=True)
 class LabeledPoint:
@@ -130,8 +134,10 @@ class ExperimentConfig:
             raise ConfigError(f"n_samples must be an integer >= 2, got {self.n_samples!r}")
         if not (_is_finite(self.dt) and self.dt > 0):
             raise ConfigError(f"dt must be positive and finite, got {self.dt!r}")
-        if not math.isfinite(self.t_end / self.dt):
-            raise ConfigError(f"t_end / dt = {self.t_end!r} / {self.dt!r} is not a finite step count")
+        steps = self.t_end / self.dt
+        if not (math.isfinite(steps) and steps <= MAX_STEPS):
+            raise ConfigError(f"t_end / dt = {self.t_end!r} / {self.dt!r} is not a finite step "
+                              f"count of at most {MAX_STEPS}")
         if self.husimi is not None:
             grid, times = self.husimi.grid, self.husimi.snapshot_times
             bounds = (grid.q_min, grid.q_max, grid.p_min, grid.p_max)

@@ -28,13 +28,13 @@ propagator would (13% of the components, D-weighted), and a kept table
 held 16 D T bytes (``reproduce-all`` peaked at 110 MiB with one, 101 MiB
 without, at one BLAS thread).
 
-The process keeps one evolved state Psi: a single entry keyed on the
-propagator object (held by weakref), a private copy of the grid and a
-private copy of psi0, so the observables of one (propagator, state, grid)
-share one evolution. Any other request drops that Psi before the next one
-is evolved, and it is freed with its propagator. ``evolve_batch`` itself
-is uncached, and the observables reduce the D x T result in column blocks,
-so no other D x T array is formed.
+Each propagator keeps the observable rows of its last (state, grid): C(t),
+<n>(t) and the tail population, with private copies of psi0 and the grid,
+so ``variance_otoc`` and ``photon_series`` on one (propagator, state, grid)
+share one evolution. The rows are 24 T bytes and are freed with their
+propagator; no Psi outlives a call. ``evolve`` and ``evolve_batch`` are
+uncached, and the rows are reduced from Psi in column blocks, so no other
+D x T array is formed.
 
 The OTOC is evaluated in two ways: the cheap Schroedinger-picture momentum
 variance (production path, P applied as a two-term stencil) and the
@@ -44,7 +44,6 @@ kept as a cross-check oracle).
 from __future__ import annotations
 
 import math
-import weakref
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -62,10 +61,6 @@ TAIL_GUARD_TOL = 1e-6
 # Observables reduce Psi in blocks of this many time columns, so no other
 # D x T temporary is formed; each column's sum is unchanged by the split.
 COLUMN_BLOCK = 64
-
-# The one cache entry of the process: (weakref to its propagator, a copy of
-# its time grid, a copy of psi0, read-only Psi) or None; see ``_evolved``.
-_evolved_state: tuple[weakref.ref, np.ndarray, np.ndarray, np.ndarray] | None = None
 
 
 @dataclass(frozen=True)
@@ -95,11 +90,13 @@ class Propagator:
     ``blocks`` holds one ``(indices, eigenvalues, eigenvectors)`` triple per
     invariant block: ``indices`` is the slice of photon numbers the block
     spans, its eigenvalues ascend, and its eigenvectors are the columns of
-    a block-sized matrix.
+    a block-sized matrix. ``_last_rows`` is the slot ``_rows`` fills.
     """
 
     dim: FockDim
     blocks: tuple[tuple[slice, np.ndarray, np.ndarray], ...] = field(repr=False)
+    _last_rows: tuple[np.ndarray, np.ndarray, np.ndarray] | None = field(
+        default=None, init=False, compare=False, repr=False)
 
     @cached_property
     def _full(self) -> tuple[np.ndarray, np.ndarray]:
@@ -199,47 +196,6 @@ def evolve_batch(prop: Propagator, psi0: np.ndarray, times: np.ndarray) -> np.nd
     return _product(prop, psi0, np.asarray(times, dtype=float))
 
 
-def _drop_evolved(ref: weakref.ref):
-    """Free the evolved state as soon as its propagator is collected."""
-    global _evolved_state
-    if _evolved_state is not None and _evolved_state[0] is ref:
-        _evolved_state = None
-
-
-def _evolved(prop: Propagator, psi0: np.ndarray, times: np.ndarray) -> np.ndarray:
-    """``evolve_batch(prop, psi0, times)``, read-only, kept in the one
-    process-wide entry.
-
-    The cached Psi is returned only for the same propagator object, a grid
-    equal to the entry's private copy and a psi0 equal to its private
-    copy; anything else drops the cached Psi before evolving, so at most
-    one Psi is alive.
-    """
-    global _evolved_state
-    entry = _evolved_state
-    if (entry is not None and entry[0]() is prop and np.array_equal(entry[1], times)
-            and np.array_equal(entry[2], psi0)):
-        return entry[3]
-    _evolved_state = entry = None  # so the old Psi is freed before the new one is evolved
-    Psi = evolve_batch(prop, psi0, times)
-    Psi.flags.writeable = False
-    _evolved_state = (weakref.ref(prop, _drop_evolved), times.copy(), np.array(psi0), Psi)
-    return Psi
-
-
-def _guard_tails(Psi: np.ndarray, times: np.ndarray, label: str):
-    D = Psi.shape[0]
-    k = D - math.ceil(D / 10)
-    tails = np.sum(np.abs(Psi[k:, :]) ** 2, axis=0)
-    bad = np.nonzero(tails > TAIL_GUARD_TOL)[0]
-    if bad.size:
-        i = bad[0]
-        raise TruncationGuardError(
-            f"{label or 'run'}: tail population {tails[i]:.3e} above n={k} "
-            f"at t={times[i]:.6g} exceeds {TAIL_GUARD_TOL}; increase n_p"
-        )
-
-
 def _apply_momentum(Psi: np.ndarray) -> np.ndarray:
     """P @ Psi for P = i(a^dag - a)/sqrt(2), as a two-term stencil over the
     truncated ladder: (P psi)[n] = i (sqrt(n) psi[n-1] - sqrt(n+1) psi[n+1])/sqrt(2)."""
@@ -250,6 +206,35 @@ def _apply_momentum(Psi: np.ndarray) -> np.ndarray:
     return 1j * out
 
 
+def _rows(prop: Propagator, psi0: np.ndarray, times: np.ndarray) -> np.ndarray:
+    """Rows C(t), <n>(t) and the tail population above n = D - ceil(D/10)
+    of ``evolve_batch(prop, psi0, times)``, kept on ``prop`` with private
+    copies of the grid and psi0 and returned again for an equal grid and an
+    equal psi0. The rows are reduced from Psi in column blocks; Psi is
+    freed on return."""
+    last = prop._last_rows
+    if last is not None and np.array_equal(last[0], times) and np.array_equal(last[1], psi0):
+        return last[2]
+    Psi = evolve_batch(prop, psi0, times)
+    D = prop.dim.dim
+    k = D - math.ceil(D / 10)
+    n = np.arange(D)[:, None]
+    rows = np.empty((3, times.size))
+    for j in range(0, times.size, COLUMN_BLOCK):
+        cols = slice(j, j + COLUMN_BLOCK)
+        PPsi = _apply_momentum(Psi[:, cols])
+        exp_p = np.real(np.sum(Psi[:, cols].conj() * PPsi, axis=0))
+        exp_p2 = np.real(np.sum(PPsi.conj() * PPsi, axis=0))
+        rows[0, cols] = exp_p2 - exp_p**2
+    for j in range(0, times.size, COLUMN_BLOCK):
+        cols = slice(j, j + COLUMN_BLOCK)
+        pop = np.abs(Psi[:, cols]) ** 2
+        rows[1, cols] = np.sum(n * pop, axis=0)
+        rows[2, cols] = np.sum(pop[k:], axis=0)
+    object.__setattr__(prop, "_last_rows", (times.copy(), np.array(psi0), rows))
+    return rows
+
+
 def variance_otoc(
     prop: Propagator,
     psi0: np.ndarray,
@@ -258,15 +243,7 @@ def variance_otoc(
 ) -> TimeSeries:
     """C(t) = Var[P](t) = <psi(t)|P^2|psi(t)> - <psi(t)|P|psi(t)>^2."""
     times = np.asarray(times, dtype=float)
-    Psi = _evolved(prop, psi0, times)
-    values = np.empty(times.size)
-    for j in range(0, times.size, COLUMN_BLOCK):
-        cols = slice(j, j + COLUMN_BLOCK)
-        PPsi = _apply_momentum(Psi[:, cols])
-        exp_p = np.real(np.sum(Psi[:, cols].conj() * PPsi, axis=0))
-        exp_p2 = np.real(np.sum(PPsi.conj() * PPsi, axis=0))
-        values[cols] = exp_p2 - exp_p**2
-    return TimeSeries(times=times, values=values, label=label)
+    return TimeSeries(times=times, values=_rows(prop, psi0, times)[0].copy(), label=label)
 
 
 def commutator_otoc(prop: Propagator, psi0: np.ndarray, P: np.ndarray, t: float) -> float:
@@ -294,14 +271,17 @@ def photon_series(
     label: str = "",
     tail_guard: bool = False,
 ) -> TimeSeries:
-    """<a^dag a>(t) on the requested time grid."""
+    """<a^dag a>(t) on the requested time grid. With ``tail_guard``, raises
+    TruncationGuardError at the first time whose population above
+    n = D - ceil(D/10) exceeds TAIL_GUARD_TOL."""
     times = np.asarray(times, dtype=float)
-    Psi = _evolved(prop, psi0, times)
-    if tail_guard:
-        _guard_tails(Psi, times, label)
-    n = np.arange(prop.dim.dim)[:, None]
-    values = np.empty(times.size)
-    for j in range(0, times.size, COLUMN_BLOCK):
-        cols = slice(j, j + COLUMN_BLOCK)
-        values[cols] = np.sum(n * np.abs(Psi[:, cols]) ** 2, axis=0)
-    return TimeSeries(times=times, values=values, label=label)
+    _, mean_n, tails = _rows(prop, psi0, times)
+    bad = np.nonzero(tails > TAIL_GUARD_TOL)[0]
+    if tail_guard and bad.size:
+        i, D = bad[0], prop.dim.dim
+        raise TruncationGuardError(
+            f"{label or 'run'}: tail population {tails[i]:.3e} above "
+            f"n={D - math.ceil(D / 10)} at t={times[i]:.6g} exceeds {TAIL_GUARD_TOL}; "
+            f"increase n_p"
+        )
+    return TimeSeries(times=times, values=mean_n.copy(), label=label)

@@ -6,9 +6,13 @@ JSON keys sorted, so identical configs reproduce bit-identical data files,
 manifest included: it records no times. CSV and grid values are formatted
 by one vectorised kernel (``_g17.write_rows``) whose bytes equal
 ``'%.17g' % x`` for every float64; ``fmt`` formats the grid header.
+
+A data file or manifest that cannot be read or written, and a manifest line
+that is not a record, raise ConfigError naming the path.
 """
 from __future__ import annotations
 
+import contextlib
 import json
 import os
 
@@ -17,6 +21,7 @@ import scipy
 
 from . import __version__
 from ._g17 import write_rows
+from .errors import ConfigError
 from .husimi import HusimiGrid
 
 
@@ -25,6 +30,30 @@ CSV_ROW_BLOCK = 1024
 
 def fmt(x: float) -> str:
     return format(float(x), ".17g")
+
+
+@contextlib.contextmanager
+def _opened(path: str, mode: str, **kwargs):
+    """``open(path, mode, **kwargs)``; an OSError or a decoding error while
+    the file is open becomes ConfigError naming the path."""
+    try:
+        with open(path, mode, **kwargs) as fh:
+            yield fh
+    except (OSError, UnicodeDecodeError) as exc:
+        reason = getattr(exc, "strerror", None) or exc
+        verb = "read" if mode.startswith("r") else "write"
+        raise ConfigError(f"cannot {verb} {path}: {reason}") from exc
+
+
+def _recorded_file(line: str, path: str) -> str:
+    """The "file" of one manifest line."""
+    try:
+        record = json.loads(line)
+    except ValueError:
+        record = None
+    if not (isinstance(record, dict) and "file" in record):
+        raise ConfigError(f"{path} holds a line that is not a manifest record: {line[:80]!r}")
+    return record["file"]
 
 
 class Manifest:
@@ -47,11 +76,11 @@ class Manifest:
         }
         lines = []
         if os.path.exists(self.path):
-            with open(self.path, "r", encoding="utf-8") as fh:
+            with _opened(self.path, "r", encoding="utf-8") as fh:
                 lines = [line for line in fh
-                         if json.loads(line)["file"] != entry["file"]]
+                         if _recorded_file(line, self.path) != entry["file"]]
         lines.append(json.dumps(entry, sort_keys=True) + "\n")
-        with open(self.path, "w", encoding="utf-8", newline="\n") as fh:
+        with _opened(self.path, "w", encoding="utf-8", newline="\n") as fh:
             fh.writelines(lines)
 
 
@@ -61,7 +90,7 @@ def write_csv(path: str, header: list[str], columns: list[np.ndarray],
     columns = [np.asarray(col, dtype=float) for col in columns]
     if len({len(col) for col in columns}) > 1:
         raise ValueError("CSV columns differ in length")
-    with open(path, "wb") as fh:
+    with _opened(path, "wb") as fh:
         fh.write((",".join(header) + "\n").encode())
         for j in range(0, len(columns[0]), CSV_ROW_BLOCK):
             write_rows(fh, np.column_stack([col[j:j + CSV_ROW_BLOCK] for col in columns]), b",")
@@ -70,7 +99,7 @@ def write_csv(path: str, header: list[str], columns: list[np.ndarray],
 
 
 def write_json(path: str, obj, manifest: Manifest | None = None):
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with _opened(path, "w", encoding="utf-8", newline="\n") as fh:
         json.dump(obj, fh, sort_keys=True, indent=2)
         fh.write("\n")
     if manifest is not None:
@@ -81,7 +110,7 @@ def write_grid(path: str, hg: HusimiGrid, manifest: Manifest | None = None):
     """Self-describing text grid: header 'q_min q_max n_q p_min p_max n_p',
     then row-major Q values, one grid row per line."""
     g = hg.grid
-    with open(path, "wb") as fh:
+    with _opened(path, "wb") as fh:
         fh.write(
             f"{fmt(g.q_min)} {fmt(g.q_max)} {g.n_q} "
             f"{fmt(g.p_min)} {fmt(g.p_max)} {g.n_p}\n".encode()
@@ -101,7 +130,7 @@ def read_grid(path: str) -> tuple[tuple[float, float, int, float, float, int], n
 
 
 def write_gnuplot(path: str, lines: list[str], manifest: Manifest | None = None):
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with _opened(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
     if manifest is not None:
         manifest.record(path)

@@ -123,6 +123,13 @@ def test_config_validation_errors():
             small_cfg(dt=bad)
     with pytest.raises(ConfigError, match=r"t_end / dt = 1e\+300 / 1e-10 is not a finite step"):
         small_cfg(t_end=1e300, dt=1e-10)
+    # finite but past the RK4 step cap; the cap itself is allowed
+    with pytest.raises(ConfigError, match=r"t_end / dt = 1000000000000.0 / 1e-10 is not a "
+                                          r"finite step count of at most 1000000"):
+        small_cfg(t_end=1e12, dt=1e-10)
+    small_cfg(t_end=1000.0, dt=1e-3)
+    with pytest.raises(ConfigError, match="at most 1000000"):
+        small_cfg(t_end=1000.5, dt=1e-3)
     for fit in (
         FitSpec(window=(0.8, 0.2)),
         FitSpec(window=(0.5, 0.5)),
@@ -385,6 +392,7 @@ def test_cli_config_error_exit_code(tmp_path, capsys):
         ("q_str", {"points": [{"label": "A", "q": "1", "p": 0.0}]}, "otoc"),
         ("t_end_str", {"t_end": "1"}, "otoc"),
         ("step_count_inf", {"t_end": 1e300, "dt": 1e-10}, "portrait"),
+        ("step_count_capped", {"t_end": 1e12, "dt": 1e-10}, "portrait"),
         ("n_p_float", {"n_p": [40.5]}, "otoc"),
         ("n_samples_float", {"n_samples": 11.5}, "otoc"),
         ("snapshot_nan", {"husimi": {**grid, "snapshot_times": [0.0, math.nan]}}, "husimi"),
@@ -499,6 +507,42 @@ def test_uncreatable_output_dir_is_a_config_error(tmp_path, monkeypatch, capsys,
     err = capsys.readouterr().err
     target = str(blocker) if how in ("otoc_out_file", "reproduce_all_figure_dir_file") else below
     assert err.startswith(f"config error: cannot create output directory {target}: "), err
+
+
+@pytest.mark.parametrize("line", ['{"config_hash": "ab", "file": "portr', "[1, 2]",
+                                  '{"name": "portrait_A.csv"}', ""],
+                         ids=["half_written", "not_an_object", "no_file_key", "blank"])
+def test_broken_manifest_line_is_a_config_error(tmp_path, capsys, line):
+    # json.loads used to end in JSONDecodeError, KeyError or TypeError
+    out = tmp_path / "o"
+    out.mkdir()
+    (out / "manifest.jsonl").write_text('{"file": "other.csv"}\n' + line + "\n")
+    cfg = write_cfg(tmp_path, small_cfg())
+    assert main(["portrait", "--config", cfg, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {out / 'manifest.jsonl'} holds a line that is not "
+                          f"a manifest record"), err
+    assert "Traceback" not in err
+
+
+def test_manifest_that_is_a_directory_is_a_config_error(tmp_path, capsys):
+    # opening it used to end in IsADirectoryError
+    out = tmp_path / "o"
+    (out / "manifest.jsonl").mkdir(parents=True)
+    cfg = write_cfg(tmp_path, small_cfg())
+    assert main(["portrait", "--config", cfg, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: cannot read {out / 'manifest.jsonl'}: "), err
+
+
+@pytest.mark.parametrize("name", ["portrait_A.csv", "portrait.gp"])
+def test_data_file_that_is_a_directory_is_a_config_error(tmp_path, capsys, name):
+    out = tmp_path / "o"
+    (out / name).mkdir(parents=True)
+    cfg = write_cfg(tmp_path, small_cfg())
+    assert main(["portrait", "--config", cfg, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: cannot write {out / name}: "), err
 
 
 def test_otoc_np1_exits_with_analysis_code(tmp_path, capsys):

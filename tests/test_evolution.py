@@ -1,8 +1,8 @@
-import gc
 import math
 import tracemalloc
 import weakref
 
+import conftest
 import numpy as np
 import pytest
 from conftest import banded, dense, expect
@@ -276,7 +276,16 @@ def _variance_of(Psi):
 
 def _photon_of(Psi, times, label="", tail_guard=False):
     if tail_guard:
-        evolution._guard_tails(Psi, times, label)
+        D = Psi.shape[0]
+        k = D - math.ceil(D / 10)
+        tails = np.sum(np.abs(Psi[k:, :]) ** 2, axis=0)
+        bad = np.nonzero(tails > evolution.TAIL_GUARD_TOL)[0]
+        if bad.size:
+            i = bad[0]
+            raise TruncationGuardError(
+                f"{label or 'run'}: tail population {tails[i]:.3e} above n={k} "
+                f"at t={times[i]:.6g} exceeds {evolution.TAIL_GUARD_TOL}; increase n_p"
+            )
     n = np.arange(Psi.shape[0])
     return np.sum(n[:, None] * np.abs(Psi) ** 2, axis=0)
 
@@ -367,7 +376,7 @@ def _assert_series_within_bound(prop, psi0, times, label="", tail_guard=False):
 @pytest.mark.parametrize("n_p", [75, 300, 1200])
 @pytest.mark.parametrize("system", ["iho", "hiho"])
 def test_evolution_and_observables_equal_reference(
-        system, n_p, n_samples, tail_guard, iho_prop, hiho_prop, no_evolved_state):
+        system, n_p, n_samples, tail_guard, iho_prop, hiho_prop, no_rows):
     prop = iho_prop(n_p) if system == "iho" else hiho_prop(n_p)
     psi0 = coherent_state(FockDim(n_p), CoherentParams(2.0, -1.0))
     times = np.linspace(0.0, 3.0, n_samples)
@@ -499,15 +508,18 @@ def test_nan_state_evolves_to_nan_not_zeros(iho_prop):
 
 
 # ---------------------------------------------------------------------------
-# The evolved state kept by the process
+# The rows each propagator keeps of its last (state, grid)
 
 @pytest.fixture
-def no_evolved_state(monkeypatch):
-    monkeypatch.setattr(evolution, "_evolved_state", None)
+def no_rows():
+    """Empties the slot of every session propagator, so a test starts with
+    nothing kept from the tests before it."""
+    for prop in (*conftest._iho_cache.values(), *conftest._hiho_cache.values()):
+        object.__setattr__(prop, "_last_rows", None)
 
 
 @pytest.fixture
-def evolutions(monkeypatch, no_evolved_state):
+def evolutions(monkeypatch, no_rows):
     """The propagators evolve_batch is called with, in call order."""
     calls = []
     real = evolution.evolve_batch
@@ -525,13 +537,12 @@ def test_evolved_state_ignores_in_place_mutation_of_times(iho_prop, evolutions):
     psi0 = coherent_state(FockDim(120), CoherentParams(1.0, 1.0))
     times = np.linspace(0.0, 1.0, 11)
     _assert_series_within_bound(prop, psi0, times)
-    times *= 2  # the entry holds its own copy of the grid
+    times *= 2  # the slot holds its own copy of the grid
     _assert_series_within_bound(prop, psi0, times)
     assert len(evolutions) == 2
 
 
-def test_evolve_batch_checks_the_dimension_before_building_a_table(
-        iho_prop, no_evolved_state):
+def test_evolve_batch_checks_the_dimension_before_building_a_table(iho_prop, no_rows):
     # out is the only array built before DimMismatch: no coefficients or phases
     times = np.linspace(0.0, 1.0, 11)
     peak = _peak_bytes(lambda: pytest.raises(
@@ -539,7 +550,7 @@ def test_evolve_batch_checks_the_dimension_before_building_a_table(
     assert peak <= 16 * 40 * times.size + 64 * 1024
     with pytest.raises(DimMismatch):
         variance_otoc(iho_prop(39), np.zeros(10, dtype=complex), times)
-    assert evolution._evolved_state is None
+    assert iho_prop(39)._last_rows is None
 
 
 def test_alternating_propagators_give_correct_results(iho_prop, hiho_prop):
@@ -565,6 +576,16 @@ def test_variance_then_photon_evolve_once(system, iho_prop, hiho_prop, evolution
     assert evolutions == [prop]
 
 
+def test_each_propagator_keeps_its_own_rows(iho_prop, hiho_prop, evolutions):
+    # A, B, A on one state and grid: B's evolution leaves A's rows in place
+    a, b = iho_prop(120), hiho_prop(120)
+    psi0 = coherent_state(FockDim(120), CoherentParams(1.5, -0.5))
+    times = np.linspace(0.0, 2.0, 201)
+    for prop in (a, b, a):
+        _assert_series_within_bound(prop, psi0, times)
+    assert evolutions == [a, b]
+
+
 @pytest.mark.parametrize("system", ["iho", "hiho"])
 def test_evolved_state_misses(system, iho_prop, hiho_prop, evolutions):
     d = FockDim(120)
@@ -576,7 +597,7 @@ def test_evolved_state_misses(system, iho_prop, hiho_prop, evolutions):
     # another state
     _assert_series_within_bound(prop, coherent_state(d, CoherentParams(1.0, 0.5)), times)
     assert len(evolutions) == 2
-    # the same state array, changed in place after it was cached
+    # the same state array, changed in place after it was kept
     _assert_series_within_bound(prop, psi0, times)
     psi0 *= np.exp(0.3j)
     _assert_series_within_bound(prop, psi0, times)
@@ -584,23 +605,23 @@ def test_evolved_state_misses(system, iho_prop, hiho_prop, evolutions):
     # another propagator of the same dimension
     _assert_series_within_bound(other, psi0, times)
     assert evolutions[-1] is other and len(evolutions) == 5
-    # a changed grid, also when the cached grid array is changed in place
+    # a changed grid, also when the kept grid's array is changed in place
     times += 0.25
     _assert_series_within_bound(other, psi0, times)
     _assert_series_within_bound(other, psi0, times[:-1])
     assert len(evolutions) == 7
 
 
-def test_evolved_state_freed_with_its_propagator(no_evolved_state):
+def test_evolved_state_freed_with_its_propagator():
+    # nothing but the propagator refers to its rows, so they go with it
     d = FockDim(60)
     prop = diagonalize(build_iho(d))
     psi0 = coherent_state(d, CoherentParams(1.0, 1.0))
     variance_otoc(prop, psi0, np.linspace(0.0, 1.0, 11))
-    psi = weakref.ref(evolution._evolved_state[3])
+    rows = weakref.ref(prop._last_rows[2])
+    assert rows() is not None
     del prop
-    gc.collect()
-    assert evolution._evolved_state is None
-    assert psi() is None
+    assert rows() is None
 
 
 def test_guard_on_the_evolved_state_names_the_same_time(iho_prop, evolutions):
@@ -613,20 +634,27 @@ def test_guard_on_the_evolved_state_names_the_same_time(iho_prop, evolutions):
     variance_otoc(prop, psi0, times)
     assert _outcome(photon_series, prop, psi0, times, "g", tail_guard=True) == want
     assert len(evolutions) == 1
+    # the guard raised from rows a variance_otoc call kept
+    object.__setattr__(prop, "_last_rows", None)
+    variance_otoc(prop, psi0, times)
+    assert _outcome(photon_series, prop, psi0, times, "g", tail_guard=True) == want
+    assert len(evolutions) == 2
 
 
-def test_evolved_state_is_read_only_and_evolve_batch_is_fresh(iho_prop, no_evolved_state):
+def test_observables_return_fresh_arrays_and_evolve_batch_is_uncached(
+        iho_prop, evolutions):
     prop = iho_prop(120)
     psi0 = coherent_state(FockDim(120), CoherentParams(1.0, 1.0))
     times = np.linspace(0.0, 1.0, 11)
-    Psi = evolution._evolved(prop, psi0, times)
-    assert evolution._evolved(prop, psi0, times) is Psi
-    assert not Psi.flags.writeable
-    with pytest.raises(ValueError):
-        Psi[0, 0] = 0.0
-    fresh = evolve_batch(prop, psi0, times)
-    assert fresh is not Psi and fresh.flags.writeable
-    assert np.array_equal(fresh, Psi)
+    for fn in (variance_otoc, photon_series):
+        first = fn(prop, psi0, times).values
+        want = first.copy()
+        first[:] = 0.0  # a caller's edit does not reach the kept rows
+        assert np.array_equal(fn(prop, psi0, times).values, want)
+    assert evolutions == [prop]
+    Psi = evolution.evolve_batch(prop, psi0, times)
+    assert evolution.evolve_batch(prop, psi0, times) is not Psi
+    assert evolutions == [prop, prop, prop]
 
 
 def test_evolve_leaves_the_evolved_state(iho_prop, hiho_prop, evolutions):
@@ -634,11 +662,11 @@ def test_evolve_leaves_the_evolved_state(iho_prop, hiho_prop, evolutions):
     psi0 = coherent_state(FockDim(120), CoherentParams(1.0, 1.0))
     times = np.linspace(0.0, 1.0, 11)
     variance_otoc(prop, psi0, times)
-    entry = evolution._evolved_state
+    slot = prop._last_rows
     for p, t in ((prop, 0.5), (prop, 1.0), (hiho_prop(120), 0.5)):
         evolve(p, psi0, t)
-        assert evolution._evolved_state is entry
-    assert evolution._evolved(prop, psi0, times) is entry[3]
+        assert prop._last_rows is slot
+    photon_series(prop, psi0, times)
     assert evolutions == [prop]
 
 
@@ -660,7 +688,7 @@ def _peak_bytes(fn):
 
 
 @pytest.fixture
-def memory_case(iho_prop, no_evolved_state):
+def memory_case(iho_prop, no_rows):
     prop = iho_prop(600)
     psi0 = coherent_state(FockDim(600), CoherentParams(2.0, -1.0))
     times = np.linspace(0.0, 1.5, 601)  # inside the tail guard
@@ -670,7 +698,7 @@ def memory_case(iho_prop, no_evolved_state):
     widths = [hi - lo for lo, hi in windows]
     sizes = {"psi": 16 * D * T, "window": 16 * max(widths) * T,
              "block": 16 * max(lam.size for _, lam, _ in prop.blocks) * T,
-             "columns": 16 * D * evolution.COLUMN_BLOCK}
+             "columns": 16 * D * evolution.COLUMN_BLOCK, "rows": 24 * T}
     assert sizes["window"] < sizes["block"] / 2
     return prop, psi0, times, sizes
 
@@ -697,35 +725,39 @@ def test_observables_peak_is_psi_and_column_blocks(memory_case, monkeypatch, fn)
     Psi = evolve_batch(prop, psi0, times)
     monkeypatch.setattr(evolution, "evolve_batch", lambda *a: Psi.copy())
     for kw in [{}, {"tail_guard": True}] if fn is photon_series else [{}]:
+        object.__setattr__(prop, "_last_rows", None)
         peak = _peak_bytes(lambda: fn(prop, psi0, times, **kw))
         assert peak <= b["psi"] + 4 * b["columns"]
 
 
-def test_only_dxt_array_held_after_variance_otoc_is_the_cached_psi(memory_case):
+def test_no_dxt_array_outlives_the_observables(memory_case):
+    # a call leaves behind only the kept rows and its copies of the grid and psi0
     prop, psi0, times, b = memory_case
-    tracemalloc.start()
-    try:
-        variance_otoc(prop, psi0, times)
-        held = tracemalloc.get_traced_memory()[0]
-    finally:
-        tracemalloc.stop()
-    assert evolution._evolved_state[3].nbytes == b["psi"]
-    assert b["psi"] <= held <= b["psi"] + _SLACK
+    for fn in (variance_otoc, photon_series):
+        object.__setattr__(prop, "_last_rows", None)
+        tracemalloc.start()
+        try:
+            fn(prop, psi0, times)
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert prop._last_rows[2].nbytes == b["rows"]
+        assert held <= b["rows"] + _SLACK < b["psi"]
 
 
 def test_evolved_state_hit_forms_no_dxt_array(memory_case):
     prop, psi0, times, b = memory_case
     photon_series(prop, psi0, times)
-    assert 4 * b["columns"] < 8 * prop.dim.dim * times.size
     for fn, kw in ((variance_otoc, {}), (photon_series, {"tail_guard": True})):
         peak = _peak_bytes(lambda: fn(prop, psi0, times, **kw))
-        assert peak <= 4 * b["columns"]
+        assert peak <= b["rows"] + _SLACK < 8 * prop.dim.dim * times.size
 
 
 @pytest.mark.parametrize("change", ["state", "grid"])
 def test_evolved_state_miss_drops_the_old_state_first(memory_case, change):
-    # above the level that holds the old Psi, a miss needs one window's X
-    # while evolving and the column blocks while reducing
+    # after a call only the rows are held; a miss above that level needs
+    # the new Psi, one window's X while evolving and the column blocks
+    # while reducing
     prop, psi0, times, b = memory_case
     other = coherent_state(FockDim(600), CoherentParams(1.0, 1.0))
     tracemalloc.start()
@@ -733,10 +765,10 @@ def test_evolved_state_miss_drops_the_old_state_first(memory_case, change):
         variance_otoc(prop, other if change == "state" else psi0,
                       times if change == "state" else times / 2)
         base = tracemalloc.get_traced_memory()[0]
-        assert base >= b["psi"]
         tracemalloc.reset_peak()
         photon_series(prop, psi0, times, tail_guard=True)
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
-    assert peak <= b["window"] + 4 * b["columns"] + _SLACK
+    assert base <= b["rows"] + _SLACK
+    assert peak <= b["psi"] + b["window"] + 4 * b["columns"] + _SLACK
