@@ -76,8 +76,10 @@ class Manifest:
         }
         lines = []
         if os.path.exists(self.path):
+            # a last line without its newline gets one, so no record is
+            # glued onto it
             with _opened(self.path, "r", encoding="utf-8") as fh:
-                lines = [line for line in fh
+                lines = [line.rstrip("\n") + "\n" for line in fh
                          if _recorded_file(line, self.path) != entry["file"]]
         lines.append(json.dumps(entry, sort_keys=True) + "\n")
         with _opened(self.path, "w", encoding="utf-8", newline="\n") as fh:

@@ -236,7 +236,8 @@ def test_photon_series_point_a_dips_then_grows(iho_prop):
 # the components the window leaves out, so its states are held to the window
 # bound of these (``_state_bound``), and its observables to the bound that
 # follows (``_observable_bounds``); reduced from the same state, the
-# observables equal the references' bit for bit.
+# observables differ from the references' by rounding alone
+# (``_rounding_bounds``).
 
 EPS = np.finfo(float).eps
 
@@ -267,8 +268,18 @@ def _reference_evolve(prop, psi0, t):
     return out
 
 
+def _apply_momentum(Psi):
+    """P @ Psi for P = i(a^dag - a)/sqrt(2), as a two-term stencil over the
+    truncated ladder: (P psi)[n] = i (sqrt(n) psi[n-1] - sqrt(n+1) psi[n+1])/sqrt(2)."""
+    s = (np.sqrt(np.arange(1, Psi.shape[0])) / np.sqrt(2))[:, None]
+    out = np.zeros_like(Psi)
+    out[1:] = s * Psi[:-1]
+    out[:-1] -= s * Psi[1:]
+    return 1j * out
+
+
 def _variance_of(Psi):
-    PPsi = evolution._apply_momentum(Psi)
+    PPsi = _apply_momentum(Psi)
     exp_p = np.real(np.sum(Psi.conj() * PPsi, axis=0))
     exp_p2 = np.real(np.sum(PPsi.conj() * PPsi, axis=0))
     return exp_p2 - exp_p**2
@@ -323,7 +334,7 @@ def _observable_bounds(Psi_ref, eta):
     the absolute terms."""
     D = Psi_ref.shape[0]
     p = math.sqrt(2 * (D - 1))
-    PPsi = evolution._apply_momentum(Psi_ref)
+    PPsi = _apply_momentum(Psi_ref)
     p_norm = np.linalg.norm(PPsi, axis=0)
     exp_p = np.abs(np.real(np.sum(Psi_ref.conj() * PPsi, axis=0)))
     n = np.arange(D)[:, None]
@@ -337,6 +348,31 @@ def _observable_bounds(Psi_ref, eta):
     return d_c, d_n
 
 
+def _rounding_bounds(Psi):
+    """Per-time bounds on |C - C_ref| and |<n> - <n>_ref| when both are
+    reduced from the same Psi: production as weighted contractions of its
+    real view, the references through the momentum stencil.
+
+    With half_w = sum_j w_j |psi_j|^2 / 2 (w_j = 2j + 1, w_{D-1} = D - 1),
+    cross = sum_m sqrt(m (m+1)) |psi_{m-1}| |psi_{m+1}| and
+    y = sum_j sqrt(j+1) |psi_j| |psi_{j+1}|, the absolute terms of |P psi|^2
+    sum to at most half_w + cross on either side, and those of <P> to at
+    most sqrt(2) y, so with |<P>| <= sqrt(2) y each side's <P>^2 rounds by
+    about 4 g y^2. g = gamma_{D+16} covers a sum of D terms in any order
+    plus the squares, products, square roots and differences each term
+    passes through; <n> rounds by at most g <n> on each side."""
+    D = Psi.shape[0]
+    a = np.abs(Psi)
+    n = np.arange(D)[:, None]
+    w = 2.0 * n + 1
+    w[-1] = D - 1
+    half_w = np.sum(w * a**2, axis=0) / 2
+    cross = np.sum(np.sqrt(n[1:-1] * n[2:]) * a[:-2] * a[2:], axis=0)
+    y = np.sum(np.sqrt(n[1:]) * a[:-1] * a[1:], axis=0)
+    g = (D + 16) * EPS / (1 - (D + 16) * EPS)
+    return 2 * g * (half_w + cross + 4 * y**2), 2 * g * np.sum(n * a**2, axis=0)
+
+
 def _outcome(fn, *args, **kwargs):
     """The values fn returns, or the message of the guard error it raises."""
     try:
@@ -346,12 +382,13 @@ def _outcome(fn, *args, **kwargs):
     return getattr(out, "values", out)
 
 
-def _assert_same(got, want):
+def _assert_outcome_within(got, want, bound):
+    """The same guard message, or values within bound of each other."""
     if isinstance(want, str):
         assert got == want
     else:
         assert not isinstance(got, str), got
-        assert np.array_equal(got, want)
+        assert np.all(np.abs(got - want) <= bound)
 
 
 def _assert_series_within_bound(prop, psi0, times, label="", tail_guard=False):
@@ -385,10 +422,27 @@ def test_evolution_and_observables_equal_reference(
     _assert_columns_within(Psi, _reference_evolve_batch(prop, psi0, times),
                            _state_bound(prop, psi0))
     _assert_series_within_bound(prop, psi0, times, label, tail_guard)
-    # the observables reduce the evolved state exactly as the references do
-    assert np.array_equal(variance_otoc(prop, psi0, times).values, _variance_of(Psi))
-    _assert_same(_outcome(photon_series, prop, psi0, times, label, tail_guard),
-                 _outcome(_photon_of, Psi, times, label, tail_guard))
+    # reduced from the same evolved state, the observables differ from the
+    # references' by rounding alone
+    d_c, d_n = _rounding_bounds(Psi)
+    assert np.all(np.abs(variance_otoc(prop, psi0, times).values - _variance_of(Psi)) <= d_c)
+    _assert_outcome_within(_outcome(photon_series, prop, psi0, times, label, tail_guard),
+                           _outcome(_photon_of, Psi, times, label, tail_guard), d_n)
+
+
+@pytest.mark.parametrize("n_p, centres", [
+    (300, [(8.0, 0.0), (0.0, 8.0), (8.0, 9.0), (-10.0, 0.5)]),
+    (1200, [(20.0, 0.0), (30.0, 0.0), (35.0, 0.0), (0.0, 30.0), (21.0, 21.0)]),
+])
+@pytest.mark.parametrize("system", ["iho", "hiho"])
+def test_far_centres_within_bound_of_reference(system, n_p, centres, iho_prop, hiho_prop, no_rows):
+    # far from the origin A ~ <n> + 1/2 and cross ~ Re<a^2> are large and
+    # cancel in |P psi|^2 = A - cross, so C keeps fewer digits than A
+    prop = iho_prop(n_p) if system == "iho" else hiho_prop(n_p)
+    times = np.linspace(0.0, 3.0, 601)
+    for q, p in centres:
+        _assert_series_within_bound(prop, coherent_state(FockDim(n_p), CoherentParams(q, p)),
+                                    times)
 
 
 @pytest.mark.parametrize("n_p", [1, 2, 75, 300, 1200])
@@ -719,15 +773,15 @@ def test_warm_evolve_batch_peak_is_out_and_one_block(memory_case):
 
 @pytest.mark.parametrize("fn", [variance_otoc, photon_series])
 def test_observables_peak_is_psi_and_column_blocks(memory_case, monkeypatch, fn):
-    # Psi comes from evolve_batch (bounded above); on top of it the momentum
-    # stencil and the products hold at most four column blocks at once
+    # Psi comes from evolve_batch (bounded above); on top of it the
+    # contractions hold at most three column blocks at once
     prop, psi0, times, b = memory_case
     Psi = evolve_batch(prop, psi0, times)
     monkeypatch.setattr(evolution, "evolve_batch", lambda *a: Psi.copy())
     for kw in [{}, {"tail_guard": True}] if fn is photon_series else [{}]:
         object.__setattr__(prop, "_last_rows", None)
         peak = _peak_bytes(lambda: fn(prop, psi0, times, **kw))
-        assert peak <= b["psi"] + 4 * b["columns"]
+        assert peak <= b["psi"] + 3 * b["columns"]
 
 
 def test_no_dxt_array_outlives_the_observables(memory_case):
@@ -771,4 +825,4 @@ def test_evolved_state_miss_drops_the_old_state_first(memory_case, change):
     finally:
         tracemalloc.stop()
     assert base <= b["rows"] + _SLACK
-    assert peak <= b["psi"] + b["window"] + 4 * b["columns"] + _SLACK
+    assert peak <= b["psi"] + b["window"] + 3 * b["columns"] + _SLACK

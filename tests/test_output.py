@@ -1,3 +1,4 @@
+import json
 import os
 import struct
 import subprocess
@@ -12,7 +13,7 @@ from otoclab._g17 import BLOCK, format_rows
 from otoclab.evolution import evolve
 from otoclab.fock import CoherentParams, FockDim, coherent_state
 from otoclab.husimi import PhaseGrid, husimi_q
-from otoclab.output import CSV_ROW_BLOCK, fmt, read_grid, write_csv, write_grid
+from otoclab.output import CSV_ROW_BLOCK, Manifest, fmt, read_grid, write_csv, write_grid
 
 WIDE_GRID = PhaseGrid(-40.0, 40.0, -40.0, 40.0, 161, 161)
 
@@ -162,3 +163,15 @@ def test_tables_are_built_on_first_write_not_at_import():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
                          env=dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path)))
     assert out.stdout.split() == ["0", "1"]
+
+
+def test_manifest_record_after_a_last_line_without_its_newline(tmp_path):
+    # the old last record keeps its own line; the next record still reads it
+    path = tmp_path / "manifest.jsonl"
+    path.write_text('{"file": "a.csv"}', encoding="utf-8")
+    manifest = Manifest(str(tmp_path), "ab")
+    manifest.record(str(tmp_path / "b.csv"))
+    manifest.record(str(tmp_path / "c.csv"))
+    text = path.read_text(encoding="utf-8")
+    assert text.endswith("\n")
+    assert [json.loads(line)["file"] for line in text.splitlines()] == ["a.csv", "b.csv", "c.csv"]
