@@ -34,6 +34,17 @@ AUTO_MIN_SPAN = 0.08
 # ``classical.integrate`` keeps its (q, p), about 89 bytes a step
 MAX_STEPS = 10**6
 
+# the most time samples n_samples may ask for: the observables evolve a
+# bounded block of columns at a time, so what grows with n_samples is a few
+# O(n_samples) arrays (the grid, the kept rows, the series) and the
+# O(n_samples^2) windows an auto fit scores (2.5 s at 8000 samples)
+MAX_SAMPLES = 10**5
+
+# the most points a Husimi grid may hold: ``husimi_q`` keeps every point's
+# complex alpha and Q, and ``count_local_maxima`` a few grid-sized arrays,
+# about 50 bytes a point in all
+MAX_GRID_POINTS = 10**6
+
 
 @dataclass(frozen=True)
 class LabeledPoint:
@@ -132,6 +143,8 @@ class ExperimentConfig:
             raise ConfigError(f"t_end must be positive and finite, got {self.t_end!r}")
         if not (_is_int(self.n_samples) and self.n_samples >= 2):
             raise ConfigError(f"n_samples must be an integer >= 2, got {self.n_samples!r}")
+        if self.n_samples > MAX_SAMPLES:
+            raise ConfigError(f"n_samples = {self.n_samples} is past the cap of {MAX_SAMPLES}")
         if not (_is_finite(self.dt) and self.dt > 0):
             raise ConfigError(f"dt must be positive and finite, got {self.dt!r}")
         steps = self.t_end / self.dt
@@ -150,6 +163,9 @@ class ExperimentConfig:
             if not (_is_int(grid.n_q) and _is_int(grid.n_p)):
                 raise ConfigError(f"husimi n_q and n_p must be integers, "
                                   f"got {grid.n_q!r} and {grid.n_p!r}")
+            if grid.n_q * grid.n_p > MAX_GRID_POINTS:
+                raise ConfigError(f"husimi grid n_q x n_p = {grid.n_q} x {grid.n_p} is past "
+                                  f"the cap of {MAX_GRID_POINTS} points")
             if not (isinstance(times, tuple) and all(_is_finite(t) for t in times)):
                 raise ConfigError(f"husimi snapshot times must be finite numbers, "
                                   f"got {times!r}")

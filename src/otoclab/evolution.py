@@ -28,18 +28,22 @@ propagator would (13% of the components, D-weighted), and a kept table
 held 16 D T bytes (``reproduce-all`` peaked at 110 MiB with one, 101 MiB
 without, at one BLAS thread).
 
-Each propagator keeps the observable rows of its last (state, grid): C(t),
-<n>(t) and the tail population, with private copies of psi0 and the grid,
-so ``variance_otoc`` and ``photon_series`` on one (propagator, state, grid)
-share one evolution. The rows are 24 T bytes and are freed with their
-propagator; no Psi outlives a call. ``evolve`` and ``evolve_batch`` are
-uncached.
+Each propagator keeps one slot for its last state: a private copy of psi0
+with each block's (lo, hi, c[lo:hi]), and the observable rows of the last
+grid evolved from it, C(t), <n>(t) and the tail population, with a private
+copy of that grid. ``_product`` reuses the coefficients for an equal psi0,
+so ``evolve`` and ``evolve_batch`` on a kept state skip V_b^T psi0 and the
+window and return what a cold call returns, bit for bit; another psi0
+replaces the slot, rows included. ``variance_otoc`` and ``photon_series``
+on one (propagator, state, grid) share one evolution. The slot holds
+16 D + 24 T bytes at most and is freed with its propagator.
 
-The rows come from one loop over blocks of COLUMN_BLOCK columns of Psi's
-real view R (re/im interleaved), each row a weighted contraction, so no
-complex temporary and no P psi is formed; the only D-row array is one
-column block of R squared. P acts on the truncated ladder as
-(P psi)_n = i (sqrt(n) psi_{n-1} - sqrt(n+1) psi_{n+1}) / sqrt(2), so
+The rows come from one loop over blocks of COLUMN_BLOCK time columns:
+each block is evolved by ``evolve_batch`` and reduced at once on its real
+view R (re/im interleaved), each row a weighted contraction, so no D x T
+Psi, no complex temporary and no P psi is formed; the only D-row arrays
+are one column block of Psi and one of R squared. P acts on the truncated
+ladder as (P psi)_n = i (sqrt(n) psi_{n-1} - sqrt(n+1) psi_{n+1}) / sqrt(2), so
 |P psi|^2 = sum_j w_j |psi_j|^2 / 2 - cross exactly, with w_j = 2j + 1
 (w_{D-1} = D - 1, the truncated edge) and one same-parity cross term;
 the diagonal part, <n> and the tail are one 3 x D weight matrix times the
@@ -58,6 +62,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 from scipy.linalg import eig_banded
@@ -70,9 +75,9 @@ from .fock import Banded, FockDim
 # reference rather than showing intended finite-size physics.
 TAIL_GUARD_TOL = 1e-6
 
-# Observables reduce Psi in blocks of this many time columns, so no other
-# D x T temporary is formed; each column's sum is unchanged by the split.
-# 128 and 256 measured slower.
+# Observables evolve and reduce Psi this many time columns at a time, so a
+# miss holds one D x COLUMN_BLOCK block of Psi, one window's phases of that
+# width and the block's squares, whatever T is. 128 and 256 measured slower.
 COLUMN_BLOCK = 64
 
 
@@ -95,6 +100,18 @@ class TimeSeries:
         object.__setattr__(self, "values", v)
 
 
+class _Slot(NamedTuple):
+    """A propagator's last state: a private copy of psi0 with each block's
+    (lo, hi, c[lo:hi]), and the observable rows of the last grid evolved
+    from it with a private copy of that grid (None until ``_rows`` fills
+    them)."""
+
+    psi0: np.ndarray
+    coefficients: tuple
+    times: np.ndarray | None = None
+    rows: np.ndarray | None = None
+
+
 @dataclass(frozen=True)
 class Propagator:
     """Block spectral decomposition H = sum_b V_b diag(L_b) V_b^dag enabling
@@ -103,13 +120,13 @@ class Propagator:
     ``blocks`` holds one ``(indices, eigenvalues, eigenvectors)`` triple per
     invariant block: ``indices`` is the slice of photon numbers the block
     spans, its eigenvalues ascend, and its eigenvectors are the columns of
-    a block-sized matrix. ``_last_rows`` is the slot ``_rows`` fills.
+    a block-sized matrix. ``_last_rows`` is the slot of the last state,
+    which ``_coefficients`` fills and ``_rows`` completes.
     """
 
     dim: FockDim
     blocks: tuple[tuple[slice, np.ndarray, np.ndarray], ...] = field(repr=False)
-    _last_rows: tuple[np.ndarray, np.ndarray, np.ndarray] | None = field(
-        default=None, init=False, compare=False, repr=False)
+    _last_rows: _Slot | None = field(default=None, init=False, compare=False, repr=False)
 
     @cached_property
     def _full(self) -> tuple[np.ndarray, np.ndarray]:
@@ -167,21 +184,36 @@ def _window(c: np.ndarray, tol2: float) -> tuple[int, int]:
     return lo, max(lo, hi)
 
 
+def _coefficients(prop: Propagator, psi0: np.ndarray) -> tuple:
+    """Per block, (lo, hi, c[lo:hi]) for c = V_b^T psi0[indices_b] and
+    [lo, hi) its ``_window``. Kept in ``prop._last_rows`` with a private
+    copy of psi0, which replaces the slot, and returned again for an equal
+    psi0."""
+    last = prop._last_rows
+    if last is not None and np.array_equal(last.psi0, psi0):
+        return last.coefficients
+    _check_dim(prop, psi0)
+    psi0 = np.array(psi0, dtype=complex)
+    # tau = eps sqrt(D); four dropped ends of tau^2 |psi0|^2 / 4 each
+    tol2 = np.finfo(float).eps ** 2 * prop.dim.dim * np.vdot(psi0, psi0).real / 4
+    kept = []
+    for idx, _, V in prop.blocks:
+        c = (V.T @ np.ascontiguousarray(psi0[idx]).view(np.float64).reshape(-1, 2)
+             ).view(np.complex128)
+        lo, hi = _window(c, tol2)
+        kept.append((lo, hi, c[lo:hi].copy()))
+    object.__setattr__(prop, "_last_rows", _Slot(psi0, tuple(kept)))
+    return prop._last_rows.coefficients
+
+
 def _product(prop: Propagator, psi0: np.ndarray, times: np.ndarray) -> np.ndarray:
     """Columns psi(t_k) of a fresh D x T array: per block b, with
-    c = V_b^T psi0[indices_b] and [lo, hi) its ``_window``,
+    (lo, hi, c[lo:hi]) from ``_coefficients``,
     V_b[:, lo:hi] (e^{-i lam t_k} c)[lo:hi], one real GEMM on the
     complex-as-real view written straight into the block's rows (exact
     zeros for an empty window)."""
     out = np.empty((prop.dim.dim, times.size), dtype=complex)
-    _check_dim(prop, psi0)
-    psi0 = np.asarray(psi0, dtype=complex)
-    # tau = eps sqrt(D); four dropped ends of tau^2 |psi0|^2 / 4 each
-    tol2 = np.finfo(float).eps ** 2 * prop.dim.dim * np.vdot(psi0, psi0).real / 4
-    for idx, lam, V in prop.blocks:
-        c = (V.T @ np.ascontiguousarray(psi0[idx]).view(np.float64).reshape(-1, 2)
-             ).view(np.complex128)
-        lo, hi = _window(c, tol2)
+    for (idx, lam, V), (lo, hi, c) in zip(prop.blocks, _coefficients(prop, psi0)):
         rows = out.view(np.float64)[idx]
         if lo == hi:
             rows[...] = 0.0
@@ -193,7 +225,7 @@ def _product(prop: Propagator, psi0: np.ndarray, times: np.ndarray) -> np.ndarra
         np.cos(X.imag, out=X.real)
         np.sin(X.imag, out=X.imag)
         np.negative(X.imag, out=X.imag)
-        X *= c[lo:hi]
+        X *= c
         np.matmul(V[:, lo:hi], X.view(np.float64), out=rows)
         del X  # before the next block's X exists, so only one is alive
     return out
@@ -211,20 +243,22 @@ def evolve_batch(prop: Propagator, psi0: np.ndarray, times: np.ndarray) -> np.nd
 
 def _rows(prop: Propagator, psi0: np.ndarray, times: np.ndarray) -> np.ndarray:
     """Rows C(t), <n>(t) and the tail population above n = D - ceil(D/10)
-    of ``evolve_batch(prop, psi0, times)``, kept on ``prop`` with private
-    copies of the grid and psi0 and returned again for an equal grid and an
-    equal psi0. Psi is freed on return.
+    of psi(t) = ``evolve_batch(prop, psi0, times)``, kept in
+    ``prop._last_rows`` with a private copy of the grid and returned again
+    for an equal grid and an equal psi0.
 
-    One loop over column blocks of Psi's real view R: the squares of R
+    One loop over blocks of COLUMN_BLOCK columns, each evolved by
+    ``evolve_batch`` and reduced on its real view R: the squares of R
     times the weight rows w/2, n and the tail indicator, then
     cross = sum_{m=1}^{D-2} sqrt(m (m+1)) Re(conj(psi_{m-1}) psi_{m+1}) and
     <P> = sqrt(2) sum_{j=0}^{D-2} sqrt(j+1) Im(conj(psi_j) psi_{j+1}), each
     summed over the re/im pairs R interleaves."""
     last = prop._last_rows
-    if last is not None and np.array_equal(last[0], times) and np.array_equal(last[1], psi0):
-        return last[2]
-    Psi = evolve_batch(prop, psi0, times)
-    R = Psi.view(np.float64)
+    if last is not None and np.array_equal(last.times, times) and np.array_equal(last.psi0, psi0):
+        return last.rows
+    # check psi0 and fill the slot before the loop, so every column block,
+    # and an empty grid, finds its coefficients
+    _coefficients(prop, psi0)
     D = prop.dim.dim
     n = np.arange(D, dtype=float)
     # w/2, n and the tail indicator, applied to |psi_j|^2 by one product
@@ -238,7 +272,7 @@ def _rows(prop: Propagator, psi0: np.ndarray, times: np.ndarray) -> np.ndarray:
     rows = np.empty((3, times.size))
     for j in range(0, times.size, COLUMN_BLOCK):
         cols = slice(j, j + COLUMN_BLOCK)
-        R_b = R[:, 2 * j:2 * (j + COLUMN_BLOCK)]
+        R_b = evolve_batch(prop, psi0, times[cols]).view(np.float64)
         re, im = R_b[:, 0::2], R_b[:, 1::2]
         diag = (weights @ (R_b * R_b)).reshape(3, -1, 2).sum(axis=2)
         cross = np.einsum("i,ij,ij->j", s_cross, R_b[:-2], R_b[2:]).reshape(-1, 2).sum(axis=1)
@@ -246,7 +280,8 @@ def _rows(prop: Propagator, psi0: np.ndarray, times: np.ndarray) -> np.ndarray:
                                 - np.einsum("i,ij,ij->j", s_p, im[:-1], re[1:]))
         rows[0, cols] = diag[0] - cross - exp_p**2
         rows[1:, cols] = diag[1:]
-    object.__setattr__(prop, "_last_rows", (times.copy(), np.array(psi0), rows))
+        del R_b, re, im  # before the next block is evolved
+    object.__setattr__(prop, "_last_rows", prop._last_rows._replace(times=times.copy(), rows=rows))
     return rows
 
 

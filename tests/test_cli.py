@@ -173,6 +173,18 @@ def test_config_validation_errors():
             small_cfg(n_p=(bad,))
         with pytest.raises(ConfigError, match="n_samples must be an integer >= 2"):
             small_cfg(n_samples=bad)
+    # past the caps on samples and on Husimi grid points; the caps themselves are allowed
+    with pytest.raises(ConfigError, match=r"n_samples = 1000000000 is past the cap of 100000"):
+        small_cfg(n_samples=10**9)
+    with pytest.raises(ConfigError, match="n_samples = 100001 is past the cap"):
+        small_cfg(n_samples=10**5 + 1)
+    assert small_cfg(n_samples=10**5).n_samples == 10**5
+    for n_q, n_p in ((100000, 100000), (1001, 1000), (2, 500001)):
+        with pytest.raises(ConfigError, match=rf"husimi grid n_q x n_p = {n_q} x {n_p} is "
+                                              r"past the cap of 1000000 points"):
+            small_cfg(husimi=HusimiSpec(PhaseGrid(-6.0, 6.0, -6.0, 6.0, n_q, n_p), (0.0,)))
+    for n_q, n_p in ((1000, 1000), (2, 500000)):
+        small_cfg(husimi=HusimiSpec(PhaseGrid(-6.0, 6.0, -6.0, 6.0, n_q, n_p), (0.0,)))
     for n_q, n_p in ((21.5, 21), (21, 21.0)):  # PhaseGrid rejects str and bool itself
         with pytest.raises(ConfigError, match="husimi n_q and n_p must be integers"):
             small_cfg(husimi=HusimiSpec(PhaseGrid(-6.0, 6.0, -6.0, 6.0, n_q, n_p),
@@ -543,6 +555,25 @@ def test_data_file_that_is_a_directory_is_a_config_error(tmp_path, capsys, name)
     assert main(["portrait", "--config", cfg, "--out", str(out)]) == 1
     err = capsys.readouterr().err
     assert err.startswith(f"config error: cannot write {out / name}: "), err
+
+
+@pytest.mark.parametrize("name, command, key, value, message", [
+    ("fig7_otoc.json", "otoc", "n_samples", 10**9, "n_samples = 1000000000 is past the cap"),
+    ("fig8.json", "husimi", "n_q", 100000, "husimi grid n_q x n_p = 100000 x 100000 is past"),
+])
+def test_configs_past_the_caps_exit_1(tmp_path, capsys, name, command, key, value, message):
+    # each once asked numpy for gigabytes and ended in a traceback
+    d = json.loads(resources.files("otoclab.figconfigs").joinpath(name).read_text())
+    if key == "n_q":
+        d["husimi"].update(n_q=value, n_p=value)
+    else:
+        d[key] = value
+    path = tmp_path / name
+    path.write_text(json.dumps(d), encoding="utf-8")
+    assert main([command, "--config", str(path), "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {message}"), err
+    assert not (tmp_path / "o").exists()
 
 
 def test_otoc_np1_exits_with_analysis_code(tmp_path, capsys):

@@ -423,7 +423,12 @@ def test_evolution_and_observables_equal_reference(
                            _state_bound(prop, psi0))
     _assert_series_within_bound(prop, psi0, times, label, tail_guard)
     # reduced from the same evolved state, the observables differ from the
-    # references' by rounding alone
+    # references' by rounding alone. The rows evolve the grid in column
+    # blocks, and a GEMM over a block can round a column differently from
+    # one over the whole grid, so the same state is the blocks' state.
+    k = evolution.COLUMN_BLOCK
+    Psi = np.concatenate([evolve_batch(prop, psi0, times[j:j + k])
+                          for j in range(0, times.size, k)], axis=1)
     d_c, d_n = _rounding_bounds(Psi)
     assert np.all(np.abs(variance_otoc(prop, psi0, times).values - _variance_of(Psi)) <= d_c)
     _assert_outcome_within(_outcome(photon_series, prop, psi0, times, label, tail_guard),
@@ -562,7 +567,8 @@ def test_nan_state_evolves_to_nan_not_zeros(iho_prop):
 
 
 # ---------------------------------------------------------------------------
-# The rows each propagator keeps of its last (state, grid)
+# The slot each propagator keeps of its last state: the window coefficients,
+# and the rows of the last grid evolved from it
 
 @pytest.fixture
 def no_rows():
@@ -574,16 +580,39 @@ def no_rows():
 
 @pytest.fixture
 def evolutions(monkeypatch, no_rows):
-    """The propagators evolve_batch is called with, in call order."""
+    """The (propagator, grid) of each evolve_batch call, in call order."""
     calls = []
     real = evolution.evolve_batch
 
     def counted(prop, psi0, times):
-        calls.append(prop)
+        calls.append((prop, np.array(times, dtype=float)))
         return real(prop, psi0, times)
 
     monkeypatch.setattr(evolution, "evolve_batch", counted)
     return calls
+
+
+def _assert_evolved(calls, evolved):
+    """calls are exactly those of the (propagator, grid) pairs in evolved, in
+    order: each grid's columns once, in order, in COLUMN_BLOCK slices."""
+    k = evolution.COLUMN_BLOCK
+    want = [(prop, times[j:j + k]) for prop, times in evolved for j in range(0, times.size, k)]
+    assert [prop for prop, _ in calls] == [prop for prop, _ in want]
+    for (_, grid), (_, want_grid) in zip(calls, want):
+        assert np.array_equal(grid, want_grid)
+
+
+@pytest.mark.parametrize("n_samples", [1, 64, 65, 601])
+def test_a_miss_evolves_each_column_once_in_column_blocks(n_samples, iho_prop, evolutions):
+    prop = iho_prop(120)
+    psi0 = coherent_state(FockDim(120), CoherentParams(1.5, -0.5))
+    times = np.linspace(0.0, 1.2, n_samples)  # inside the tail guard
+    _assert_series_within_bound(prop, psi0, times)
+    _assert_evolved(evolutions, [(prop, times)])
+    # a hit evolves none
+    photon_series(prop, psi0, times, tail_guard=True)
+    variance_otoc(prop, psi0, times)
+    _assert_evolved(evolutions, [(prop, times)])
 
 
 def test_evolved_state_ignores_in_place_mutation_of_times(iho_prop, evolutions):
@@ -624,10 +653,10 @@ def test_variance_then_photon_evolve_once(system, iho_prop, hiho_prop, evolution
     psi0 = coherent_state(FockDim(300), CoherentParams(2.0, -1.0))
     times = np.linspace(0.0, 3.0, 601)
     _assert_series_within_bound(prop, psi0, times)
-    assert evolutions == [prop]
+    _assert_evolved(evolutions, [(prop, times)])
     # an equal grid and an equal state in other arrays still hit
     _assert_series_within_bound(prop, psi0.copy(), times.copy())
-    assert evolutions == [prop]
+    _assert_evolved(evolutions, [(prop, times)])
 
 
 def test_each_propagator_keeps_its_own_rows(iho_prop, hiho_prop, evolutions):
@@ -637,7 +666,7 @@ def test_each_propagator_keeps_its_own_rows(iho_prop, hiho_prop, evolutions):
     times = np.linspace(0.0, 2.0, 201)
     for prop in (a, b, a):
         _assert_series_within_bound(prop, psi0, times)
-    assert evolutions == [a, b]
+    _assert_evolved(evolutions, [(a, times), (b, times)])
 
 
 @pytest.mark.parametrize("system", ["iho", "hiho"])
@@ -647,35 +676,101 @@ def test_evolved_state_misses(system, iho_prop, hiho_prop, evolutions):
     psi0 = coherent_state(d, CoherentParams(1.5, -0.5))
     times = np.linspace(0.0, 2.0, 201)
     _assert_series_within_bound(prop, psi0, times)
-    assert len(evolutions) == 1
+    evolved = [(prop, times.copy())]
+    _assert_evolved(evolutions, evolved)
     # another state
     _assert_series_within_bound(prop, coherent_state(d, CoherentParams(1.0, 0.5)), times)
-    assert len(evolutions) == 2
+    evolved.append((prop, times.copy()))
+    _assert_evolved(evolutions, evolved)
     # the same state array, changed in place after it was kept
     _assert_series_within_bound(prop, psi0, times)
     psi0 *= np.exp(0.3j)
     _assert_series_within_bound(prop, psi0, times)
-    assert len(evolutions) == 4
+    evolved += [(prop, times.copy())] * 2
+    _assert_evolved(evolutions, evolved)
     # another propagator of the same dimension
     _assert_series_within_bound(other, psi0, times)
-    assert evolutions[-1] is other and len(evolutions) == 5
+    evolved.append((other, times.copy()))
+    _assert_evolved(evolutions, evolved)
     # a changed grid, also when the kept grid's array is changed in place
     times += 0.25
     _assert_series_within_bound(other, psi0, times)
     _assert_series_within_bound(other, psi0, times[:-1])
-    assert len(evolutions) == 7
+    evolved += [(other, times.copy()), (other, times[:-1].copy())]
+    _assert_evolved(evolutions, evolved)
+
+
+@pytest.fixture
+def windows(monkeypatch):
+    """A count of the blocks whose window coefficients are computed."""
+    count = [0]
+    real = evolution._window
+
+    def counted(c, tol2):
+        count[0] += 1
+        return real(c, tol2)
+
+    monkeypatch.setattr(evolution, "_window", counted)
+    return count
+
+
+def _cold(fn, prop, *args):
+    """fn on prop with its slot emptied first."""
+    object.__setattr__(prop, "_last_rows", None)
+    return fn(prop, *args)
+
+
+@pytest.mark.parametrize("system", ["iho", "hiho"])
+def test_kept_coefficients_give_the_cold_result_bit_for_bit(
+        system, iho_prop, hiho_prop, no_rows, windows):
+    prop, other = (iho_prop(300), hiho_prop(300))[::1 if system == "iho" else -1]
+    psi0 = coherent_state(FockDim(300), CoherentParams(2.0, -1.0))
+    times = np.linspace(0.0, 3.0, 101)
+    blocks = len(prop.blocks)
+    batch, one = _cold(evolve_batch, prop, psi0, times), _cold(evolve, prop, psi0, 1.3)
+    assert windows[0] == 2 * blocks
+    # hits, on the same array and on an equal one, also once the rows are kept
+    for state in (psi0, psi0.copy(), psi0, psi0.copy()):
+        assert np.array_equal(evolve_batch(prop, state, times), batch)
+        assert np.array_equal(evolve(prop, state, 1.3), one)
+        variance_otoc(prop, state, times)
+    assert windows[0] == 2 * blocks
+    assert prop._last_rows.rows is not None
+    # the same array, changed in place after it was kept, misses
+    kept = prop._last_rows
+    psi0 *= np.exp(0.3j)
+    got = evolve_batch(prop, psi0, times)
+    assert windows[0] == 3 * blocks and prop._last_rows is not kept
+    assert prop._last_rows.rows is None  # the rows of the old state went with it
+    assert not np.array_equal(got, batch)
+    assert np.array_equal(evolve(prop, psi0, 1.3), _cold(evolve, prop, psi0, 1.3))
+    assert np.array_equal(got, _cold(evolve_batch, prop, psi0, times))
+    assert windows[0] == 5 * blocks
+    # another propagator of the same dimension misses, and keeps its own slot
+    kept = prop._last_rows
+    got = evolve_batch(other, psi0, times)
+    assert windows[0] == 5 * blocks + len(other.blocks)
+    assert prop._last_rows is kept and other._last_rows is not kept
+    assert np.array_equal(got, _cold(evolve_batch, other, psi0, times))
+    _assert_columns_within(got, _reference_evolve_batch(other, psi0, times),
+                           _state_bound(other, psi0))
 
 
 def test_evolved_state_freed_with_its_propagator():
-    # nothing but the propagator refers to its rows, so they go with it
+    # nothing but the propagator refers to its slot, so it goes with it:
+    # the rows, the copy of psi0 and every block's window coefficients
     d = FockDim(60)
     prop = diagonalize(build_iho(d))
     psi0 = coherent_state(d, CoherentParams(1.0, 1.0))
     variance_otoc(prop, psi0, np.linspace(0.0, 1.0, 11))
-    rows = weakref.ref(prop._last_rows[2])
-    assert rows() is not None
+    slot = prop._last_rows
+    refs = [weakref.ref(a) for a in (slot.psi0, slot.times, slot.rows,
+                                     *(c for _, _, c in slot.coefficients))]
+    assert len(refs) == 3 + len(prop.blocks)
+    del slot
+    assert all(r() is not None for r in refs)
     del prop
-    assert rows() is None
+    assert all(r() is None for r in refs)
 
 
 def test_guard_on_the_evolved_state_names_the_same_time(iho_prop, evolutions):
@@ -687,16 +782,18 @@ def test_guard_on_the_evolved_state_names_the_same_time(iho_prop, evolutions):
     assert _outcome(photon_series, prop, psi0, times, "g", tail_guard=True) == want
     variance_otoc(prop, psi0, times)
     assert _outcome(photon_series, prop, psi0, times, "g", tail_guard=True) == want
-    assert len(evolutions) == 1
+    _assert_evolved(evolutions, [(prop, times)])
     # the guard raised from rows a variance_otoc call kept
     object.__setattr__(prop, "_last_rows", None)
     variance_otoc(prop, psi0, times)
     assert _outcome(photon_series, prop, psi0, times, "g", tail_guard=True) == want
-    assert len(evolutions) == 2
+    _assert_evolved(evolutions, [(prop, times)] * 2)
 
 
 def test_observables_return_fresh_arrays_and_evolve_batch_is_uncached(
         iho_prop, evolutions):
+    # evolve_batch reuses only the kept coefficients: every call evolves and
+    # returns a new array
     prop = iho_prop(120)
     psi0 = coherent_state(FockDim(120), CoherentParams(1.0, 1.0))
     times = np.linspace(0.0, 1.0, 11)
@@ -705,10 +802,10 @@ def test_observables_return_fresh_arrays_and_evolve_batch_is_uncached(
         want = first.copy()
         first[:] = 0.0  # a caller's edit does not reach the kept rows
         assert np.array_equal(fn(prop, psi0, times).values, want)
-    assert evolutions == [prop]
+    _assert_evolved(evolutions, [(prop, times)])
     Psi = evolution.evolve_batch(prop, psi0, times)
     assert evolution.evolve_batch(prop, psi0, times) is not Psi
-    assert evolutions == [prop, prop, prop]
+    _assert_evolved(evolutions, [(prop, times)] * 3)
 
 
 def test_evolve_leaves_the_evolved_state(iho_prop, hiho_prop, evolutions):
@@ -721,7 +818,7 @@ def test_evolve_leaves_the_evolved_state(iho_prop, hiho_prop, evolutions):
         evolve(p, psi0, t)
         assert prop._last_rows is slot
     photon_series(prop, psi0, times)
-    assert evolutions == [prop]
+    _assert_evolved(evolutions, [(prop, times)])
 
 
 # ---------------------------------------------------------------------------
@@ -772,20 +869,19 @@ def test_warm_evolve_batch_peak_is_out_and_one_block(memory_case):
 
 
 @pytest.mark.parametrize("fn", [variance_otoc, photon_series])
-def test_observables_peak_is_psi_and_column_blocks(memory_case, monkeypatch, fn):
-    # Psi comes from evolve_batch (bounded above); on top of it the
-    # contractions hold at most three column blocks at once
+def test_observables_peak_is_two_column_blocks(memory_case, fn):
+    # a cold call evolves and reduces one column block at a time: at most a
+    # block of Psi and its squares are alive, never a D x T Psi
     prop, psi0, times, b = memory_case
-    Psi = evolve_batch(prop, psi0, times)
-    monkeypatch.setattr(evolution, "evolve_batch", lambda *a: Psi.copy())
     for kw in [{}, {"tail_guard": True}] if fn is photon_series else [{}]:
         object.__setattr__(prop, "_last_rows", None)
         peak = _peak_bytes(lambda: fn(prop, psi0, times, **kw))
-        assert peak <= b["psi"] + 3 * b["columns"]
+        assert peak <= 2 * b["columns"] + _SLACK < b["psi"] / 3
 
 
 def test_no_dxt_array_outlives_the_observables(memory_case):
-    # a call leaves behind only the kept rows and its copies of the grid and psi0
+    # a call leaves behind only the kept rows, its copies of the grid and
+    # psi0 and the window coefficients
     prop, psi0, times, b = memory_case
     for fn in (variance_otoc, photon_series):
         object.__setattr__(prop, "_last_rows", None)
@@ -795,7 +891,7 @@ def test_no_dxt_array_outlives_the_observables(memory_case):
             held = tracemalloc.get_traced_memory()[0]
         finally:
             tracemalloc.stop()
-        assert prop._last_rows[2].nbytes == b["rows"]
+        assert prop._last_rows.rows.nbytes == b["rows"]
         assert held <= b["rows"] + _SLACK < b["psi"]
 
 
@@ -809,9 +905,9 @@ def test_evolved_state_hit_forms_no_dxt_array(memory_case):
 
 @pytest.mark.parametrize("change", ["state", "grid"])
 def test_evolved_state_miss_drops_the_old_state_first(memory_case, change):
-    # after a call only the rows are held; a miss above that level needs
-    # the new Psi, one window's X while evolving and the column blocks
-    # while reducing
+    # after a call only the slot is held; a miss above that level needs one
+    # column block of Psi and, first, one window's X or, then, the block's
+    # squares
     prop, psi0, times, b = memory_case
     other = coherent_state(FockDim(600), CoherentParams(1.0, 1.0))
     tracemalloc.start()
@@ -825,4 +921,4 @@ def test_evolved_state_miss_drops_the_old_state_first(memory_case, change):
     finally:
         tracemalloc.stop()
     assert base <= b["rows"] + _SLACK
-    assert peak <= b["psi"] + b["window"] + 3 * b["columns"] + _SLACK
+    assert peak <= 2 * b["columns"] + _SLACK
