@@ -40,6 +40,16 @@ MAX_STEPS = 10**6
 # O(n_samples^2) windows an auto fit scores (2.5 s at 8000 samples)
 MAX_SAMPLES = 10**5
 
+# the largest truncation n_p a command may diagonalize, the photon command's
+# reference included: the two parity blocks' eigenvectors take 4 D^2 bytes,
+# 256 MB at D = 8001
+MAX_N_P = 8000
+
+# the most Husimi snapshot times a config may ask for: the husimi command
+# evolves a point's snapshots in one batch of 16 D S bytes (12.8 MB at
+# D = 8001) and writes one grid file per snapshot
+MAX_SNAPSHOTS = 100
+
 # the most points a Husimi grid may hold: ``husimi_q`` keeps every point's
 # complex alpha and Q, and ``count_local_maxima`` a few grid-sized arrays,
 # about 50 bytes a point in all
@@ -124,6 +134,8 @@ class ExperimentConfig:
         if not (isinstance(self.n_p, tuple) and self.n_p
                 and all(_is_int(k) and k >= 1 for k in self.n_p)):
             raise ConfigError(f"n_p must be a non-empty list of integers >= 1, got {self.n_p!r}")
+        if max(self.n_p) > MAX_N_P:
+            raise ConfigError(f"n_p = {max(self.n_p)} is past the cap of {MAX_N_P}")
         if not (isinstance(self.points, tuple) and self.points):
             raise ConfigError("at least one initial point is required")
         for pt in self.points:
@@ -169,6 +181,9 @@ class ExperimentConfig:
             if not (isinstance(times, tuple) and all(_is_finite(t) for t in times)):
                 raise ConfigError(f"husimi snapshot times must be finite numbers, "
                                   f"got {times!r}")
+            if len(times) > MAX_SNAPSHOTS:
+                raise ConfigError(f"husimi asks for {len(times)} snapshot times, past "
+                                  f"the cap of {MAX_SNAPSHOTS}")
         fit = self.fit
         if fit is not None and fit.auto:
             if not (_is_number(fit.min_span) and fit.min_span > 0):

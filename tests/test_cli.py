@@ -1,9 +1,11 @@
+import gc
 import json
 import math
 import os
 import re
 import subprocess
 import sys
+import weakref
 from importlib import resources
 from pathlib import Path
 
@@ -185,6 +187,15 @@ def test_config_validation_errors():
             small_cfg(husimi=HusimiSpec(PhaseGrid(-6.0, 6.0, -6.0, 6.0, n_q, n_p), (0.0,)))
     for n_q, n_p in ((1000, 1000), (2, 500000)):
         small_cfg(husimi=HusimiSpec(PhaseGrid(-6.0, 6.0, -6.0, 6.0, n_q, n_p), (0.0,)))
+    # past the caps on truncations and on Husimi snapshots; the caps themselves are allowed
+    for n_p in ((10**6,), (40, 8001)):
+        with pytest.raises(ConfigError, match=rf"n_p = {max(n_p)} is past the cap of 8000"):
+            small_cfg(n_p=n_p)
+    assert small_cfg(n_p=(8000,)).n_p == (8000,)
+    with pytest.raises(ConfigError, match="husimi asks for 101 snapshot times, past the cap "
+                                          "of 100"):
+        small_cfg(husimi=HusimiSpec(grid, (0.0,) * 101))
+    small_cfg(husimi=HusimiSpec(grid, (0.0,) * 100))
     for n_q, n_p in ((21.5, 21), (21, 21.0)):  # PhaseGrid rejects str and bool itself
         with pytest.raises(ConfigError, match="husimi n_q and n_p must be integers"):
             small_cfg(husimi=HusimiSpec(PhaseGrid(-6.0, 6.0, -6.0, 6.0, n_q, n_p),
@@ -300,7 +311,7 @@ def test_husimi_snapshots_equal_evolve_bit_for_bit(tmp_path, monkeypatch):
 
     monkeypatch.setattr(cli, "husimi_q", recorded)
     snapshots = cli.cmd_husimi(cfg, str(tmp_path))["summary"]["snapshots"]
-    prop = cli._propagator(cfg, 40)
+    prop = cli._propagators(cfg, 40)[40]
     want = [evolve(prop, cli._initial_state(40, pt), t)
             for pt in cfg.points for t in cfg.husimi.snapshot_times]
     assert len(seen) == len(snapshots) == len(want)
@@ -560,20 +571,32 @@ def test_data_file_that_is_a_directory_is_a_config_error(tmp_path, capsys, name)
 @pytest.mark.parametrize("name, command, key, value, message", [
     ("fig7_otoc.json", "otoc", "n_samples", 10**9, "n_samples = 1000000000 is past the cap"),
     ("fig8.json", "husimi", "n_q", 100000, "husimi grid n_q x n_p = 100000 x 100000 is past"),
+    pytest.param("fig7_otoc.json", "otoc", "n_p", [10**6],
+                 "n_p = 1000000 is past the cap of 8000", id="n_p"),
+    pytest.param("fig8.json", "husimi", "snapshot_times", [i / 10**6 for i in range(10**6)],
+                 "husimi asks for 1000000 snapshot times, past the cap of 100", id="snapshots"),
+    pytest.param("fig7_photon.json", "photon", "n_p", [150, 2001],
+                 "the photon reference n_p = 4 x 2001 = 8004 is past the cap of 8000",
+                 id="photon_reference"),
 ])
 def test_configs_past_the_caps_exit_1(tmp_path, capsys, name, command, key, value, message):
     # each once asked numpy for gigabytes and ended in a traceback
     d = json.loads(resources.files("otoclab.figconfigs").joinpath(name).read_text())
     if key == "n_q":
         d["husimi"].update(n_q=value, n_p=value)
+    elif key == "snapshot_times":
+        d["husimi"][key] = value
     else:
         d[key] = value
     path = tmp_path / name
     path.write_text(json.dumps(d), encoding="utf-8")
-    assert main([command, "--config", str(path), "--out", str(tmp_path / "o")]) == 1
+    out = tmp_path / "o"
+    assert main([command, "--config", str(path), "--out", str(out)]) == 1
     err = capsys.readouterr().err
     assert err.startswith(f"config error: {message}"), err
-    assert not (tmp_path / "o").exists()
+    # photon checks its reference when it runs, after main made the output
+    # directory; nothing is written into it
+    assert (list(out.iterdir()) == []) if command == "photon" else (not out.exists())
 
 
 def test_otoc_np1_exits_with_analysis_code(tmp_path, capsys):
@@ -681,6 +704,50 @@ def test_reproduce_all_single_figure(tmp_path):
     assert main(["reproduce-all", "--out", out, "--only", "fig1"]) == 0
     report = json.loads(open(os.path.join(out, "report.json")).read())
     assert report["figures"]["fig1"]["status"] == "ok"
+
+
+@pytest.fixture
+def diagonalized(monkeypatch):
+    """Every propagator the CLI builds, as (dimension, weakref), in order."""
+    built = []
+    diagonalize = cli.diagonalize
+
+    def recorded(H):
+        prop = diagonalize(H)
+        built.append((H.shape[0], weakref.ref(prop)))
+        return prop
+
+    monkeypatch.setattr(cli, "diagonalize", recorded)
+    return built
+
+
+@pytest.mark.parametrize("command, cfg", [
+    ("otoc", small_cfg(n_p=(40, 30))),
+    ("photon", small_cfg(n_p=(40, 30))),
+    ("husimi", small_cfg(husimi=HusimiSpec(PhaseGrid(-6.0, 6.0, -6.0, 6.0, 21, 21),
+                                           (0.0, 0.5)))),
+])
+def test_a_command_frees_its_propagators_when_it_returns(tmp_path, diagonalized,
+                                                         command, cfg):
+    path = write_cfg(tmp_path, cfg)
+    assert main([command, "--config", path, "--out", str(tmp_path / "o")]) == 0
+    assert diagonalized
+    gc.collect()
+    assert [dim for dim, ref in diagonalized if ref() is not None] == []
+
+
+def test_a_command_diagonalizes_each_truncation_once(tmp_path, diagonalized):
+    # fig2b runs six points at n_p = 300 against its 4x reference; a second
+    # run builds both again, because no propagator outlives a command
+    for run in ("a", "b"):
+        assert main(["reproduce-all", "--out", str(tmp_path / run), "--only", "fig2b"]) == 0
+        assert sorted(dim for dim, _ in diagonalized) == [301, 1201]
+        diagonalized.clear()
+    cfg = small_cfg(n_p=(40, 40),
+                    points=(LabeledPoint("A", 2.0, -2.0), LabeledPoint("B", 1.0, 1.0)))
+    assert main(["photon", "--config", write_cfg(tmp_path, cfg),
+                 "--out", str(tmp_path / "photon")]) == 0
+    assert sorted(dim for dim, _ in diagonalized) == [41, 161]
 
 
 def test_figure_table_matches_bundled_configs():
