@@ -5,6 +5,12 @@ Subcommands: portrait, photon, otoc, husimi, reproduce-all. Exit codes:
 could not be extracted or (in reproduce-all) missed its target. An error's
 code and stderr prefix come from its category in ``errors``.
 
+Each command makes its own checks, then opens its ``output.Manifest``, which
+makes the output directory and reads and checks a manifest already there,
+and only then computes: ``main`` makes no directory, so a config error
+leaves nothing on disk. ``reproduce-all`` makes its tree with
+``output.make_dir`` once its ``--only`` is checked.
+
 Each command diagonalizes the distinct truncations it needs once, up front,
 into a dict of its own, and frees them when it returns: figures in one
 ``reproduce-all`` do not share propagators. That repeats 8 of its 19
@@ -54,7 +60,7 @@ from .husimi import (
     husimi_q,
     husimi_second_moments,
 )
-from .output import Manifest, write_csv, write_grid, write_gnuplot, write_json
+from .output import Manifest, make_dir, write_csv, write_grid, write_gnuplot, write_json
 
 ENV_OUT = "OTOCLAB_OUT"
 ORACLE_MAX_DIM = 80
@@ -78,6 +84,12 @@ def _time_grid(cfg: ExperimentConfig) -> np.ndarray:
     return np.linspace(0.0, cfg.t_end, cfg.n_samples)
 
 
+def _quoted(text: str) -> str:
+    """``text`` as a gnuplot single-quoted string, inside which '' stands
+    for one '."""
+    return "'" + text.replace("'", "''") + "'"
+
+
 def cmd_portrait(cfg: ExperimentConfig, out_dir: str) -> dict:
     """One CSV trajectory (t, q, p) per seed, forward and backward in time."""
     manifest = Manifest(out_dir, config_hash(cfg))
@@ -93,7 +105,7 @@ def cmd_portrait(cfg: ExperimentConfig, out_dir: str) -> dict:
         'set datafile separator ","',
         "set xlabel 'q'", "set ylabel 'p'",
         "plot " + ", ".join(
-            f"'{f}' skip 1 using 2:3 with lines title '{p.label}'"
+            f"{_quoted(f)} skip 1 using 2:3 with lines title {_quoted(p.label)}"
             for f, p in zip(files, cfg.points)
         ),
     ]
@@ -107,7 +119,8 @@ def _series_script(runs: list[dict], ylabel: str, *setup: str) -> list[str]:
         'set datafile separator ","', *setup,
         "set xlabel 't'", f"set ylabel '{ylabel}'",
         "plot " + ", ".join(
-            f"'{r['file']}' skip 1 using 1:2 with lines title '{r['point']} np={r['n_p']}'"
+            f"{_quoted(r['file'])} skip 1 using 1:2 with lines title "
+            + _quoted(f"{r['point']} np={r['n_p']}")
             for r in runs
         ),
     ]
@@ -116,12 +129,12 @@ def _series_script(runs: list[dict], ylabel: str, *setup: str) -> list[str]:
 def cmd_photon(cfg: ExperimentConfig, out_dir: str) -> dict:
     """Mean-photon series per (point, n_p), a 4x-truncation reference per
     point (tail-guarded), and detected correspondence times t_p."""
-    manifest = Manifest(out_dir, config_hash(cfg))
-    times = _time_grid(cfg)
     ref_np = REFERENCE_FACTOR * max(cfg.n_p)
     if ref_np > MAX_N_P:
         raise ConfigError(f"the photon reference n_p = {REFERENCE_FACTOR} x {max(cfg.n_p)} "
                           f"= {ref_np} is past the cap of {MAX_N_P}")
+    manifest = Manifest(out_dir, config_hash(cfg))
+    times = _time_grid(cfg)
     props = _propagators(cfg, ref_np, *cfg.n_p)
     runs = []
     for pt in cfg.points:
@@ -281,9 +294,9 @@ def cmd_husimi(cfg: ExperimentConfig, out_dir: str) -> dict:
                     ) from None
             snapshots.append(entry)
             gp.append(
-                f"splot '{fname}' skip 1 matrix "
+                f"splot {_quoted(fname)} skip 1 matrix "
                 f"using ({grid.q_min}+$2*dq):({grid.p_min}+$1*dp):3 with image "
-                f"title '{pt.label} t={t:g}'"
+                f"title {_quoted(f'{pt.label} t={t:g}')}"
             )
             gp.append("pause -1")
     summary = {"n_p": k, "snapshots": snapshots}
@@ -465,14 +478,15 @@ def cmd_reproduce_all(out_dir: str, only: str | None = None) -> int:
     if only is not None and only not in FIGURES:
         raise ConfigError(f"unknown figure {only!r}; choose from {list(FIGURES)}")
     wanted = FIGURES if only is None else [only]
+    make_dir(out_dir)
+    for name in wanted:
+        make_dir(os.path.join(out_dir, name))
     checks = _checks_classical() if only is None else []
     report = {"figures": {}, "checks": checks}
     for name in wanted:
         pipeline, figure_checks = FIGURES[name]
-        fig_dir = os.path.join(out_dir, name)
-        _make_out_dir(fig_dir)
         try:
-            res = pipeline(_load_bundled(name), fig_dir)
+            res = pipeline(_load_bundled(name), os.path.join(out_dir, name))
         except OtocLabError as exc:
             report["figures"][name] = {"status": "error", "error": str(exc)}
             continue
@@ -506,14 +520,6 @@ def _resolve_out(args, cfg: ExperimentConfig | None) -> str:
     if cfg is not None and cfg.output_dir:
         return cfg.output_dir
     return os.environ.get(ENV_OUT, "otoclab_out")
-
-
-def _make_out_dir(path: str) -> None:
-    try:
-        os.makedirs(path, exist_ok=True)
-    except OSError as exc:
-        raise ConfigError(f"cannot create output directory {path}: "
-                          f"{exc.strerror or exc}") from exc
 
 
 def _apply_overrides(cfg: ExperimentConfig, args) -> ExperimentConfig:
@@ -557,12 +563,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         if args.command == "reproduce-all":
-            out = _resolve_out(args, None)
-            _make_out_dir(out)
-            return cmd_reproduce_all(out, only=args.only)
+            return cmd_reproduce_all(_resolve_out(args, None), only=args.only)
         cfg = _apply_overrides(load(args.config), args)
         out = _resolve_out(args, cfg)
-        _make_out_dir(out)
         if args.command == "portrait":
             cmd_portrait(cfg, out)
         elif args.command == "photon":

@@ -26,6 +26,7 @@ from .fock import (
     iho,
 )
 from .husimi import ALPHA_MAX, PhaseGrid, max_abs_alpha
+from .output import _opened
 
 # the shortest window an auto fit searches when its config states none
 AUTO_MIN_SPAN = 0.08
@@ -291,12 +292,11 @@ def parse(text: str) -> ExperimentConfig:
 
 
 def load(path) -> ExperimentConfig:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    except (OSError, UnicodeDecodeError) as exc:
-        reason = getattr(exc, "strerror", None) or exc
-        raise ConfigError(f"cannot read {path}: {reason}") from exc
+    """The config in the file at ``path``, read through ``output``'s one
+    file-system boundary: a file that cannot be read or decoded is a
+    ConfigError naming it."""
+    with _opened(path, "r", encoding="utf-8") as fh:
+        text = fh.read()
     return parse(text)
 
 

@@ -112,7 +112,7 @@ class _Slot(NamedTuple):
     rows: np.ndarray | None = None
 
 
-@dataclass(frozen=True)
+@dataclass(eq=False)
 class Propagator:
     """Block spectral decomposition H = sum_b V_b diag(L_b) V_b^dag enabling
     exact e^{-iHt}.
@@ -121,12 +121,13 @@ class Propagator:
     invariant block: ``indices`` is the slice of photon numbers the block
     spans, its eigenvalues ascend, and its eigenvectors are the columns of
     a block-sized matrix. ``_last_rows`` is the slot of the last state,
-    which ``_coefficients`` fills and ``_rows`` completes.
+    which ``_coefficients`` fills and ``_rows`` completes. A propagator
+    equals only itself and hashes by identity.
     """
 
     dim: FockDim
     blocks: tuple[tuple[slice, np.ndarray, np.ndarray], ...] = field(repr=False)
-    _last_rows: _Slot | None = field(default=None, init=False, compare=False, repr=False)
+    _last_rows: _Slot | None = field(default=None, init=False, repr=False)
 
     @cached_property
     def _full(self) -> tuple[np.ndarray, np.ndarray]:
@@ -202,7 +203,7 @@ def _coefficients(prop: Propagator, psi0: np.ndarray) -> tuple:
              ).view(np.complex128)
         lo, hi = _window(c, tol2)
         kept.append((lo, hi, c[lo:hi].copy()))
-    object.__setattr__(prop, "_last_rows", _Slot(psi0, tuple(kept)))
+    prop._last_rows = _Slot(psi0, tuple(kept))
     return prop._last_rows.coefficients
 
 
@@ -281,7 +282,7 @@ def _rows(prop: Propagator, psi0: np.ndarray, times: np.ndarray) -> np.ndarray:
         rows[0, cols] = diag[0] - cross - exp_p**2
         rows[1:, cols] = diag[1:]
         del R_b, re, im  # before the next block is evolved
-    object.__setattr__(prop, "_last_rows", prop._last_rows._replace(times=times.copy(), rows=rows))
+    prop._last_rows = prop._last_rows._replace(times=times.copy(), rows=rows)
     return rows
 
 

@@ -7,8 +7,12 @@ manifest included: it records no times. CSV and grid values are formatted
 by one vectorised kernel (``_g17.write_rows``) whose bytes equal
 ``'%.17g' % x`` for every float64; ``fmt`` formats the grid header.
 
-A data file or manifest that cannot be read or written, and a manifest line
-that is not a record, raise ConfigError naming the path.
+This module is a command's one file-system boundary: a directory that cannot
+be created, a config, data file or manifest that cannot be read or written,
+and a manifest line that is not a record raise ConfigError naming the path.
+A command opens its ``Manifest`` after its own checks and before it
+computes, so a config error leaves nothing on disk, and a torn manifest is
+found before any data file is written.
 """
 from __future__ import annotations
 
@@ -30,6 +34,16 @@ CSV_ROW_BLOCK = 1024
 
 def fmt(x: float) -> str:
     return format(float(x), ".17g")
+
+
+def make_dir(path: str) -> None:
+    """``os.makedirs(path, exist_ok=True)``; an OSError becomes ConfigError
+    naming the directory."""
+    try:
+        os.makedirs(path, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create output directory {path}: "
+                          f"{exc.strerror or exc}") from exc
 
 
 @contextlib.contextmanager
@@ -58,11 +72,22 @@ def _recorded_file(line: str, path: str) -> str:
 
 class Manifest:
     """Single-writer JSONL manifest for one output directory, holding one
-    record per file: recording a file again replaces its older record."""
+    record per file: recording a file again replaces its older record.
+
+    Opening it creates the directory and reads and checks a manifest already
+    there, once; ``record`` rewrites the file from the records it holds."""
 
     def __init__(self, out_dir: str, config_hash: str):
+        make_dir(out_dir)
         self.path = os.path.join(out_dir, "manifest.jsonl")
         self.config_hash = config_hash
+        # (file, line) per record, in file order; a last line without its
+        # newline gets one, so no record is glued onto it
+        self._records = []
+        if os.path.exists(self.path):
+            with _opened(self.path, "r", encoding="utf-8") as fh:
+                self._records = [(_recorded_file(line, self.path), line.rstrip("\n") + "\n")
+                                 for line in fh]
 
     def record(self, file_path: str):
         entry = {
@@ -74,16 +99,11 @@ class Manifest:
                 "scipy": scipy.__version__,
             },
         }
-        lines = []
-        if os.path.exists(self.path):
-            # a last line without its newline gets one, so no record is
-            # glued onto it
-            with _opened(self.path, "r", encoding="utf-8") as fh:
-                lines = [line.rstrip("\n") + "\n" for line in fh
-                         if _recorded_file(line, self.path) != entry["file"]]
-        lines.append(json.dumps(entry, sort_keys=True) + "\n")
+        name = entry["file"]
+        self._records = [(f, line) for f, line in self._records if f != name]
+        self._records.append((name, json.dumps(entry, sort_keys=True) + "\n"))
         with _opened(self.path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.writelines(lines)
+            fh.writelines(line for _, line in self._records)
 
 
 def write_csv(path: str, header: list[str], columns: list[np.ndarray],

@@ -1,3 +1,4 @@
+import contextlib
 import gc
 import json
 import math
@@ -12,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from otoclab import cli
+from otoclab import cli, output
 from otoclab.cli import main
 from otoclab.config import (
     AUTO_MIN_SPAN,
@@ -594,9 +595,7 @@ def test_configs_past_the_caps_exit_1(tmp_path, capsys, name, command, key, valu
     assert main([command, "--config", str(path), "--out", str(out)]) == 1
     err = capsys.readouterr().err
     assert err.startswith(f"config error: {message}"), err
-    # photon checks its reference when it runs, after main made the output
-    # directory; nothing is written into it
-    assert (list(out.iterdir()) == []) if command == "photon" else (not out.exists())
+    assert not out.exists()
 
 
 def test_otoc_np1_exits_with_analysis_code(tmp_path, capsys):
@@ -685,6 +684,74 @@ def test_manifest_one_record_per_file_on_rerun(tmp_path):
     assert manifest.read_bytes() == first
 
 
+def test_torn_manifest_stops_a_command_before_it_computes(tmp_path, capsys, diagonalized):
+    # the torn line used to be found when the first data file was recorded,
+    # after every eigensolve, leaving that file behind with no record
+    out = tmp_path / "o"
+    out.mkdir()
+    torn = '{"config_hash": "ab", "file": "otoc_'
+    (out / "manifest.jsonl").write_text(torn, encoding="utf-8")
+    cfg = write_cfg(tmp_path, small_cfg())
+    assert main(["otoc", "--config", cfg, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {out / 'manifest.jsonl'} holds a line"), err
+    assert diagonalized == []
+    assert os.listdir(out) == ["manifest.jsonl"]
+    assert (out / "manifest.jsonl").read_text(encoding="utf-8") == torn
+
+
+def test_a_command_reads_its_manifest_at_most_once(tmp_path, monkeypatch):
+    # recording a file used to read the manifest back every time
+    reads = []
+    opened = output._opened
+
+    @contextlib.contextmanager
+    def counted(path, mode, **kwargs):
+        if os.path.basename(path) == "manifest.jsonl" and mode.startswith("r"):
+            reads.append(path)
+        with opened(path, mode, **kwargs) as fh:
+            yield fh
+
+    monkeypatch.setattr(output, "_opened", counted)
+    points = (LabeledPoint("A", 2.0, -2.0), LabeledPoint("B", 1.0, 1.0))
+    cfg = write_cfg(tmp_path, small_cfg(points=points))
+    out = tmp_path / "o"
+    assert main(["portrait", "--config", cfg, "--out", str(out)]) == 0
+    assert reads == []
+    first = (out / "manifest.jsonl").read_bytes()
+    assert main(["portrait", "--config", cfg, "--out", str(out)]) == 0
+    assert len(reads) == 1
+    assert (out / "manifest.jsonl").read_bytes() == first
+
+
+def _gnuplot_strings(line: str) -> tuple[list[str], str]:
+    """The single-quoted strings of a gnuplot line, unquoted ('' is one '),
+    and what is left of the line around them."""
+    quoted = re.compile(r"'((?:[^']|'')*)'")
+    return ([m.replace("''", "'") for m in quoted.findall(line)], quoted.sub("", line))
+
+
+def test_gnuplot_scripts_quote_a_label_holding_a_quote(tmp_path):
+    # a label F' used to end its single-quoted file name and title early
+    grid = HusimiSpec(PhaseGrid(-6.0, 6.0, -6.0, 6.0, 21, 21), (0.0, 0.5))
+    cfg = write_cfg(tmp_path, small_cfg(points=(LabeledPoint("F'", 2.0, -2.0),), husimi=grid))
+    for command, script in (("portrait", "portrait.gp"), ("photon", "photon.gp"),
+                            ("otoc", "otoc.gp"), ("husimi", "husimi.gp")):
+        out = tmp_path / command
+        assert main([command, "--config", cfg, "--out", str(out)]) == 0
+        text = (out / script).read_text(encoding="utf-8")
+        assert "F''" in text, command
+        curves = [line for line in text.splitlines() if line.startswith(("plot", "splot"))]
+        assert curves, command
+        for line in curves:
+            strings, rest = _gnuplot_strings(line)
+            assert "'" not in rest, line
+            files = [s for s in strings if s.endswith((".csv", ".grid"))]
+            titles = [s for s in strings if s not in files]
+            assert files and all((out / f).is_file() for f in files), line
+            assert titles and all(t.startswith("F' ") or t == "F'" for t in titles), line
+
+
 def test_env_var_output_dir(tmp_path, monkeypatch):
     cfg = write_cfg(tmp_path, small_cfg())
     env_out = tmp_path / "env_out"
@@ -697,6 +764,20 @@ def test_env_var_output_dir(tmp_path, monkeypatch):
 def test_reproduce_all_unknown_figure(tmp_path):
     assert main(["reproduce-all", "--out", str(tmp_path / "o"),
                  "--only", "fig99"]) == 1
+
+
+@pytest.mark.parametrize("case", ["husimi_without_section", "unknown_figure"])
+def test_a_config_error_leaves_no_directory(tmp_path, capsys, case):
+    # each of these checks used to run after the output directory was made,
+    # as photon's reference cap did (test_configs_past_the_caps_exit_1)
+    out = str(tmp_path / "o")
+    argv = {
+        "husimi_without_section": ["husimi", "--config", write_cfg(tmp_path, small_cfg())],
+        "unknown_figure": ["reproduce-all", "--only", "fig99"],
+    }[case]
+    assert main(argv + ["--out", out]) == 1
+    assert capsys.readouterr().err.startswith("config error: ")
+    assert not os.path.exists(out)
 
 
 def test_reproduce_all_single_figure(tmp_path):

@@ -98,6 +98,20 @@ def test_propagator_invariants(hiho_prop):
     assert np.max(np.abs(H - H_ref)) <= 1e-9 * np.max(np.abs(H_ref))
 
 
+def test_propagators_compare_and_hash_by_identity():
+    # comparing the array blocks used to raise ValueError, hashing the
+    # slices TypeError
+    H = build_iho(FockDim(20))
+    a, b = diagonalize(H), diagonalize(H)
+    assert a != b and not a == b
+    assert a == a and b == b
+    kept = {a: "a", b: "b"}
+    assert kept[a] == "a" and kept[b] == "b"
+    # the slot is written in place, and changes neither
+    evolve(a, coherent_state(FockDim(20), CoherentParams(1.0, 0.5)), 0.3)
+    assert a._last_rows is not None and kept[a] == "a" and a != b
+
+
 def test_iho_spectrum_symmetric(iho_prop):
     lam = iho_prop(39).eigenvalues
     assert np.allclose(lam, -lam[::-1], atol=1e-10)
@@ -575,7 +589,7 @@ def no_rows():
     """Empties the slot of every session propagator, so a test starts with
     nothing kept from the tests before it."""
     for prop in (*conftest._iho_cache.values(), *conftest._hiho_cache.values()):
-        object.__setattr__(prop, "_last_rows", None)
+        prop._last_rows = None
 
 
 @pytest.fixture
@@ -716,7 +730,7 @@ def windows(monkeypatch):
 
 def _cold(fn, prop, *args):
     """fn on prop with its slot emptied first."""
-    object.__setattr__(prop, "_last_rows", None)
+    prop._last_rows = None
     return fn(prop, *args)
 
 
@@ -784,7 +798,7 @@ def test_guard_on_the_evolved_state_names_the_same_time(iho_prop, evolutions):
     assert _outcome(photon_series, prop, psi0, times, "g", tail_guard=True) == want
     _assert_evolved(evolutions, [(prop, times)])
     # the guard raised from rows a variance_otoc call kept
-    object.__setattr__(prop, "_last_rows", None)
+    prop._last_rows = None
     variance_otoc(prop, psi0, times)
     assert _outcome(photon_series, prop, psi0, times, "g", tail_guard=True) == want
     _assert_evolved(evolutions, [(prop, times)] * 2)
@@ -874,7 +888,7 @@ def test_observables_peak_is_two_column_blocks(memory_case, fn):
     # block of Psi and its squares are alive, never a D x T Psi
     prop, psi0, times, b = memory_case
     for kw in [{}, {"tail_guard": True}] if fn is photon_series else [{}]:
-        object.__setattr__(prop, "_last_rows", None)
+        prop._last_rows = None
         peak = _peak_bytes(lambda: fn(prop, psi0, times, **kw))
         assert peak <= 2 * b["columns"] + _SLACK < b["psi"] / 3
 
@@ -884,7 +898,7 @@ def test_no_dxt_array_outlives_the_observables(memory_case):
     # psi0 and the window coefficients
     prop, psi0, times, b = memory_case
     for fn in (variance_otoc, photon_series):
-        object.__setattr__(prop, "_last_rows", None)
+        prop._last_rows = None
         tracemalloc.start()
         try:
             fn(prop, psi0, times)
