@@ -30,7 +30,16 @@ import numpy as np
 
 from . import classical
 from .analysis import auto_window, correspondence_time, ehrenfest_time, fit_exponential
-from .config import AUTO_MIN_SPAN, MAX_N_P, ExperimentConfig, LabeledPoint, config_hash, load, parse
+from .config import (
+    AUTO_MIN_SPAN,
+    MAX_N_P,
+    MAX_STEPS,
+    ExperimentConfig,
+    LabeledPoint,
+    config_hash,
+    load,
+    parse,
+)
 from .errors import (
     ConfigError,
     GridTooSmall,
@@ -92,6 +101,10 @@ def _quoted(text: str) -> str:
 
 def cmd_portrait(cfg: ExperimentConfig, out_dir: str) -> dict:
     """One CSV trajectory (t, q, p) per seed, forward and backward in time."""
+    steps = cfg.t_end / cfg.dt
+    if not (math.isfinite(steps) and steps <= MAX_STEPS):
+        raise ConfigError(f"t_end / dt = {cfg.t_end!r} / {cfg.dt!r} is not a finite step "
+                          f"count of at most {MAX_STEPS}")
     manifest = Manifest(out_dir, config_hash(cfg))
     seeds = [classical.ClassicalState(p.q, p.p) for p in cfg.points]
     trajs = classical.phase_portrait(cfg.model(), seeds, cfg.t_end, cfg.dt)
@@ -540,8 +553,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def add_common(p, need_config=True):
-        p.add_argument("--config", required=need_config, help="config JSON path")
+    def add_common(p):
+        p.add_argument("--config", required=True, help="config JSON path")
         p.add_argument("--out", help="output directory")
         p.add_argument("--np", dest="np_", type=int, help="override photon number")
         p.add_argument("--point", help="override initial point as 'q,p'")

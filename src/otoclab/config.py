@@ -6,7 +6,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import math
 import os
 import sys
 from dataclasses import asdict, dataclass, fields
@@ -31,8 +30,8 @@ from .output import _opened
 # the shortest window an auto fit searches when its config states none
 AUTO_MIN_SPAN = 0.08
 
-# the most classical RK4 steps t_end / dt may ask for: each step of
-# ``classical.integrate`` keeps its (q, p), about 89 bytes a step
+# the most classical RK4 steps a portrait's t_end / dt may ask for: each
+# step of ``classical.integrate`` keeps its (q, p), about 89 bytes a step
 MAX_STEPS = 10**6
 
 # the most time samples n_samples may ask for: the observables evolve a
@@ -140,10 +139,10 @@ class ExperimentConfig:
         if not (isinstance(self.points, tuple) and self.points):
             raise ConfigError("at least one initial point is required")
         for pt in self.points:
-            # labels name the output files
-            if not (isinstance(pt.label, str) and pt.label
+            # labels name the output files and appear in the gnuplot scripts
+            if not (isinstance(pt.label, str) and pt.label and pt.label.isprintable()
                     and "/" not in pt.label and os.sep not in pt.label):
-                raise ConfigError(f"point label {pt.label!r} must be a non-empty "
+                raise ConfigError(f"point label {pt.label!r} must be a non-empty printable "
                                   f"string without a path separator")
             if not (_is_finite(pt.q) and _is_finite(pt.p)):
                 raise ConfigError(f"point {pt.label} needs finite numbers q and p, "
@@ -160,10 +159,6 @@ class ExperimentConfig:
             raise ConfigError(f"n_samples = {self.n_samples} is past the cap of {MAX_SAMPLES}")
         if not (_is_finite(self.dt) and self.dt > 0):
             raise ConfigError(f"dt must be positive and finite, got {self.dt!r}")
-        steps = self.t_end / self.dt
-        if not (math.isfinite(steps) and steps <= MAX_STEPS):
-            raise ConfigError(f"t_end / dt = {self.t_end!r} / {self.dt!r} is not a finite step "
-                              f"count of at most {MAX_STEPS}")
         if self.husimi is not None:
             grid, times = self.husimi.grid, self.husimi.snapshot_times
             bounds = (grid.q_min, grid.q_max, grid.p_min, grid.p_max)

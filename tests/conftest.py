@@ -1,6 +1,9 @@
+import json
+
 import numpy as np
 import pytest
 
+from otoclab.cli import main
 from otoclab.evolution import diagonalize
 from otoclab.fock import (
     HERMITICITY_TOL,
@@ -83,3 +86,20 @@ def hiho_prop():
         return _hiho_cache[key]
 
     return get
+
+
+@pytest.fixture(scope="session")
+def reproduce_all(tmp_path_factory):
+    """One in-process ``reproduce-all`` run, shared by every test that reads
+    its checks: (exit code, report.json as a dict)."""
+    out = tmp_path_factory.mktemp("repro") / "out"
+    code = main(["reproduce-all", "--out", str(out)])
+    report = json.loads((out / "report.json").read_text(encoding="utf-8"))
+    return code, report
+
+
+def check_named(report: dict, name: str) -> dict:
+    """The one check of a reproduce-all report with this name."""
+    found = [c for c in report["checks"] if c["name"] == name]
+    assert len(found) == 1, f"{name}: {len(found)} checks by that name"
+    return found[0]

@@ -108,7 +108,7 @@ def test_unknown_key_is_a_config_error(tmp_path, capsys, patch):
         assert not out.exists()
 
 
-def test_config_validation_errors():
+def test_config_validation_errors(tmp_path, capsys, monkeypatch):
     # building a config validates it, so an invalid one never exists
     with pytest.raises(ConfigError):
         small_cfg(n_p=(0,))
@@ -124,15 +124,38 @@ def test_config_validation_errors():
             small_cfg(t_end=bad)
         with pytest.raises(ConfigError, match="dt must be positive and finite"):
             small_cfg(dt=bad)
-    with pytest.raises(ConfigError, match=r"t_end / dt = 1e\+300 / 1e-10 is not a finite step"):
-        small_cfg(t_end=1e300, dt=1e-10)
-    # finite but past the RK4 step cap; the cap itself is allowed
-    with pytest.raises(ConfigError, match=r"t_end / dt = 1000000000000.0 / 1e-10 is not a "
-                                          r"finite step count of at most 1000000"):
-        small_cfg(t_end=1e12, dt=1e-10)
-    small_cfg(t_end=1000.0, dt=1e-3)
-    with pytest.raises(ConfigError, match="at most 1000000"):
-        small_cfg(t_end=1000.5, dt=1e-3)
+    # the RK4 step cap guards only portrait, the one command that integrates:
+    # it refuses an overflowing or finite step count past the cap before it
+    # makes its directory
+    for name, t_end, dt, message in (
+        ("inf", 1e300, 1e-10, r"t_end / dt = 1e\+300 / 1e-10 is not a finite step"),
+        ("capped", 1e12, 1e-10, r"t_end / dt = 1000000000000.0 / 1e-10 is not a "
+                                r"finite step count of at most 1000000"),
+        ("past", 1000.5, 1e-3, r"t_end / dt = 1000.5 / 0.001 is not a finite step count "
+                               r"of at most 1000000"),
+    ):
+        cfg = _patched_cfg_file(tmp_path, f"steps_{name}", {"t_end": t_end, "dt": dt})
+        out = tmp_path / f"steps_{name}"
+        capsys.readouterr()
+        assert main(["portrait", "--config", cfg, "--out", str(out)]) == 1, name
+        err = capsys.readouterr().err
+        assert re.match("config error: " + message, err), err
+        assert not out.exists(), name
+
+    # the cap itself is allowed: portrait reaches its integration
+    class Integrating(Exception):
+        pass
+
+    def integrating(model, seeds, t_end, dt):
+        raise Integrating(t_end / dt)
+
+    monkeypatch.setattr(cli.classical, "phase_portrait", integrating)
+    cfg = _patched_cfg_file(tmp_path, "steps_at_cap", {"t_end": 1000.0, "dt": 1e-3})
+    with pytest.raises(Integrating):
+        main(["portrait", "--config", cfg, "--out", str(tmp_path / "steps_at_cap")])
+    # a command that never reads dt runs past the portrait cap
+    cfg = _patched_cfg_file(tmp_path, "otoc_long", {"t_end": 1500.0, "n_p": [40]})
+    assert main(["otoc", "--config", cfg, "--out", str(tmp_path / "otoc_long")]) == 0
     for fit in (
         FitSpec(window=(0.8, 0.2)),
         FitSpec(window=(0.5, 0.5)),
@@ -208,14 +231,17 @@ def test_config_validation_errors():
     for labels, message in (
         (("A", "A"), "must be distinct"),
         (("A", "B", "A"), "must be distinct"),
-        (("",), "non-empty string without a path separator"),
-        (("a/b",), "non-empty string without a path separator"),
-        (("a" + os.sep + "b",), "non-empty string without a path separator"),
-        ((7,), "non-empty string without a path separator"),
+        (("",), "non-empty printable string without a path separator"),
+        (("a/b",), "non-empty printable string without a path separator"),
+        (("a" + os.sep + "b",), "non-empty printable string without a path separator"),
+        ((7,), "non-empty printable string without a path separator"),
+        (("A\nB",), r"point label 'A\\nB' must be a non-empty printable string"),
+        (("A\x00B",), r"point label 'A\\x00B' must be a non-empty printable string"),
     ):
         points = tuple(LabeledPoint(label, 0.5 * i, 0.0) for i, label in enumerate(labels))
         with pytest.raises(ConfigError, match=message):
             small_cfg(points=points)
+    small_cfg(points=(LabeledPoint("F'", 2.0, -2.0), LabeledPoint("α", 1.0, 1.0)))
 
 
 def test_config_hash_stable():
@@ -415,8 +441,6 @@ def test_cli_config_error_exit_code(tmp_path, capsys):
         ("q_nan", {"points": [{"label": "A", "q": math.nan, "p": 0.0}]}, "otoc"),
         ("q_str", {"points": [{"label": "A", "q": "1", "p": 0.0}]}, "otoc"),
         ("t_end_str", {"t_end": "1"}, "otoc"),
-        ("step_count_inf", {"t_end": 1e300, "dt": 1e-10}, "portrait"),
-        ("step_count_capped", {"t_end": 1e12, "dt": 1e-10}, "portrait"),
         ("n_p_float", {"n_p": [40.5]}, "otoc"),
         ("n_samples_float", {"n_samples": 11.5}, "otoc"),
         ("snapshot_nan", {"husimi": {**grid, "snapshot_times": [0.0, math.nan]}}, "husimi"),
@@ -425,6 +449,11 @@ def test_cli_config_error_exit_code(tmp_path, capsys):
                                        {"label": "A", "q": 1.0, "p": 0.0}]}, "otoc"),
         ("label_slash", {"points": [{"label": "a/b", "q": 0.0, "p": 0.0}]}, "otoc"),
         ("label_empty", {"points": [{"label": "", "q": 0.0, "p": 0.0}]}, "otoc"),
+        # a newline split otoc.gp's plot line inside a quoted string, and a
+        # NUL ended in a traceback from open() after the evolution
+        ("label_newline", {"points": [{"label": "A\nB", "q": 0.0, "p": 0.0}]}, "otoc"),
+        ("label_tab", {"points": [{"label": "A\tB", "q": 0.0, "p": 0.0}]}, "otoc"),
+        ("label_nul", {"points": [{"label": "A\x00B", "q": 0.0, "p": 0.0}]}, "otoc"),
     ):
         path = tmp_path / f"bad_{name}.json"
         path.write_text(json.dumps({**base, **patch}), encoding="utf-8")
