@@ -15,8 +15,9 @@ A zero coefficient's term is left out rather than multiplied by 0: far out
 on an unstable IHO orbit q**3 overflows, and 0 * inf is nan.
 
 ``integrate`` and ``lyapunov_tangent`` run millions of steps, so their RK4
-stages are written out as statements on local floats: no per-step function
-call, tuple or numpy scalar. They keep the operation order of the plain
+stages are written out as statements on local floats: no function call,
+tuple or numpy scalar inside a stage. ``integrate`` still calls ``energy``
+once a step, for its drift guard. They keep the operation order of the plain
 closure-based RK4 (tests/test_classical.py holds it as the reference), so
 their results are bit-identical to it. Their literals are floats (2.0 * k,
 x**3.0): Python converts an int operand to the same double, so the values

@@ -11,6 +11,11 @@ and only then computes: ``main`` makes no directory, so a config error
 leaves nothing on disk. ``reproduce-all`` makes its tree with
 ``output.make_dir`` once its ``--only`` is checked.
 
+A run is its config file: no flag but ``otoc --oracle`` (one more column)
+changes what a command computes, and ``--out`` alone names where it writes,
+``otoclab_out`` when left out. A bad command line is a config error too,
+exit 1, as a bad file is.
+
 Each command diagonalizes the distinct truncations it needs once, up front,
 into a dict of its own, and frees them when it returns: figures in one
 ``reproduce-all`` do not share propagators. That repeats 8 of its 19
@@ -23,7 +28,6 @@ import argparse
 import math
 import os
 import sys
-from dataclasses import replace
 from importlib import resources
 
 import numpy as np
@@ -31,7 +35,6 @@ import numpy as np
 from . import classical
 from .analysis import auto_window, correspondence_time, ehrenfest_time, fit_exponential
 from .config import (
-    AUTO_MIN_SPAN,
     MAX_N_P,
     MAX_STEPS,
     ExperimentConfig,
@@ -71,7 +74,6 @@ from .husimi import (
 )
 from .output import Manifest, make_dir, write_csv, write_grid, write_gnuplot, write_json
 
-ENV_OUT = "OTOCLAB_OUT"
 ORACLE_MAX_DIM = 80
 CORRESPONDENCE_EPS = 0.02
 REFERENCE_FACTOR = 4
@@ -182,25 +184,10 @@ def cmd_photon(cfg: ExperimentConfig, out_dir: str) -> dict:
     return {"summary": summary}
 
 
-def _default_fit(cfg: ExperimentConfig, n_p: int, series) -> tuple[float, float]:
-    if cfg.fit is not None and not cfg.fit.auto:
-        return cfg.fit.window
-    if cfg.fit is not None and cfg.fit.auto:
-        return auto_window(series, cfg.fit.min_span, cfg.fit.search)
-    if cfg.system == "iho":
-        # a-priori rate 2*lambda_O = 2 sets the Ehrenfest scale
-        t_hi = 0.8 * math.log(n_p) / 2
-        if t_hi <= 0.5:
-            raise WindowTooSparse(
-                f"a-priori fit window [0.5, {t_hi:.4g}] is empty at n_p={n_p}"
-            )
-        return (0.5, t_hi)
-    return auto_window(series, AUTO_MIN_SPAN, (0.0, 0.25))
-
-
 def cmd_otoc(cfg: ExperimentConfig, out_dir: str, oracle: bool = False) -> dict:
-    """OTOC series per (point, n_p) with exponential fits; optional sparse
-    commutator-oracle column at small dimensions."""
+    """OTOC series per (point, n_p), each fitted on the config's ``fit``
+    window when it states one; optional sparse commutator-oracle column at
+    small dimensions."""
     manifest = Manifest(out_dir, config_hash(cfg))
     times = _time_grid(cfg)
     props = _propagators(cfg, *cfg.n_p)
@@ -231,19 +218,21 @@ def cmd_otoc(cfg: ExperimentConfig, out_dir: str, oracle: bool = False) -> dict:
             fname = f"otoc_{pt.label}_np{k}.csv"
             write_csv(os.path.join(out_dir, fname), hdr, cols, manifest)
             entry["file"] = fname
-            try:
-                window = _default_fit(cfg, k, series)
-                fit = fit_exponential(series, window)
-                entry.update(
-                    rate=fit.rate,
-                    window=list(fit.window),
-                    r_squared=fit.r_squared,
-                    ehrenfest_time=(
-                        ehrenfest_time(fit.rate, k) if fit.rate > 0 else None
-                    ),
-                )
-            except (NonPositiveValues, NonFiniteValues, WindowTooSparse) as exc:
-                entry["fit_error"] = str(exc)
+            if cfg.fit is not None:
+                try:
+                    window = (auto_window(series, cfg.fit.min_span, cfg.fit.search)
+                              if cfg.fit.auto else cfg.fit.window)
+                    fit = fit_exponential(series, window)
+                    entry.update(
+                        rate=fit.rate,
+                        window=list(fit.window),
+                        r_squared=fit.r_squared,
+                        ehrenfest_time=(
+                            ehrenfest_time(fit.rate, k) if fit.rate > 0 else None
+                        ),
+                    )
+                except (NonPositiveValues, NonFiniteValues, WindowTooSparse) as exc:
+                    entry["fit_error"] = str(exc)
             runs.append(entry)
     summary = {"runs": runs}
     write_json(os.path.join(out_dir, "otoc_summary.json"), summary, manifest)
@@ -258,14 +247,16 @@ def _widened(lo: float, hi: float, centre: float) -> tuple[float, float]:
 
 
 def cmd_husimi(cfg: ExperimentConfig, out_dir: str) -> dict:
-    """Husimi snapshots per point (first n_p), each point's snapshot times
-    evolved in one batch, with norm/centroid/moment diagnostics and a
-    generated plot script."""
+    """Husimi snapshots per point at the config's one n_p, each point's
+    snapshot times evolved in one batch, with norm/centroid/moment
+    diagnostics and a generated plot script."""
     if cfg.husimi is None:
         raise ConfigError("husimi command requires a husimi section with snapshot times")
+    if len(cfg.n_p) != 1:
+        raise ConfigError(f"husimi command takes exactly one n_p, got {list(cfg.n_p)}")
     manifest = Manifest(out_dir, config_hash(cfg))
     grid = cfg.husimi.grid
-    k = cfg.n_p[0]
+    (k,) = cfg.n_p
     prop = _propagators(cfg, k)[k]
     times = np.asarray(cfg.husimi.snapshot_times, dtype=float)
     snapshots = []
@@ -519,45 +510,28 @@ def cmd_reproduce_all(out_dir: str, only: str | None = None) -> int:
     return 0
 
 
-def _parse_point(text: str) -> LabeledPoint:
-    try:
-        q, p = (float(x) for x in text.split(","))
-    except ValueError as exc:
-        raise ConfigError(f"--point expects 'q,p', got {text!r}") from exc
-    return LabeledPoint(label="pt", q=q, p=p)
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors are config errors, exit 1 with
+    no traceback; its subcommand parsers are of this class too."""
 
-
-def _resolve_out(args, cfg: ExperimentConfig | None) -> str:
-    if args.out:
-        return args.out
-    if cfg is not None and cfg.output_dir:
-        return cfg.output_dir
-    return os.environ.get(ENV_OUT, "otoclab_out")
-
-
-def _apply_overrides(cfg: ExperimentConfig, args) -> ExperimentConfig:
-    """``cfg`` with ``--np`` and ``--point`` applied in one step, so that
-    only the config they state together is built and validated."""
-    changes = {}
-    if args.np_ is not None:
-        changes["n_p"] = (args.np_,)
-    if args.point is not None:
-        changes["points"] = (_parse_point(args.point),)
-    return replace(cfg, **changes) if changes else cfg
+    def error(self, message):
+        raise ConfigError(f"{self.prog}: {message}")
 
 
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="otoclab",
         description="OTOC growth laboratory for two inverted-oscillator systems",
     )
     sub = ap.add_subparsers(dest="command", required=True)
 
+    def add_out(p):
+        p.add_argument("--out", default="otoclab_out",
+                       help="output directory (default: %(default)s)")
+
     def add_common(p):
         p.add_argument("--config", required=True, help="config JSON path")
-        p.add_argument("--out", help="output directory")
-        p.add_argument("--np", dest="np_", type=int, help="override photon number")
-        p.add_argument("--point", help="override initial point as 'q,p'")
+        add_out(p)
 
     add_common(sub.add_parser("portrait", help="classical phase portraits"))
     add_common(sub.add_parser("photon", help="mean-photon time series"))
@@ -567,26 +541,25 @@ def build_parser() -> argparse.ArgumentParser:
                         help="add sparse commutator-oracle samples (D <= 80)")
     add_common(sub.add_parser("husimi", help="Husimi snapshots"))
     p_all = sub.add_parser("reproduce-all", help="regenerate all figure data")
-    p_all.add_argument("--out", help="output directory")
+    add_out(p_all)
     p_all.add_argument("--only", help="run a single figure pipeline")
     return ap
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         if args.command == "reproduce-all":
-            return cmd_reproduce_all(_resolve_out(args, None), only=args.only)
-        cfg = _apply_overrides(load(args.config), args)
-        out = _resolve_out(args, cfg)
+            return cmd_reproduce_all(args.out, only=args.only)
+        cfg = load(args.config)
         if args.command == "portrait":
-            cmd_portrait(cfg, out)
+            cmd_portrait(cfg, args.out)
         elif args.command == "photon":
-            cmd_photon(cfg, out)
+            cmd_photon(cfg, args.out)
         elif args.command == "otoc":
-            cmd_otoc(cfg, out, oracle=args.oracle)
+            cmd_otoc(cfg, args.out, oracle=args.oracle)
         elif args.command == "husimi":
-            cmd_husimi(cfg, out)
+            cmd_husimi(cfg, args.out)
         return 0
     except OtocLabError as exc:
         print(f"{exc.kind}: {exc}", file=sys.stderr)

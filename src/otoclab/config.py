@@ -99,7 +99,6 @@ class ExperimentConfig:
     dt: float = 1e-3
     husimi: HusimiSpec | None = None
     fit: FitSpec | None = None
-    output_dir: str | None = None
 
     def __post_init__(self):
         self.validate()
@@ -122,6 +121,10 @@ class ExperimentConfig:
     def validate(self):
         if self.system not in ("iho", "hiho"):
             raise ConfigError(f"unknown system {self.system!r}")
+        # iho has no parameters: a stated one would change the hash, not the run
+        if self.system == "iho" and (self.gamma is not None or self.g is not None):
+            raise ConfigError(f"iho takes no gamma or g, got gamma={self.gamma!r}, "
+                              f"g={self.g!r}")
         for name in ("gamma", "g"):
             value = getattr(self, name)
             if value is not None and not _is_finite(value):
@@ -192,8 +195,6 @@ class ExperimentConfig:
                                   f"nor (t_lo, t_hi) with t_lo < t_hi")
             if fit.min_span is not None or fit.search is not None:
                 raise ConfigError('fit min_span and search apply only to window "auto"')
-        if not (self.output_dir is None or isinstance(self.output_dir, str)):
-            raise ConfigError(f"output_dir must be a string, got {self.output_dir!r}")
         for k in self.n_p:
             dim = FockDim(k)
             for pt in self.points:

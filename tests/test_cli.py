@@ -62,9 +62,11 @@ def test_config_round_trip():
             grid=PhaseGrid(-6.0, 6.0, -6.0, 6.0, 21, 21),
             snapshot_times=(0.0, 0.5),
         ),
-        output_dir="somewhere",
     )
     assert parse(serialize(cfg)) == cfg
+    # the output directory is named by --out alone, never by the config
+    with pytest.raises(ConfigError, match="unknown key 'output_dir' in the config"):
+        parse(json.dumps({**json.loads(serialize(cfg)), "output_dir": "somewhere"}))
 
 
 def test_config_round_trip_auto_fit():
@@ -179,8 +181,16 @@ def test_config_validation_errors(tmp_path, capsys, monkeypatch):
     for bad in ((), [40], 40):
         with pytest.raises(ConfigError, match="n_p must be a non-empty list"):
             small_cfg(n_p=bad)
-    with pytest.raises(ConfigError, match="output_dir must be a string"):
-        small_cfg(output_dir=7)
+    # a config that still names its output directory exits 1 and makes none
+    cfg = _patched_cfg_file(tmp_path, "output_dir", {"output_dir": str(tmp_path / "named")})
+    capsys.readouterr()
+    assert main(["otoc", "--config", cfg, "--out", str(tmp_path / "o_named")]) == 1
+    assert capsys.readouterr().err.startswith("config error: unknown key 'output_dir'")
+    assert not (tmp_path / "named").exists() and not (tmp_path / "o_named").exists()
+    # iho has no parameters, so a stated gamma or g would only change the hash
+    for kw in ({"gamma": 3.0}, {"g": 0.04}, {"gamma": 3.0, "g": 0.04}, {"gamma": math.nan}):
+        with pytest.raises(ConfigError, match="iho takes no gamma or g"):
+            small_cfg(**kw)
     grid = PhaseGrid(-6.0, 6.0, -6.0, 6.0, 21, 21)
     for bad in (math.nan, math.inf, -math.inf, -10**400, "3", True, None):
         gamma_error = "hiho requires gamma and g" if bad is None else "must be a finite number"
@@ -401,14 +411,16 @@ def test_husimi_grid_too_small(tmp_path, capsys):
         assert snap["centroid"] == pytest.approx(list(centre), abs=0.02)
 
 
-def test_cli_overrides(tmp_path):
+def test_cli_overrides(tmp_path, capsys):
+    # a run is its config file: the flags that once overrode n_p and the
+    # point are usage errors, and nothing is made on disk
     cfg = write_cfg(tmp_path, small_cfg())
-    out = str(tmp_path / "out")
-    assert main(["otoc", "--config", cfg, "--out", out, "--np", "30",
-                 "--point", "1.0,1.0"]) == 0
-    summary = json.loads((tmp_path / "out" / "otoc_summary.json").read_text())
-    assert summary["runs"][0]["n_p"] == 30
-    assert summary["runs"][0]["point"] == "pt"
+    out = tmp_path / "out"
+    for flags in (["--np", "30"], ["--point", "1.0,1.0"], ["--np", "30", "--point", "1.0,1.0"]):
+        assert main(["otoc", "--config", cfg, "--out", str(out), *flags]) == 1, flags
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: otoclab: unrecognized arguments: {flags[0]}"), err
+        assert not out.exists()
 
 
 def test_cli_config_error_exit_code(tmp_path, capsys):
@@ -498,12 +510,13 @@ def test_unreadable_config_is_a_config_error(tmp_path, capsys, case):
     assert not out.exists()
 
 
-def test_cli_bad_point_exit_code(tmp_path):
+def test_cli_bad_point_exit_code(tmp_path, capsys):
     # the tail precondition fails at n_p=40 for a far-out point
-    cfg = write_cfg(tmp_path, small_cfg())
-    rc = main(["otoc", "--config", cfg, "--out", str(tmp_path / "o"),
-               "--point", "9.0,9.0"])
+    cfg = _patched_cfg_file(tmp_path, "far", {"points": [{"label": "pt", "q": 9.0, "p": 9.0}]})
+    rc = main(["otoc", "--config", cfg, "--out", str(tmp_path / "o")])
     assert rc == 1
+    assert capsys.readouterr().err.startswith("config error: point pt (9.0, 9.0) violates")
+    assert not (tmp_path / "o").exists()
 
 
 def _concrete_errors(cls=OtocLabError) -> list[type[OtocLabError]]:
@@ -545,18 +558,19 @@ def test_uncreatable_output_dir_is_a_config_error(tmp_path, monkeypatch, capsys,
     blocker = tmp_path / "fig1"
     blocker.write_text("")
     below = str(blocker / "x")
-    cfg = write_cfg(tmp_path, small_cfg(output_dir=below if how == "output_dir_below_file"
-                                        else None))
+    cfg = write_cfg(tmp_path, small_cfg())
     argv = {
         "otoc_out_file": ["otoc", "--config", cfg, "--out", str(blocker)],
         "reproduce_all_out_below_file": ["reproduce-all", "--out", below],
         "reproduce_all_figure_dir_file": ["reproduce-all", "--out", str(tmp_path),
                                           "--only", "fig1"],
-        "output_dir_below_file": ["portrait", "--config", cfg],
-        "env_below_file": ["photon", "--config", cfg],
+        "output_dir_below_file": ["portrait", "--config", cfg, "--out", below],
+        "env_below_file": ["photon", "--config", cfg, "--out", below],
     }[how]
-    monkeypatch.setenv("OTOCLAB_OUT", below)
+    # the environment names no output directory
+    monkeypatch.setenv("OTOCLAB_OUT", str(tmp_path / "env"))
     assert main(argv) == 1
+    assert not (tmp_path / "env").exists()
     err = capsys.readouterr().err
     target = str(blocker) if how in ("otoc_out_file", "reproduce_all_figure_dir_file") else below
     assert err.startswith(f"config error: cannot create output directory {target}: "), err
@@ -629,24 +643,25 @@ def test_configs_past_the_caps_exit_1(tmp_path, capsys, name, command, key, valu
 
 def test_otoc_np1_exits_with_analysis_code(tmp_path, capsys):
     # ehrenfest_time needs n_p >= 2: InvalidRate, reported without a traceback
-    cfg = resources.files("otoclab.figconfigs").joinpath("fig7_otoc.json")
-    rc = main(["otoc", "--config", str(cfg), "--np", "1", "--point", "0,0",
-               "--out", str(tmp_path / "o")])
+    d = json.loads(resources.files("otoclab.figconfigs").joinpath("fig7_otoc.json").read_text())
+    d.update(n_p=[1], points=[{"label": "pt", "q": 0.0, "p": 0.0}])
+    cfg = tmp_path / "np1.json"
+    cfg.write_text(json.dumps(d), encoding="utf-8")
+    rc = main(["otoc", "--config", str(cfg), "--out", str(tmp_path / "o")])
     assert rc == 3
     assert capsys.readouterr().err.startswith("analysis: n_p must be >= 2")
 
 
 def test_otoc_empty_a_priori_window_is_a_fit_error(tmp_path, capsys):
-    # the a-priori IHO window (0.5, 0.8 ln(n_p)/2) is empty for n_p <= 3:
-    # the run is kept and its summary entry records the fit error
-    cfg = resources.files("otoclab.figconfigs").joinpath("fig2b.json")
+    # a stated window holding 3 of the 5 samples a fit needs: the run is
+    # kept and its summary entry records the fit error
+    cfg = write_cfg(tmp_path, small_cfg(fit=FitSpec(window=(0.48, 0.62))))
     out = tmp_path / "o"
-    rc = main(["otoc", "--config", str(cfg), "--np", "3", "--point", "0,0",
-               "--out", str(out)])
+    rc = main(["otoc", "--config", cfg, "--out", str(out)])
     assert rc == 0
     assert "Traceback" not in capsys.readouterr().err
     (run,) = json.loads((out / "otoc_summary.json").read_text())["runs"]
-    assert "fit window [0.5, 0.4394] is empty at n_p=3" in run["fit_error"]
+    assert run["fit_error"] == "only 3 samples in [0.48, 0.62]"
     assert "rate" not in run
 
 
@@ -697,6 +712,43 @@ def test_manifest_entries(tmp_path):
         assert "otoclab" in e["versions"]
         # no times, so a rerun writes the same manifest
         assert set(e) == {"config_hash", "file", "versions"}
+
+
+@pytest.mark.parametrize("command", ["portrait", "photon", "otoc", "husimi"])
+def test_every_manifest_record_names_its_config_file(tmp_path, command):
+    # nothing but the file decides what a command computes, so every record
+    # carries the hash of the file passed
+    grid = HusimiSpec(PhaseGrid(-6.0, 6.0, -6.0, 6.0, 21, 21), (0.0, 0.5))
+    cfg = write_cfg(tmp_path, small_cfg(fit=FitSpec(window=(0.2, 0.8)), husimi=grid))
+    out = tmp_path / "o"
+    assert main([command, "--config", cfg, "--out", str(out)]) == 0
+    entries = [json.loads(line) for line in (out / "manifest.jsonl").read_text().splitlines()]
+    assert sorted(e["file"] for e in entries) == sorted(
+        f for f in os.listdir(out) if f != "manifest.jsonl")
+    assert {e["config_hash"] for e in entries} == {config_hash(load(cfg))}
+
+
+@pytest.mark.parametrize("name", list(cli.FIGURES))
+def test_every_figure_manifest_record_names_its_bundled_config(tmp_path, name):
+    assert main(["reproduce-all", "--out", str(tmp_path), "--only", name]) == 0
+    lines = (tmp_path / name / "manifest.jsonl").read_text().splitlines()
+    assert lines
+    assert {json.loads(line)["config_hash"] for line in lines} == {
+        config_hash(cli._load_bundled(name))}
+
+
+def test_otoc_without_fit_writes_no_fit_fields(tmp_path, capsys):
+    # a fit the config does not state is not made: no a-priori window and
+    # no auto search, whose cost grows as n_samples squared
+    cfg = write_cfg(tmp_path, small_cfg(n_p=(40, 30)))
+    out = tmp_path / "o"
+    assert main(["otoc", "--config", cfg, "--out", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    runs = json.loads((out / "otoc_summary.json").read_text())["runs"]
+    assert [sorted(r) for r in runs] == [["file", "n_p", "point"]] * 2
+    for r in runs:
+        data = np.loadtxt(out / r["file"], delimiter=",", skiprows=1)
+        assert data.shape == (21, 2) and np.all(data[:, 1] > 0)
 
 
 def test_manifest_one_record_per_file_on_rerun(tmp_path):
@@ -782,12 +834,15 @@ def test_gnuplot_scripts_quote_a_label_holding_a_quote(tmp_path):
 
 
 def test_env_var_output_dir(tmp_path, monkeypatch):
+    # the environment names no output directory: without --out a command
+    # writes to otoclab_out
     cfg = write_cfg(tmp_path, small_cfg())
     env_out = tmp_path / "env_out"
     monkeypatch.setenv("OTOCLAB_OUT", str(env_out))
     monkeypatch.chdir(tmp_path)
     assert main(["otoc", "--config", cfg]) == 0
-    assert (env_out / "otoc_summary.json").exists()
+    assert (tmp_path / "otoclab_out" / "otoc_summary.json").exists()
+    assert not env_out.exists()
 
 
 def test_reproduce_all_unknown_figure(tmp_path):
@@ -795,18 +850,53 @@ def test_reproduce_all_unknown_figure(tmp_path):
                  "--only", "fig99"]) == 1
 
 
-@pytest.mark.parametrize("case", ["husimi_without_section", "unknown_figure"])
+@pytest.mark.parametrize("case", ["husimi_without_section", "unknown_figure",
+                                  "husimi_two_truncations"])
 def test_a_config_error_leaves_no_directory(tmp_path, capsys, case):
     # each of these checks used to run after the output directory was made,
-    # as photon's reference cap did (test_configs_past_the_caps_exit_1)
+    # as photon's reference cap did (test_configs_past_the_caps_exit_1);
+    # husimi with two truncations used to run the first alone
     out = str(tmp_path / "o")
+    two = small_cfg(n_p=(40, 60), husimi=HusimiSpec(PhaseGrid(-6.0, 6.0, -6.0, 6.0, 21, 21),
+                                                    (0.0,)))
     argv = {
         "husimi_without_section": ["husimi", "--config", write_cfg(tmp_path, small_cfg())],
         "unknown_figure": ["reproduce-all", "--only", "fig99"],
+        "husimi_two_truncations": ["husimi", "--config", write_cfg(tmp_path, two)],
     }[case]
     assert main(argv + ["--out", out]) == 1
-    assert capsys.readouterr().err.startswith("config error: ")
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ")
+    if case == "husimi_two_truncations":
+        assert err == "config error: husimi command takes exactly one n_p, got [40, 60]\n"
     assert not os.path.exists(out)
+
+
+@pytest.mark.parametrize("argv", [
+    ["otoc", "--config", "cfg.json", "--np", "abc"],
+    ["otoc", "--out", "o"],
+    ["no-such-command", "--config", "cfg.json"],
+    ["portrait", "--config", "cfg.json", "--frob"],
+    ["reproduce-all", "--out", "o", "--only"],
+    [],
+], ids=["np_flag", "otoc_without_config", "unknown_subcommand", "unknown_flag",
+        "only_without_value", "no_command"])
+def test_usage_error_is_a_config_error(tmp_path, monkeypatch, capsys, argv):
+    # argparse used to exit 2, the code of a numerical guard, by SystemExit
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: otoclab"), err
+    assert "Traceback" not in err and "usage:" not in err
+    assert os.listdir(tmp_path) == []
+
+
+def test_help_exits_0(capsys):
+    for argv in (["--help"], ["otoc", "--help"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: otoclab")
 
 
 def test_reproduce_all_single_figure(tmp_path):
