@@ -11,10 +11,9 @@ and only then computes: ``main`` makes no directory, so a config error
 leaves nothing on disk. ``reproduce-all`` makes its tree with
 ``output.make_dir`` once its ``--only`` is checked.
 
-A run is its config file: no flag but ``otoc --oracle`` (one more column)
-changes what a command computes, and ``--out`` alone names where it writes,
-``otoclab_out`` when left out. A bad command line is a config error too,
-exit 1, as a bad file is.
+A run is its config file: no flag changes what a command computes, and
+``--out`` alone names where it writes, ``otoclab_out`` when left out. A bad
+command line is a config error too, exit 1, as a bad file is.
 
 Each command diagonalizes the distinct truncations it needs once, up front,
 into a dict of its own, and frees them when it returns: figures in one
@@ -53,18 +52,12 @@ from .errors import (
 )
 from .evolution import (
     Propagator,
-    commutator_otoc,
     diagonalize,
     evolve_batch,
     photon_series,
     variance_otoc,
 )
-from .fock import (
-    CoherentParams,
-    FockDim,
-    coherent_state,
-    quadratures,
-)
+from .fock import CoherentParams, FockDim, coherent_state
 from .husimi import (
     count_local_maxima,
     husimi_centroid,
@@ -74,6 +67,8 @@ from .husimi import (
 )
 from .output import Manifest, make_dir, write_csv, write_grid, write_gnuplot, write_json
 
+# read by the benchmark's spectral gate only: the largest dimension it checks
+# against the commutator oracle
 ORACLE_MAX_DIM = 80
 CORRESPONDENCE_EPS = 0.02
 REFERENCE_FACTOR = 4
@@ -83,8 +78,8 @@ PACKET_MARGIN = 4.0
 
 
 def _propagators(cfg: ExperimentConfig, *n_ps: int) -> dict[int, Propagator]:
-    """One propagator per distinct truncation, owned by the calling command."""
-    return {k: diagonalize(cfg.hamiltonian(FockDim(k))) for k in dict.fromkeys(n_ps)}
+    """One propagator per truncation, owned by the calling command."""
+    return {k: diagonalize(cfg.hamiltonian(FockDim(k))) for k in n_ps}
 
 
 def _initial_state(n_p: int, pt: LabeledPoint) -> np.ndarray:
@@ -144,6 +139,7 @@ def _series_script(runs: list[dict], ylabel: str, *setup: str) -> list[str]:
 def cmd_photon(cfg: ExperimentConfig, out_dir: str) -> dict:
     """Mean-photon series per (point, n_p), a 4x-truncation reference per
     point (tail-guarded), and detected correspondence times t_p."""
+    cfg.check_coherent_tails()
     ref_np = REFERENCE_FACTOR * max(cfg.n_p)
     if ref_np > MAX_N_P:
         raise ConfigError(f"the photon reference n_p = {REFERENCE_FACTOR} x {max(cfg.n_p)} "
@@ -184,10 +180,10 @@ def cmd_photon(cfg: ExperimentConfig, out_dir: str) -> dict:
     return {"summary": summary}
 
 
-def cmd_otoc(cfg: ExperimentConfig, out_dir: str, oracle: bool = False) -> dict:
+def cmd_otoc(cfg: ExperimentConfig, out_dir: str) -> dict:
     """OTOC series per (point, n_p), each fitted on the config's ``fit``
-    window when it states one; optional sparse commutator-oracle column at
-    small dimensions."""
+    window when it states one."""
+    cfg.check_coherent_tails()
     manifest = Manifest(out_dir, config_hash(cfg))
     times = _time_grid(cfg)
     props = _propagators(cfg, *cfg.n_p)
@@ -196,27 +192,12 @@ def cmd_otoc(cfg: ExperimentConfig, out_dir: str, oracle: bool = False) -> dict:
     for pt in cfg.points:
         for k in cfg.n_p:
             entry = {"point": pt.label, "n_p": k}
-            prop = props[k]
-            psi0 = _initial_state(k, pt)
-            series = variance_otoc(prop, psi0, times, label=f"{pt.label}/np{k}")
+            series = variance_otoc(props[k], _initial_state(k, pt), times,
+                                   label=f"{pt.label}/np{k}")
             series_map[(pt.label, k)] = series
-            cols, hdr = [series.times, series.values], ["t", "C"]
-            if oracle:
-                if k + 1 <= ORACLE_MAX_DIM:
-                    _, P = quadratures(FockDim(k))
-                    idx = np.linspace(0, len(times) - 1, 5).astype(int)
-                    ora = np.full(len(times), np.nan)
-                    for i in idx:
-                        ora[i] = commutator_otoc(prop, psi0, P, times[i])
-                    cols.append(ora)
-                    hdr.append("C_oracle")
-                    entry["oracle_max_dev"] = float(
-                        np.nanmax(np.abs(ora - series.values))
-                    )
-                else:
-                    entry["oracle"] = f"skipped: D={k + 1} > {ORACLE_MAX_DIM}"
             fname = f"otoc_{pt.label}_np{k}.csv"
-            write_csv(os.path.join(out_dir, fname), hdr, cols, manifest)
+            write_csv(os.path.join(out_dir, fname), ["t", "C"],
+                      [series.times, series.values], manifest)
             entry["file"] = fname
             if cfg.fit is not None:
                 try:
@@ -250,6 +231,7 @@ def cmd_husimi(cfg: ExperimentConfig, out_dir: str) -> dict:
     """Husimi snapshots per point at the config's one n_p, each point's
     snapshot times evolved in one batch, with norm/centroid/moment
     diagnostics and a generated plot script."""
+    cfg.check_coherent_tails()
     if cfg.husimi is None:
         raise ConfigError("husimi command requires a husimi section with snapshot times")
     if len(cfg.n_p) != 1:
@@ -510,6 +492,16 @@ def cmd_reproduce_all(out_dir: str, only: str | None = None) -> int:
     return 0
 
 
+# The commands that run one config file, each ``cmd(cfg, out_dir)``, with
+# their help text, in the order ``--help`` lists them.
+COMMANDS = {
+    "portrait": (cmd_portrait, "classical phase portraits"),
+    "photon": (cmd_photon, "mean-photon time series"),
+    "otoc": (cmd_otoc, "OTOC time series and fits"),
+    "husimi": (cmd_husimi, "Husimi snapshots"),
+}
+
+
 class _Parser(argparse.ArgumentParser):
     """An argument parser whose usage errors are config errors, exit 1 with
     no traceback; its subcommand parsers are of this class too."""
@@ -529,17 +521,10 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default="otoclab_out",
                        help="output directory (default: %(default)s)")
 
-    def add_common(p):
+    for name, (_, help_text) in COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", required=True, help="config JSON path")
         add_out(p)
-
-    add_common(sub.add_parser("portrait", help="classical phase portraits"))
-    add_common(sub.add_parser("photon", help="mean-photon time series"))
-    p_otoc = sub.add_parser("otoc", help="OTOC time series and fits")
-    add_common(p_otoc)
-    p_otoc.add_argument("--oracle", action="store_true",
-                        help="add sparse commutator-oracle samples (D <= 80)")
-    add_common(sub.add_parser("husimi", help="Husimi snapshots"))
     p_all = sub.add_parser("reproduce-all", help="regenerate all figure data")
     add_out(p_all)
     p_all.add_argument("--only", help="run a single figure pipeline")
@@ -551,15 +536,7 @@ def main(argv=None) -> int:
         args = build_parser().parse_args(argv)
         if args.command == "reproduce-all":
             return cmd_reproduce_all(args.out, only=args.only)
-        cfg = load(args.config)
-        if args.command == "portrait":
-            cmd_portrait(cfg, args.out)
-        elif args.command == "photon":
-            cmd_photon(cfg, args.out)
-        elif args.command == "otoc":
-            cmd_otoc(cfg, args.out, oracle=args.oracle)
-        elif args.command == "husimi":
-            cmd_husimi(cfg, args.out)
+        COMMANDS[args.command][0](load(args.config), args.out)
         return 0
     except OtocLabError as exc:
         print(f"{exc.kind}: {exc}", file=sys.stderr)

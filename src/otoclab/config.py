@@ -153,6 +153,9 @@ class ExperimentConfig:
         labels = [pt.label for pt in self.points]
         if len(set(labels)) != len(labels):
             raise ConfigError(f"point labels must be distinct, got {labels}")
+        # each n_p names its output files, as a label does
+        if len(set(self.n_p)) != len(self.n_p):
+            raise ConfigError(f"n_p values must be distinct, got {list(self.n_p)}")
         # json reads NaN and Infinity, and NaN fails every comparison
         if not (_is_finite(self.t_end) and self.t_end > 0):
             raise ConfigError(f"t_end must be positive and finite, got {self.t_end!r}")
@@ -195,6 +198,12 @@ class ExperimentConfig:
                                   f"nor (t_lo, t_hi) with t_lo < t_hi")
             if fit.min_span is not None or fit.search is not None:
                 raise ConfigError('fit min_span and search apply only to window "auto"')
+
+    def check_coherent_tails(self):
+        """The precondition of the commands that build coherent states, each
+        of which calls this before any other check of its own: every point's
+        Poisson tail past every n_p is below TAIL_TOL. ``portrait`` builds
+        none, so it does not call this."""
         for k in self.n_p:
             dim = FockDim(k)
             for pt in self.points:

@@ -143,7 +143,7 @@ def write_grid(path: str, hg: HusimiGrid, manifest: Manifest | None = None):
 
 
 def read_grid(path: str) -> tuple[tuple[float, float, int, float, float, int], np.ndarray]:
-    with open(path, "r", encoding="utf-8") as fh:
+    with _opened(path, "r", encoding="utf-8") as fh:
         parts = fh.readline().split()
         hdr = (float(parts[0]), float(parts[1]), int(parts[2]),
                float(parts[3]), float(parts[4]), int(parts[5]))

@@ -118,9 +118,9 @@ def test_config_validation_errors(tmp_path, capsys, monkeypatch):
         small_cfg(points=())
     with pytest.raises(ConfigError):
         small_cfg(system="hiho")  # missing gamma/g
-    with pytest.raises(ConfigError):
-        # point too far out for the truncation
-        small_cfg(points=(LabeledPoint("X", 9.0, 9.0),))
+    # a point too far out for the truncation builds: the commands that build
+    # its coherent state refuse it (test_cli_bad_point_exit_code)
+    small_cfg(points=(LabeledPoint("X", 9.0, 9.0),))
     for bad in (0.0, -1.0, math.nan, math.inf, -math.inf, 10**400, "1", True, None):
         with pytest.raises(ConfigError, match="t_end must be positive and finite"):
             small_cfg(t_end=bad)
@@ -284,23 +284,24 @@ def test_photon_command_summary(tmp_path):
         assert os.path.exists(os.path.join(out, r["file"]))
 
 
-def test_otoc_command_oracle_column(tmp_path):
+def test_otoc_command_oracle_column(tmp_path, capsys):
+    # --oracle added a column the manifest's config hash did not name; the
+    # oracle's bound is test_acceptance_1_variance_matches_commutator_oracle's
     cfg = write_cfg(tmp_path, small_cfg())
-    out = str(tmp_path / "out")
-    assert main(["otoc", "--config", cfg, "--out", out, "--oracle"]) == 0
-    summary = json.loads((tmp_path / "out" / "otoc_summary.json").read_text())
-    run = summary["runs"][0]
-    assert run["oracle_max_dev"] <= 1e-8
-    header = open(os.path.join(out, run["file"])).readline().strip()
-    assert header == "t,C,C_oracle"
+    out = tmp_path / "out"
+    assert main(["otoc", "--config", cfg, "--out", str(out), "--oracle"]) == 1
+    assert capsys.readouterr().err.startswith("config error: ")
+    assert not out.exists()
 
 
 def test_otoc_command_oracle_skipped_large_dim(tmp_path):
     cfg = write_cfg(tmp_path, small_cfg(n_p=(120,)))
     out = str(tmp_path / "out")
-    assert main(["otoc", "--config", cfg, "--out", out, "--oracle"]) == 0
+    assert main(["otoc", "--config", cfg, "--out", out]) == 0
     summary = json.loads((tmp_path / "out" / "otoc_summary.json").read_text())
-    assert "skipped" in summary["runs"][0]["oracle"]
+    run = summary["runs"][0]
+    assert "oracle" not in run
+    assert open(os.path.join(out, run["file"])).readline() == "t,C\n"
 
 
 def test_husimi_command(tmp_path):
@@ -510,13 +511,37 @@ def test_unreadable_config_is_a_config_error(tmp_path, capsys, case):
     assert not out.exists()
 
 
+def _far_point_cfg(tmp_path):
+    """A config whose point fails the coherent-tail precondition at n_p=40."""
+    return _patched_cfg_file(tmp_path, "far", {"points": [{"label": "pt", "q": 9.0, "p": 9.0}]})
+
+
 def test_cli_bad_point_exit_code(tmp_path, capsys):
-    # the tail precondition fails at n_p=40 for a far-out point
-    cfg = _patched_cfg_file(tmp_path, "far", {"points": [{"label": "pt", "q": 9.0, "p": 9.0}]})
-    rc = main(["otoc", "--config", cfg, "--out", str(tmp_path / "o")])
-    assert rc == 1
-    assert capsys.readouterr().err.startswith("config error: point pt (9.0, 9.0) violates")
-    assert not (tmp_path / "o").exists()
+    # every command that builds a coherent state checks the tail first:
+    # husimi refuses it before it misses its husimi section
+    cfg = _far_point_cfg(tmp_path)
+    for cmd in ("photon", "otoc", "husimi"):
+        rc = main([cmd, "--config", cfg, "--out", str(tmp_path / "o")])
+        assert rc == 1, cmd
+        assert capsys.readouterr().err.startswith("config error: point pt (9.0, 9.0) violates")
+        assert not (tmp_path / "o").exists()
+
+
+def test_portrait_is_not_refused_for_the_coherent_tail(tmp_path):
+    # a classical portrait builds no state, so no truncation can fail it
+    out = tmp_path / "o"
+    assert main(["portrait", "--config", _far_point_cfg(tmp_path), "--out", str(out)]) == 0
+    assert (out / "portrait_pt.csv").exists()
+
+
+def test_repeated_n_p_is_a_config_error(tmp_path, capsys):
+    # each n_p names its files: otoc wrote otoc_A_np40.csv twice and listed
+    # the run twice in its summary and its plot script
+    cfg = _patched_cfg_file(tmp_path, "twice", {"n_p": [40, 40]})
+    for cmd in ("otoc", "photon"):
+        assert main([cmd, "--config", cfg, "--out", str(tmp_path / "o")]) == 1, cmd
+        assert capsys.readouterr().err == "config error: n_p values must be distinct, got [40, 40]\n"
+        assert not (tmp_path / "o").exists()
 
 
 def _concrete_errors(cls=OtocLabError) -> list[type[OtocLabError]]:
@@ -535,7 +560,7 @@ def test_every_error_type_has_documented_exit_code(tmp_path, monkeypatch, capsys
     def fail(*args, **kwargs):
         raise err("injected")
 
-    monkeypatch.setattr(cli, "cmd_otoc", fail)
+    monkeypatch.setitem(cli.COMMANDS, "otoc", (fail, "injected"))
     cfg = write_cfg(tmp_path, small_cfg())
     rc = main(["otoc", "--config", cfg, "--out", str(tmp_path / "o")])
     assert rc in (1, 2, 3)
@@ -879,8 +904,9 @@ def test_a_config_error_leaves_no_directory(tmp_path, capsys, case):
     ["portrait", "--config", "cfg.json", "--frob"],
     ["reproduce-all", "--out", "o", "--only"],
     [],
+    ["otoc", "--config", "cfg.json", "--oracle"],
 ], ids=["np_flag", "otoc_without_config", "unknown_subcommand", "unknown_flag",
-        "only_without_value", "no_command"])
+        "only_without_value", "no_command", "oracle_flag"])
 def test_usage_error_is_a_config_error(tmp_path, monkeypatch, capsys, argv):
     # argparse used to exit 2, the code of a numerical guard, by SystemExit
     monkeypatch.chdir(tmp_path)
@@ -943,8 +969,8 @@ def test_a_command_diagonalizes_each_truncation_once(tmp_path, diagonalized):
         assert main(["reproduce-all", "--out", str(tmp_path / run), "--only", "fig2b"]) == 0
         assert sorted(dim for dim, _ in diagonalized) == [301, 1201]
         diagonalized.clear()
-    cfg = small_cfg(n_p=(40, 40),
-                    points=(LabeledPoint("A", 2.0, -2.0), LabeledPoint("B", 1.0, 1.0)))
+    # two points share their truncation's propagator
+    cfg = small_cfg(points=(LabeledPoint("A", 2.0, -2.0), LabeledPoint("B", 1.0, 1.0)))
     assert main(["photon", "--config", write_cfg(tmp_path, cfg),
                  "--out", str(tmp_path / "photon")]) == 0
     assert sorted(dim for dim, _ in diagonalized) == [41, 161]

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import struct
 import subprocess
 import sys
@@ -10,6 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from otoclab._g17 import BLOCK, format_rows
+from otoclab.errors import ConfigError
 from otoclab.evolution import evolve
 from otoclab.fock import CoherentParams, FockDim, coherent_state
 from otoclab.husimi import PhaseGrid, husimi_q
@@ -175,3 +177,10 @@ def test_manifest_record_after_a_last_line_without_its_newline(tmp_path):
     text = path.read_text(encoding="utf-8")
     assert text.endswith("\n")
     assert [json.loads(line)["file"] for line in text.splitlines()] == ["a.csv", "b.csv", "c.csv"]
+
+
+def test_read_grid_of_a_missing_file_is_a_config_error(tmp_path):
+    # a plain open raised FileNotFoundError
+    path = tmp_path / "missing.grid"
+    with pytest.raises(ConfigError, match=f"^cannot read {re.escape(str(path))}: "):
+        read_grid(str(path))
