@@ -6,9 +6,12 @@ are banded inside each parity block (bandwidth 1 for IHO, 2 for HIHO).
 ``diagonalize`` takes H as ``fock.build_hamiltonian`` returns it: a real
 ``fock.Banded`` lower band whose odd diagonals are zero. The even and odd
 photon-number blocks are ``lower[0::2, 0::2]`` and ``lower[0::2, 1::2]``,
-each solved as it is by ``scipy.linalg.eig_banded``. Eigenvector storage is
-8 (D/2)^2 bytes per block; the full D x D eigenvector matrix is assembled
-lazily, only for the commutator oracle and the tests.
+each solved by numpy's LAPACK in ``_eigh_band``. A tridiagonal block with an
+exactly zero diagonal (the IHO's) couples its even positions only to its odd
+ones, so it is solved by the SVD of that coupling matrix; any other block
+(the HIHO's pentadiagonal ones) by a dense ``eigh``. Eigenvector storage is
+8 (D/2)^2 bytes per block, in Fortran order; the full D x D eigenvector
+matrix is assembled lazily, only for the commutator oracle and the tests.
 
 ``evolve`` and ``evolve_batch`` share one product, ``_product``. A coherent
 state populates a narrow band of each block's spectrum, so per block it
@@ -65,7 +68,6 @@ from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg import eig_banded
 
 from .errors import DimMismatch, TruncationGuardError
 from .fock import Banded, FockDim
@@ -152,6 +154,42 @@ class Propagator:
         return self._full[1]
 
 
+def _eigh_band(band: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues, ascending, and eigenvectors, in Fortran order, of the
+    real symmetric matrix A whose lower band is ``band``:
+    band[k, r] = A[r + k, r].
+
+    A tridiagonal A with a zero diagonal is [[0, B], [B^T, 0]] once its even
+    positions come first, with B[i, j] = A[2i, 2j + 1]. For B = U S W^T each
+    singular triple (s, u, w) gives the eigenpairs +-s with eigenvectors
+    (u, +-w)/sqrt(2), and an odd-sized A has one more, 0 with (u, 0) for the
+    last column of U. Any other A goes to a dense ``eigh``. Fortran order
+    keeps each window of columns contiguous for ``_product``'s GEMM, which
+    rounds a one-column product as it rounds a batch."""
+    m = band.shape[1]
+    if band.shape[0] != 2 or np.any(band[0]):
+        A = np.zeros((m, m))
+        for k in range(band.shape[0]):
+            A[np.arange(k, m), np.arange(m - k)] = band[k, : m - k]
+        lam, V = np.linalg.eigh(A, UPLO="L")
+        return lam, np.asfortranarray(V)
+    n_even, n_odd = (m + 1) // 2, m // 2
+    B = np.zeros((n_even, n_odd))
+    B[np.arange(n_odd), np.arange(n_odd)] = band[1, 0:2 * n_odd:2]  # A[2i + 1, 2i]
+    j = np.arange(n_even - 1)
+    B[j + 1, j] = band[1, 1:2 * n_even - 1:2]  # A[2j + 2, 2j + 1]
+    U, s, Wt = np.linalg.svd(B)
+    lam = np.concatenate([-s, np.zeros(m - 2 * n_odd), s[::-1]])
+    r = 1 / np.sqrt(2)
+    V = np.zeros((m, m), order="F")
+    V[0::2, :n_odd] = U[:, :n_odd] * r
+    V[1::2, :n_odd] = -Wt.T * r
+    V[0::2, n_odd:m - n_odd] = U[:, n_odd:]
+    V[0::2, m - n_odd:] = U[:, :n_odd][:, ::-1] * r
+    V[1::2, m - n_odd:] = Wt[::-1].T * r
+    return lam, V
+
+
 def diagonalize(H: Banded) -> Propagator:
     """Diagonalize H as ``fock.build_hamiltonian`` returns it, one
     photon-number parity block at a time; eigenvalues ascending within each
@@ -161,7 +199,7 @@ def diagonalize(H: Banded) -> Propagator:
         raise ValueError("diagonalize needs a real band whose odd diagonals are zero")
     parts = ((slice(0, None, 2), H.lower[0::2, 0::2]),
              (slice(1, None, 2), H.lower[0::2, 1::2]))
-    blocks = tuple((idx, *eig_banded(band, lower=True)) for idx, band in parts)
+    blocks = tuple((idx, *_eigh_band(band)) for idx, band in parts)
     return Propagator(dim=FockDim(H.shape[0] - 1), blocks=blocks)
 
 

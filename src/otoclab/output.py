@@ -21,7 +21,6 @@ import json
 import os
 
 import numpy as np
-import scipy
 
 from . import __version__
 from ._g17 import write_rows
@@ -96,7 +95,6 @@ class Manifest:
             "versions": {
                 "numpy": np.__version__,
                 "otoclab": __version__,
-                "scipy": scipy.__version__,
             },
         }
         name = entry["file"]
@@ -143,12 +141,22 @@ def write_grid(path: str, hg: HusimiGrid, manifest: Manifest | None = None):
 
 
 def read_grid(path: str) -> tuple[tuple[float, float, int, float, float, int], np.ndarray]:
+    """The header and the n_q x n_p values of a ``write_grid`` file; a file
+    that does not hold one raises ConfigError naming the path."""
     with _opened(path, "r", encoding="utf-8") as fh:
         parts = fh.readline().split()
+        text = fh.read()
+    try:
+        if len(parts) != 6:
+            raise ValueError(f"its header has {len(parts)} fields, not 6")
         hdr = (float(parts[0]), float(parts[1]), int(parts[2]),
                float(parts[3]), float(parts[4]), int(parts[5]))
-        vals = np.loadtxt(fh)
-    return hdr, vals.reshape(hdr[2], hdr[5])
+        vals = np.array(text.split(), dtype=float)
+        if vals.size != hdr[2] * hdr[5]:
+            raise ValueError(f"it holds {vals.size} values, not {hdr[2]} x {hdr[5]}")
+        return hdr, vals.reshape(hdr[2], hdr[5])
+    except ValueError as exc:
+        raise ConfigError(f"{path} is not a Husimi grid file: {exc}") from exc
 
 
 def write_gnuplot(path: str, lines: list[str], manifest: Manifest | None = None):

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from conftest import banded, dense, expect
 from hypothesis import given, settings, strategies as st
-from scipy.linalg import eigh
+from scipy.linalg import eig_banded, eigh
 
 from otoclab import evolution, fock
 from otoclab.errors import DimMismatch, NotHermitian, TruncationGuardError
@@ -20,6 +20,7 @@ from otoclab.evolution import (
     variance_otoc,
 )
 from otoclab.fock import (
+    Banded,
     CoherentParams,
     FockDim,
     HihoParams,
@@ -87,6 +88,29 @@ def test_banded_propagator_matches_dense_eigh(case, n_blocks):
         single = evolve(prop, psi0, t)
         assert np.max(np.abs(single - ref)) <= 1e-10
         assert np.max(np.abs(batch[:, k] - single)) <= 1e-13
+
+
+@pytest.mark.parametrize("n_p", [1, 2, 37, 300, 1200])
+@pytest.mark.parametrize("system", ["iho", "hiho"])
+def test_block_eigenpairs_match_eig_banded(system, n_p):
+    # scipy's eig_banded on the same parity band is the reference (with
+    # eigenvectors: its eigvals_only path is itself 8e-15 off at IHO
+    # n_p = 1200); the IHO's zero-diagonal tridiagonal blocks take the SVD
+    # path, the HIHO's the dense one, and n_p = 2, 300 and 1200 give blocks
+    # of even and odd size
+    d = FockDim(n_p)
+    H = build_iho(d) if system == "iho" else build_hiho(d, HihoParams(3.0, 0.04))
+    eps = np.finfo(float).eps
+    for (_, lam, V), band in zip(diagonalize(H).blocks,
+                                 (H.lower[0::2, 0::2], H.lower[0::2, 1::2])):
+        A = dense(Banded(band))
+        lam_ref = eig_banded(band, lower=True)[0]
+        scale = max(np.max(np.abs(lam_ref)), 1.0)
+        assert np.all(np.diff(lam) >= 0)
+        assert V.shape == A.shape and V.flags.f_contiguous
+        assert np.max(np.abs(lam - lam_ref)) <= 32 * eps * scale
+        assert np.max(np.abs(A @ V - V * lam)) <= 32 * eps * scale
+        assert np.max(np.abs(V.T @ V - np.eye(len(lam)))) <= 64 * eps
 
 
 def test_propagator_invariants(hiho_prop):

@@ -5,9 +5,12 @@ import pytest
 from conftest import dense, hermiticity_defect, mean_photon
 from hypothesis import given, settings, strategies as st
 from scipy.linalg import eigh
+from scipy.special import gammainc
 
+from otoclab import cli
 from otoclab.errors import TailTooHeavy
 from otoclab.fock import (
+    TAIL_TOL,
     CoherentParams,
     FockDim,
     HihoParams,
@@ -15,6 +18,7 @@ from otoclab.fock import (
     build_hiho,
     build_iho,
     coherent_state,
+    coherent_tail,
     hiho,
     make_ladder,
     quadratures,
@@ -182,6 +186,33 @@ def test_coherent_poisson_peak():
 def test_coherent_tail_too_heavy():
     with pytest.raises(TailTooHeavy):
         coherent_state(FockDim(10), CoherentParams(5.0, 5.0))
+
+
+@pytest.mark.parametrize("D", [2, 38, 251, 1201, 8001])
+def test_coherent_tail_matches_gammainc(D):
+    # P(N >= D) = gammainc(D, mu); ln p_n carries about D ln(mu) eps, which
+    # reached 1.5e-11 relative at D = 8001
+    dim = FockDim(D - 1)
+    means = np.concatenate([np.linspace(0.0, 2.0 * D, 201),
+                            [1e-300, 1e-3, D - 1.0, D, D + 1.0, 1e300, np.inf]])
+    for mu in means:
+        ref = gammainc(D, mu)
+        got = coherent_tail(mu, dim)
+        if ref > 1e-300:
+            assert abs(got - ref) <= 1e-10 * ref, (D, mu)
+        else:
+            assert 0.0 <= got <= 1e-290, (D, mu)
+
+
+def test_tail_guard_decides_as_gammainc_for_every_bundled_point():
+    # every n_p a bundled config names, and the 4x photon reference of each
+    for name in cli.FIGURES:
+        cfg = cli._load_bundled(name)
+        for n_p in (*cfg.n_p, cli.REFERENCE_FACTOR * max(cfg.n_p)):
+            for pt in cfg.points:
+                mu = abs(CoherentParams(pt.q, pt.p).beta) ** 2
+                assert ((coherent_tail(mu, FockDim(n_p)) >= TAIL_TOL)
+                        == (gammainc(n_p + 1, mu) >= TAIL_TOL)), (name, n_p, pt)
 
 
 def test_coherent_params_beta():

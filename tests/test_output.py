@@ -184,3 +184,19 @@ def test_read_grid_of_a_missing_file_is_a_config_error(tmp_path):
     path = tmp_path / "missing.grid"
     with pytest.raises(ConfigError, match=f"^cannot read {re.escape(str(path))}: "):
         read_grid(str(path))
+
+
+@pytest.mark.parametrize("text, reason", [
+    ("", "its header has 0 fields, not 6"),
+    ("0 1 2 0 1\n1 2\n3 4\n", "its header has 5 fields, not 6"),
+    ("0 1 2 0 1 x\n1 2\n3 4\n", "invalid literal for int"),
+    ("0 1 2 0 1 2\n1 2\n3\n", "it holds 3 values, not 2 x 2"),
+])
+def test_read_grid_of_a_torn_file_is_a_config_error(tmp_path, text, reason):
+    # an empty file and a short header raised IndexError, a bad number and
+    # a wrong value count ValueError
+    path = tmp_path / "torn.grid"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(ConfigError, match=f"^{re.escape(str(path))} is not a Husimi grid file: "
+                                          f"{re.escape(reason)}"):
+        read_grid(str(path))
