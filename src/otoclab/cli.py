@@ -16,10 +16,9 @@ A run is its config file: no flag changes what a command computes, and
 command line is a config error too, exit 1, as a bad file is.
 
 Each command diagonalizes the distinct truncations it needs once, up front,
-into a dict of its own, and frees them when it returns: figures in one
-``reproduce-all`` do not share propagators. That repeats 8 of its 19
-eigensolves (about 0.1 s, inside the run-to-run spread of a 3.5-4.5 s run)
-and lowers its peak RSS from 86.7 to 78.5 MiB (2 cores, one BLAS thread).
+into a dict of its own, and frees them when it returns: no propagator
+outlives the command that built it, so figures in one ``reproduce-all`` do
+not share propagators, and a run holds one figure's eigenvectors at a time.
 """
 from __future__ import annotations
 
@@ -87,7 +86,13 @@ def _initial_state(n_p: int, pt: LabeledPoint) -> np.ndarray:
 
 
 def _time_grid(cfg: ExperimentConfig) -> np.ndarray:
-    return np.linspace(0.0, cfg.t_end, cfg.n_samples)
+    """n_samples times from 0 to t_end; a t_end too small to hold that many
+    distinct times is a ConfigError."""
+    times = np.linspace(0.0, cfg.t_end, cfg.n_samples)
+    if not np.all(np.diff(times) > 0):
+        raise ConfigError(f"t_end = {cfg.t_end!r} is too small for n_samples = "
+                          f"{cfg.n_samples} strictly increasing times")
+    return times
 
 
 def _quoted(text: str) -> str:
@@ -144,8 +149,8 @@ def cmd_photon(cfg: ExperimentConfig, out_dir: str) -> dict:
     if ref_np > MAX_N_P:
         raise ConfigError(f"the photon reference n_p = {REFERENCE_FACTOR} x {max(cfg.n_p)} "
                           f"= {ref_np} is past the cap of {MAX_N_P}")
-    manifest = Manifest(out_dir, config_hash(cfg))
     times = _time_grid(cfg)
+    manifest = Manifest(out_dir, config_hash(cfg))
     props = _propagators(cfg, ref_np, *cfg.n_p)
     runs = []
     for pt in cfg.points:
@@ -184,8 +189,8 @@ def cmd_otoc(cfg: ExperimentConfig, out_dir: str) -> dict:
     """OTOC series per (point, n_p), each fitted on the config's ``fit``
     window when it states one."""
     cfg.check_coherent_tails()
-    manifest = Manifest(out_dir, config_hash(cfg))
     times = _time_grid(cfg)
+    manifest = Manifest(out_dir, config_hash(cfg))
     props = _propagators(cfg, *cfg.n_p)
     runs = []
     series_map = {}

@@ -180,16 +180,18 @@ class ExperimentConfig:
             if grid.n_q * grid.n_p > MAX_GRID_POINTS:
                 raise ConfigError(f"husimi grid n_q x n_p = {grid.n_q} x {grid.n_p} is past "
                                   f"the cap of {MAX_GRID_POINTS} points")
+            # the cap first, so a long list is refused without a scan
+            if isinstance(times, tuple) and len(times) > MAX_SNAPSHOTS:
+                raise ConfigError(f"husimi asks for {len(times)} snapshot times, past "
+                                  f"the cap of {MAX_SNAPSHOTS}")
             if not (isinstance(times, tuple) and all(_is_finite(t) for t in times)):
                 raise ConfigError(f"husimi snapshot times must be finite numbers, "
                                   f"got {times!r}")
-            if len(times) > MAX_SNAPSHOTS:
-                raise ConfigError(f"husimi asks for {len(times)} snapshot times, past "
-                                  f"the cap of {MAX_SNAPSHOTS}")
         fit = self.fit
         if fit is not None and fit.auto:
-            if not (_is_number(fit.min_span) and fit.min_span > 0):
-                raise ConfigError(f"fit min_span must be positive, got {fit.min_span!r}")
+            if not (_is_finite(fit.min_span) and fit.min_span > 0):
+                raise ConfigError(f"fit min_span must be positive and finite, "
+                                  f"got {fit.min_span!r}")
             if fit.search is not None and not _is_interval(fit.search):
                 raise ConfigError(f"fit search {fit.search!r} is not (t_lo, t_hi) with t_lo < t_hi")
         elif fit is not None:
@@ -215,15 +217,12 @@ class ExperimentConfig:
                     )
 
 
-def _is_number(x) -> bool:
-    """An int or float; JSON's true/false load as bool, a subclass of int."""
-    return isinstance(x, (int, float)) and not isinstance(x, bool)
-
-
 def _is_finite(x) -> bool:
-    """A number with a finite float value: not NaN or +-Infinity, which json
-    reads, nor an int past the float range."""
-    return _is_number(x) and abs(x) <= sys.float_info.max
+    """An int or float with a finite float value: not NaN or +-Infinity,
+    which json reads, nor an int past the float range, nor JSON's true/false,
+    which load as bool, a subclass of int."""
+    return (isinstance(x, (int, float)) and not isinstance(x, bool)
+            and abs(x) <= sys.float_info.max)
 
 
 def _is_int(x) -> bool:
@@ -231,9 +230,9 @@ def _is_int(x) -> bool:
 
 
 def _is_interval(w) -> bool:
-    """A (t_lo, t_hi) pair of numbers with t_lo < t_hi."""
+    """A (t_lo, t_hi) pair of finite numbers with t_lo < t_hi."""
     return (isinstance(w, tuple) and len(w) == 2
-            and all(_is_number(x) for x in w) and w[0] < w[1])
+            and all(_is_finite(x) for x in w) and w[0] < w[1])
 
 
 def _without_none(d: dict) -> dict:

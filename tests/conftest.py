@@ -91,11 +91,11 @@ def hiho_prop():
 @pytest.fixture(scope="session")
 def reproduce_all(tmp_path_factory):
     """One in-process ``reproduce-all`` run, shared by every test that reads
-    its checks: (exit code, report.json as a dict)."""
+    its checks or files: (exit code, report.json as a dict, output directory)."""
     out = tmp_path_factory.mktemp("repro") / "out"
     code = main(["reproduce-all", "--out", str(out)])
     report = json.loads((out / "report.json").read_text(encoding="utf-8"))
-    return code, report
+    return code, report, out
 
 
 def check_named(report: dict, name: str) -> dict:

@@ -41,7 +41,7 @@ def _report(capsys, name, ok, detail):
 def test_acceptance_reproduce_all_checks(capsys, reproduce_all):
     """Every bundled figure and classical exponent, checked against the
     paper's targets by reproduce-all itself, in one in-process run."""
-    code, report = reproduce_all
+    code, report, _ = reproduce_all
     checks = report["checks"]
     with capsys.disabled():
         for c in checks:

@@ -4,6 +4,7 @@ import json
 import math
 import os
 import re
+import resource
 import subprocess
 import sys
 import weakref
@@ -128,11 +129,9 @@ def test_config_validation_errors(tmp_path, capsys, monkeypatch):
             small_cfg(dt=bad)
     # the RK4 step cap guards only portrait, the one command that integrates:
     # it refuses an overflowing or finite step count past the cap before it
-    # makes its directory
+    # makes its directory (1e22 steps: test_configs_past_the_caps_exit_1)
     for name, t_end, dt, message in (
         ("inf", 1e300, 1e-10, r"t_end / dt = 1e\+300 / 1e-10 is not a finite step"),
-        ("capped", 1e12, 1e-10, r"t_end / dt = 1000000000000.0 / 1e-10 is not a "
-                                r"finite step count of at most 1000000"),
         ("past", 1000.5, 1e-3, r"t_end / dt = 1000.5 / 0.001 is not a finite step count "
                                r"of at most 1000000"),
     ):
@@ -170,6 +169,11 @@ def test_config_validation_errors(tmp_path, capsys, monkeypatch):
         FitSpec("auto", search=(0.5, 0.1)),
         FitSpec("auto", search=(0.2, 0.2)),
         FitSpec(window=(False, True)),  # JSON booleans are not times
+        # json reads Infinity, which otoc_summary.json could not write back
+        FitSpec(window=(0.2, math.inf)),
+        FitSpec(window=(-math.inf, 0.6)),
+        FitSpec("auto", min_span=math.inf),
+        FitSpec("auto", search=(-math.inf, math.inf)),
         FitSpec("auto", min_span=True),
         FitSpec("auto", search=(False, True)),
         # min_span and search would have no effect on a fixed window
@@ -209,9 +213,8 @@ def test_config_validation_errors(tmp_path, capsys, monkeypatch):
             small_cfg(n_p=(bad,))
         with pytest.raises(ConfigError, match="n_samples must be an integer >= 2"):
             small_cfg(n_samples=bad)
-    # past the caps on samples and on Husimi grid points; the caps themselves are allowed
-    with pytest.raises(ConfigError, match=r"n_samples = 1000000000 is past the cap of 100000"):
-        small_cfg(n_samples=10**9)
+    # past the caps on samples and on Husimi grid points; the caps themselves are
+    # allowed (10^9 samples: test_configs_past_the_caps_exit_1)
     with pytest.raises(ConfigError, match="n_samples = 100001 is past the cap"):
         small_cfg(n_samples=10**5 + 1)
     assert small_cfg(n_samples=10**5).n_samples == 10**5
@@ -285,23 +288,25 @@ def test_photon_command_summary(tmp_path):
 
 
 def test_otoc_command_oracle_column(tmp_path, capsys):
-    # --oracle added a column the manifest's config hash did not name; the
-    # oracle's bound is test_acceptance_1_variance_matches_commutator_oracle's
+    # --oracle added a column the manifest's config hash did not name; given
+    # a valid config and output directory it is still refused before any
+    # file is written. The oracle's bound is
+    # test_acceptance_1_variance_matches_commutator_oracle's
     cfg = write_cfg(tmp_path, small_cfg())
     out = tmp_path / "out"
     assert main(["otoc", "--config", cfg, "--out", str(out), "--oracle"]) == 1
-    assert capsys.readouterr().err.startswith("config error: ")
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ")
+    assert "unrecognized arguments: --oracle" in err
     assert not out.exists()
 
 
-def test_otoc_command_oracle_skipped_large_dim(tmp_path):
-    cfg = write_cfg(tmp_path, small_cfg(n_p=(120,)))
-    out = str(tmp_path / "out")
-    assert main(["otoc", "--config", cfg, "--out", out]) == 0
-    summary = json.loads((tmp_path / "out" / "otoc_summary.json").read_text())
-    run = summary["runs"][0]
-    assert "oracle" not in run
-    assert open(os.path.join(out, run["file"])).readline() == "t,C\n"
+def test_otoc_csv_header_is_t_and_c(tmp_path):
+    cfg = write_cfg(tmp_path, small_cfg())
+    out = tmp_path / "out"
+    assert main(["otoc", "--config", cfg, "--out", str(out)]) == 0
+    (run,) = json.loads((out / "otoc_summary.json").read_text())["runs"]
+    assert (out / run["file"]).read_text().startswith("t,C\n")
 
 
 def test_husimi_command(tmp_path):
@@ -368,14 +373,20 @@ def test_husimi_snapshots_equal_evolve_bit_for_bit(tmp_path, monkeypatch):
     assert 0 < missed < len(want)  # both branches of the diagnostics run
 
 
-def test_import_loads_no_scipy():
+def _run_child(args: list[str], **kwargs) -> subprocess.CompletedProcess:
+    """Run ``python *args`` in a fresh interpreter that imports this otoclab,
+    on one BLAS thread, capturing its output as text."""
     src = str(Path(cli.__file__).resolve().parents[1])
-    env = {**os.environ,
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True,
+                          **kwargs)
+
+
+def test_import_loads_no_scipy():
     code = ("import sys, otoclab.cli; "
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                         text=True, check=True)
+    out = _run_child(["-c", code], check=True)
     assert out.stdout.strip() == "[]"
 
 
@@ -412,18 +423,6 @@ def test_husimi_grid_too_small(tmp_path, capsys):
         assert snap["centroid"] == pytest.approx(list(centre), abs=0.02)
 
 
-def test_cli_overrides(tmp_path, capsys):
-    # a run is its config file: the flags that once overrode n_p and the
-    # point are usage errors, and nothing is made on disk
-    cfg = write_cfg(tmp_path, small_cfg())
-    out = tmp_path / "out"
-    for flags in (["--np", "30"], ["--point", "1.0,1.0"], ["--np", "30", "--point", "1.0,1.0"]):
-        assert main(["otoc", "--config", cfg, "--out", str(out), *flags]) == 1, flags
-        err = capsys.readouterr().err
-        assert err.startswith(f"config error: otoclab: unrecognized arguments: {flags[0]}"), err
-        assert not out.exists()
-
-
 def test_cli_config_error_exit_code(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text('{"system": "iho", "n_p": [0], "points": [], "t_end": 1.0, "n_samples": 5}')
@@ -442,7 +441,6 @@ def test_cli_config_error_exit_code(tmp_path, capsys):
             assert main([cmd, "--config", cfg, "--out", str(tmp_path / "o")]) == 1
             assert capsys.readouterr().err.startswith(f"config error: {key} must be")
     # inputs that used to end in a traceback, or exit 0 with NaN data
-    base = json.loads(serialize(small_cfg()))
     grid = {"q_min": -6.0, "q_max": 6.0, "p_min": -6.0, "p_max": 6.0, "n_q": 21,
             "n_p": 21, "snapshot_times": [0.0]}
     hiho = {"system": "hiho", "gamma": 3.0, "g": 0.04}
@@ -467,12 +465,14 @@ def test_cli_config_error_exit_code(tmp_path, capsys):
         ("label_newline", {"points": [{"label": "A\nB", "q": 0.0, "p": 0.0}]}, "otoc"),
         ("label_tab", {"points": [{"label": "A\tB", "q": 0.0, "p": 0.0}]}, "otoc"),
         ("label_nul", {"points": [{"label": "A\x00B", "q": 0.0, "p": 0.0}]}, "otoc"),
+        # linspace(0, 5e-324, 3) repeats 0: a traceback after the directory was made
+        ("t_end_subnormal_otoc", {"t_end": 5e-324, "n_samples": 3}, "otoc"),
+        ("t_end_subnormal_photon", {"t_end": 5e-324, "n_samples": 3}, "photon"),
     ):
-        path = tmp_path / f"bad_{name}.json"
-        path.write_text(json.dumps({**base, **patch}), encoding="utf-8")
+        cfg = _patched_cfg_file(tmp_path, f"bad_{name}", patch)
         out = tmp_path / f"o_{name}"
         capsys.readouterr()
-        assert main([cmd, "--config", str(path), "--out", str(out)]) == 1, name
+        assert main([cmd, "--config", cfg, "--out", str(out)]) == 1, name
         assert capsys.readouterr().err.startswith("config error: "), name
         assert not out.exists(), name
 
@@ -637,32 +637,40 @@ def test_data_file_that_is_a_directory_is_a_config_error(tmp_path, capsys, name)
     assert err.startswith(f"config error: cannot write {out / name}: "), err
 
 
-@pytest.mark.parametrize("name, command, key, value, message", [
-    ("fig7_otoc.json", "otoc", "n_samples", 10**9, "n_samples = 1000000000 is past the cap"),
-    ("fig8.json", "husimi", "n_q", 100000, "husimi grid n_q x n_p = 100000 x 100000 is past"),
-    pytest.param("fig7_otoc.json", "otoc", "n_p", [10**6],
+@pytest.mark.parametrize("name, command, patch, message", [
+    pytest.param("fig7_otoc.json", "portrait", {"t_end": 1e12, "dt": 1e-10},
+                 "t_end / dt = 1000000000000.0 / 1e-10 is not a finite step count of at "
+                 "most 1000000", id="portrait_steps"),
+    pytest.param("fig7_otoc.json", "otoc", {"n_samples": 10**9},
+                 "n_samples = 1000000000 is past the cap of 100000", id="n_samples"),
+    pytest.param("fig8.json", "husimi", {"husimi": {"n_q": 100000, "n_p": 100000}},
+                 "husimi grid n_q x n_p = 100000 x 100000 is past the cap of 1000000 points",
+                 id="husimi_grid"),
+    pytest.param("fig7_otoc.json", "otoc", {"n_p": [10**6]},
                  "n_p = 1000000 is past the cap of 8000", id="n_p"),
-    pytest.param("fig8.json", "husimi", "snapshot_times", [i / 10**6 for i in range(10**6)],
+    pytest.param("fig8.json", "husimi",
+                 {"husimi": {"snapshot_times": [i / 10**6 for i in range(10**6)]}},
                  "husimi asks for 1000000 snapshot times, past the cap of 100", id="snapshots"),
-    pytest.param("fig7_photon.json", "photon", "n_p", [150, 2001],
+    pytest.param("fig7_photon.json", "photon", {"n_p": [150, 2001]},
                  "the photon reference n_p = 4 x 2001 = 8004 is past the cap of 8000",
                  id="photon_reference"),
 ])
-def test_configs_past_the_caps_exit_1(tmp_path, capsys, name, command, key, value, message):
-    # each once asked numpy for gigabytes and ended in a traceback
+def test_configs_past_the_caps_exit_1(tmp_path, name, command, patch, message):
+    # each once asked numpy for gigabytes and ended in a traceback; the command
+    # runs through its module entry point in a child whose address space is
+    # capped as `ulimit -v 3000000` caps it, so a lost cap fails the child alone
+    cap = 3_000_000 * 1024
     d = json.loads(resources.files("otoclab.figconfigs").joinpath(name).read_text())
-    if key == "n_q":
-        d["husimi"].update(n_q=value, n_p=value)
-    elif key == "snapshot_times":
-        d["husimi"][key] = value
-    else:
-        d[key] = value
+    # a dict in the patch updates the section of the config that it names
+    d.update({k: {**d[k], **v} if isinstance(v, dict) else v for k, v in patch.items()})
     path = tmp_path / name
     path.write_text(json.dumps(d), encoding="utf-8")
     out = tmp_path / "o"
-    assert main([command, "--config", str(path), "--out", str(out)]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith(f"config error: {message}"), err
+    proc = _run_child(["-m", "otoclab.cli", command, "--config", str(path), "--out", str(out)],
+                      preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap)))
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stderr.startswith(f"config error: {message}"), proc.stderr
+    assert "Traceback" not in proc.stderr
     assert not out.exists()
 
 
@@ -753,10 +761,10 @@ def test_every_manifest_record_names_its_config_file(tmp_path, command):
     assert {e["config_hash"] for e in entries} == {config_hash(load(cfg))}
 
 
+@pytest.mark.slow
 @pytest.mark.parametrize("name", list(cli.FIGURES))
-def test_every_figure_manifest_record_names_its_bundled_config(tmp_path, name):
-    assert main(["reproduce-all", "--out", str(tmp_path), "--only", name]) == 0
-    lines = (tmp_path / name / "manifest.jsonl").read_text().splitlines()
+def test_every_figure_manifest_record_names_its_bundled_config(reproduce_all, name):
+    lines = (reproduce_all[2] / name / "manifest.jsonl").read_text().splitlines()
     assert lines
     assert {json.loads(line)["config_hash"] for line in lines} == {
         config_hash(cli._load_bundled(name))}
@@ -897,22 +905,27 @@ def test_a_config_error_leaves_no_directory(tmp_path, capsys, case):
     assert not os.path.exists(out)
 
 
-@pytest.mark.parametrize("argv", [
-    ["otoc", "--config", "cfg.json", "--np", "abc"],
-    ["otoc", "--out", "o"],
-    ["no-such-command", "--config", "cfg.json"],
-    ["portrait", "--config", "cfg.json", "--frob"],
-    ["reproduce-all", "--out", "o", "--only"],
-    [],
-    ["otoc", "--config", "cfg.json", "--oracle"],
-], ids=["np_flag", "otoc_without_config", "unknown_subcommand", "unknown_flag",
-        "only_without_value", "no_command", "oracle_flag"])
-def test_usage_error_is_a_config_error(tmp_path, monkeypatch, capsys, argv):
+@pytest.mark.parametrize("argv, message", [
+    # a run is its config file: the flags that overrode n_p or the point, or
+    # added an oracle column, are gone
+    (["otoc", "--config", "c", "--np", "abc"], "otoclab: unrecognized arguments: --np abc"),
+    (["otoc", "--config", "c", "--point", "1,1"], "otoclab: unrecognized arguments: --point 1,1"),
+    (["otoc", "--config", "c", "--oracle"], "otoclab: unrecognized arguments: --oracle"),
+    (["otoc", "--out", "o"], "otoclab otoc: the following arguments are required: --config"),
+    (["no-such-command", "--config", "c"],
+     "otoclab: argument command: invalid choice: 'no-such-command'"),
+    (["portrait", "--config", "c", "--frob"], "otoclab: unrecognized arguments: --frob"),
+    (["reproduce-all", "--out", "o", "--only"],
+     "otoclab reproduce-all: argument --only: expected one argument"),
+    ([], "otoclab: the following arguments are required: command"),
+], ids=["np_flag", "point_flag", "oracle_flag", "otoc_without_config", "unknown_subcommand",
+        "unknown_flag", "only_without_value", "no_command"])
+def test_usage_error_is_a_config_error(tmp_path, monkeypatch, capsys, argv, message):
     # argparse used to exit 2, the code of a numerical guard, by SystemExit
     monkeypatch.chdir(tmp_path)
     assert main(argv) == 1
     err = capsys.readouterr().err
-    assert err.startswith("config error: otoclab"), err
+    assert err.startswith(f"config error: {message}"), err
     assert "Traceback" not in err and "usage:" not in err
     assert os.listdir(tmp_path) == []
 
