@@ -66,6 +66,15 @@ def energy(m: Model, q: float, p: float) -> float:
     return e
 
 
+def has_finite_energy(m: Model, q: float, p: float) -> bool:
+    """Whether ``energy(m, q, p)`` is finite; a power in it past the float
+    range raises OverflowError rather than giving inf."""
+    try:
+        return math.isfinite(energy(m, q, p))
+    except OverflowError:
+        return False
+
+
 def hamilton_rhs(m: Model, s: ClassicalState) -> tuple[float, float]:
     """Analytic (dq/dt, dp/dt)."""
     dp = -2 * m.v2 * s.q
@@ -92,6 +101,11 @@ def _step_count(t: float, dt: float, name: str) -> int:
     return int(round(ratio))
 
 
+def _not_finite(t: float) -> StepTooLarge:
+    return StepTooLarge(f"the energy at t={t:.6g} is not finite: the orbit has left "
+                        f"the float range")
+
+
 def integrate(
     m: Model,
     s0: ClassicalState,
@@ -102,7 +116,9 @@ def integrate(
     backward integration; dt is a positive step magnitude).
 
     A step whose energy drifts from the initial E0 by more than
-    ENERGY_DRIFT_TOL * max(1, |E0|) raises StepTooLarge.
+    ENERGY_DRIFT_TOL * max(1, |E0|), or is not finite, raises StepTooLarge;
+    so does a float power past the float range, which Python raises as
+    OverflowError.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
@@ -113,32 +129,40 @@ def integrate(
     hh, h6 = h / 2, h / 6
     v4 = m.v4
     b, c1, c3 = 2 * m.kappa, -2 * m.v2, 4 * v4
-    e0 = energy(m, s0.q, s0.p)
-    bound = ENERGY_DRIFT_TOL * max(1.0, abs(e0))
     q, p = s0.q, s0.p
     qs, ps = [q], [p]
-    for i in range(1, n + 1):
-        # a zero quartic term is left out (see the module docstring)
-        k1q = b * p
-        k1p = c1 * q - c3 * q**3.0 if v4 else c1 * q
-        x = q + hh * k1q
-        k2q = b * (p + hh * k1p)
-        k2p = c1 * x - c3 * x**3.0 if v4 else c1 * x
-        x = q + hh * k2q
-        k3q = b * (p + hh * k2p)
-        k3p = c1 * x - c3 * x**3.0 if v4 else c1 * x
-        x = q + h * k3q
-        k4q = b * (p + h * k3p)
-        k4p = c1 * x - c3 * x**3.0 if v4 else c1 * x
-        q += h6 * (k1q + 2.0 * k2q + 2.0 * k3q + k4q)
-        p += h6 * (k1p + 2.0 * k2p + 2.0 * k3p + k4p)
-        qs.append(q)
-        ps.append(p)
-        if abs(energy(m, q, p) - e0) > bound:
-            raise StepTooLarge(
-                f"energy drift {abs(energy(m, q, p) - e0):.3e} at t={i * h:.6g} "
-                f"exceeds {bound:.3e}; reduce dt"
-            )
+    i = 0
+    try:
+        e0 = energy(m, q, p)
+        if not math.isfinite(e0):
+            raise _not_finite(0.0)
+        bound = ENERGY_DRIFT_TOL * max(1.0, abs(e0))
+        for i in range(1, n + 1):
+            # a zero quartic term is left out (see the module docstring)
+            k1q = b * p
+            k1p = c1 * q - c3 * q**3.0 if v4 else c1 * q
+            x = q + hh * k1q
+            k2q = b * (p + hh * k1p)
+            k2p = c1 * x - c3 * x**3.0 if v4 else c1 * x
+            x = q + hh * k2q
+            k3q = b * (p + hh * k2p)
+            k3p = c1 * x - c3 * x**3.0 if v4 else c1 * x
+            x = q + h * k3q
+            k4q = b * (p + h * k3p)
+            k4p = c1 * x - c3 * x**3.0 if v4 else c1 * x
+            q += h6 * (k1q + 2.0 * k2q + 2.0 * k3q + k4q)
+            p += h6 * (k1p + 2.0 * k2p + 2.0 * k3p + k4p)
+            qs.append(q)
+            ps.append(p)
+            e = energy(m, q, p)
+            # not <=, so that a NaN energy fails the guard too
+            if not abs(e - e0) <= bound:
+                if not math.isfinite(e):
+                    raise _not_finite(i * h)
+                raise StepTooLarge(f"energy drift {abs(e - e0):.3e} at t={i * h:.6g} "
+                                   f"exceeds {bound:.3e}; reduce dt")
+    except OverflowError:  # a float power past the float range
+        raise _not_finite(i * h) from None
     times = np.arange(n + 1) * h
     times[0] = 0.0  # 0 * h is -0.0 when integrating backward
     return Trajectory(times=times, qs=np.array(qs), ps=np.array(ps), energy0=e0)

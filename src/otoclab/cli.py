@@ -107,9 +107,14 @@ def cmd_portrait(cfg: ExperimentConfig, out_dir: str) -> dict:
     if not (math.isfinite(steps) and steps <= MAX_STEPS):
         raise ConfigError(f"t_end / dt = {cfg.t_end!r} / {cfg.dt!r} is not a finite step "
                           f"count of at most {MAX_STEPS}")
+    model = cfg.model()
+    for pt in cfg.points:
+        if not classical.has_finite_energy(model, pt.q, pt.p):
+            raise ConfigError(f"point {pt.label} ({pt.q}, {pt.p}) has a classical energy "
+                              f"past the float range")
     manifest = Manifest(out_dir, config_hash(cfg))
     seeds = [classical.ClassicalState(p.q, p.p) for p in cfg.points]
-    trajs = classical.phase_portrait(cfg.model(), seeds, cfg.t_end, cfg.dt)
+    trajs = classical.phase_portrait(model, seeds, cfg.t_end, cfg.dt)
     files = []
     for pt, tr in zip(cfg.points, trajs):
         path = os.path.join(out_dir, f"portrait_{pt.label}.csv")

@@ -6,9 +6,10 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 import sys
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, astuple, dataclass, fields
 
 from .errors import ConfigError
 from .fock import (
@@ -134,6 +135,10 @@ class ExperimentConfig:
                 raise ConfigError("hiho requires gamma and g")
             if self.gamma <= 0 or self.g <= 0:
                 raise ConfigError("gamma and g must be positive")
+            model = self.model()
+            if not all(map(math.isfinite, astuple(model))):
+                raise ConfigError(f"gamma = {self.gamma!r} and g = {self.g!r} give "
+                                  f"coefficients past the float range: {model}")
         if not (isinstance(self.n_p, tuple) and self.n_p
                 and all(_is_int(k) and k >= 1 for k in self.n_p)):
             raise ConfigError(f"n_p must be a non-empty list of integers >= 1, got {self.n_p!r}")
@@ -184,9 +189,9 @@ class ExperimentConfig:
             if isinstance(times, tuple) and len(times) > MAX_SNAPSHOTS:
                 raise ConfigError(f"husimi asks for {len(times)} snapshot times, past "
                                   f"the cap of {MAX_SNAPSHOTS}")
-            if not (isinstance(times, tuple) and all(_is_finite(t) for t in times)):
-                raise ConfigError(f"husimi snapshot times must be finite numbers, "
-                                  f"got {times!r}")
+            if not (isinstance(times, tuple) and times and all(_is_finite(t) for t in times)):
+                raise ConfigError(f"husimi snapshot times must be a non-empty list of finite "
+                                  f"numbers, got {times!r}")
         fit = self.fit
         if fit is not None and fit.auto:
             if not (_is_finite(fit.min_span) and fit.min_span > 0):

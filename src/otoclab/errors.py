@@ -37,7 +37,8 @@ class DimMismatch(GuardError):
 
 
 class StepTooLarge(GuardError):
-    """RK4 energy drift exceeded the conservation bound; reduce dt."""
+    """RK4 energy drift exceeded the conservation bound (reduce dt), or the
+    energy is not finite: the orbit left the float range."""
 
 
 class GridTooSmall(GuardError):

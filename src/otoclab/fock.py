@@ -74,9 +74,22 @@ def iho() -> Model:
 
 
 def hiho(gamma: float, g: float) -> Model:
-    """Double well P^2 - gamma^2 X^2/4 + g X^4 + gamma^4/(64 g)."""
+    """Double well P^2 - gamma^2 X^2/4 + g X^4 + gamma^4/(64 g). A
+    coefficient past the float range is inf, never an OverflowError, so
+    config validation can refuse it."""
     HihoParams(gamma, g)  # positivity check
-    return Model(kappa=1.0, v2=-gamma**2 / 4, v4=g, v0=gamma**4 / (64 * g))
+    # as floats: a JSON int's power is an exact int, whose division raises
+    # OverflowError past the float range
+    gamma, g = float(gamma), float(g)
+    return Model(kappa=1.0, v2=-_power(gamma, 2) / 4, v4=g, v0=_power(gamma, 4) / (64 * g))
+
+
+def _power(x: float, n: int) -> float:
+    """x**n, inf where Python's float power raises OverflowError."""
+    try:
+        return x**n
+    except OverflowError:
+        return math.inf
 
 
 @dataclass(frozen=True)

@@ -65,9 +65,6 @@ def test_config_round_trip():
         ),
     )
     assert parse(serialize(cfg)) == cfg
-    # the output directory is named by --out alone, never by the config
-    with pytest.raises(ConfigError, match="unknown key 'output_dir' in the config"):
-        parse(json.dumps({**json.loads(serialize(cfg)), "output_dir": "somewhere"}))
 
 
 def test_config_round_trip_auto_fit():
@@ -94,56 +91,16 @@ def _patched_cfg_file(tmp_path, name, patch):
     return str(path)
 
 
-@pytest.mark.parametrize("patch", [
-    {"dtt": 5},
-    {"fit": {"windw": [0.2, 0.8], "window": [0.2, 0.8]}},
-    {"husimi": {"q_min": -6.0, "q_max": 6.0, "p_min": -6.0, "p_max": 6.0,
-                "n_q": 21, "n_p": 21, "nq": 21, "snapshot_times": [0.0]}},
-    {"points": [{"label": "A", "q": 2.0, "p": -2.0, "qq": 1.0}]},
-], ids=["top", "fit", "husimi", "point"])
-def test_unknown_key_is_a_config_error(tmp_path, capsys, patch):
-    cfg = _patched_cfg_file(tmp_path, "unknown", patch)
-    out = tmp_path / "o"
-    for cmd in ("otoc", "husimi"):
-        assert main([cmd, "--config", cfg, "--out", str(out)]) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("config error: unknown key"), err
-        assert not out.exists()
-
-
-def test_config_validation_errors(tmp_path, capsys, monkeypatch):
-    # building a config validates it, so an invalid one never exists
-    with pytest.raises(ConfigError):
-        small_cfg(n_p=(0,))
-    with pytest.raises(ConfigError):
-        small_cfg(points=())
-    with pytest.raises(ConfigError):
-        small_cfg(system="hiho")  # missing gamma/g
+def test_config_validation_errors(tmp_path, monkeypatch):
+    # every refusal JSON can state is a row of FAILURES; here are the one it
+    # cannot (a Python list for n_p) and the values allowed at each cap
+    with pytest.raises(ConfigError, match="n_p must be a non-empty list"):
+        small_cfg(n_p=[40])
     # a point too far out for the truncation builds: the commands that build
-    # its coherent state refuse it (test_cli_bad_point_exit_code)
+    # its coherent state refuse it (the far_point rows)
     small_cfg(points=(LabeledPoint("X", 9.0, 9.0),))
-    for bad in (0.0, -1.0, math.nan, math.inf, -math.inf, 10**400, "1", True, None):
-        with pytest.raises(ConfigError, match="t_end must be positive and finite"):
-            small_cfg(t_end=bad)
-        with pytest.raises(ConfigError, match="dt must be positive and finite"):
-            small_cfg(dt=bad)
-    # the RK4 step cap guards only portrait, the one command that integrates:
-    # it refuses an overflowing or finite step count past the cap before it
-    # makes its directory (1e22 steps: test_configs_past_the_caps_exit_1)
-    for name, t_end, dt, message in (
-        ("inf", 1e300, 1e-10, r"t_end / dt = 1e\+300 / 1e-10 is not a finite step"),
-        ("past", 1000.5, 1e-3, r"t_end / dt = 1000.5 / 0.001 is not a finite step count "
-                               r"of at most 1000000"),
-    ):
-        cfg = _patched_cfg_file(tmp_path, f"steps_{name}", {"t_end": t_end, "dt": dt})
-        out = tmp_path / f"steps_{name}"
-        capsys.readouterr()
-        assert main(["portrait", "--config", cfg, "--out", str(out)]) == 1, name
-        err = capsys.readouterr().err
-        assert re.match("config error: " + message, err), err
-        assert not out.exists(), name
 
-    # the cap itself is allowed: portrait reaches its integration
+    # the RK4 step cap itself is allowed: portrait reaches its integration
     class Integrating(Exception):
         pass
 
@@ -157,104 +114,275 @@ def test_config_validation_errors(tmp_path, capsys, monkeypatch):
     # a command that never reads dt runs past the portrait cap
     cfg = _patched_cfg_file(tmp_path, "otoc_long", {"t_end": 1500.0, "n_p": [40]})
     assert main(["otoc", "--config", cfg, "--out", str(tmp_path / "otoc_long")]) == 0
-    for fit in (
-        FitSpec(window=(0.8, 0.2)),
-        FitSpec(window=(0.5, 0.5)),
-        FitSpec(window=(0.1, 0.2, 0.3)),
-        FitSpec(window=(0.1,)),
-        FitSpec(window="automatic"),
-        FitSpec(window=None),
-        FitSpec("auto", min_span=0.0),
-        FitSpec("auto", min_span=-0.1),
-        FitSpec("auto", search=(0.5, 0.1)),
-        FitSpec("auto", search=(0.2, 0.2)),
-        FitSpec(window=(False, True)),  # JSON booleans are not times
-        # json reads Infinity, which otoc_summary.json could not write back
-        FitSpec(window=(0.2, math.inf)),
-        FitSpec(window=(-math.inf, 0.6)),
-        FitSpec("auto", min_span=math.inf),
-        FitSpec("auto", search=(-math.inf, math.inf)),
-        FitSpec("auto", min_span=True),
-        FitSpec("auto", search=(False, True)),
-        # min_span and search would have no effect on a fixed window
-        FitSpec(window=(0.2, 0.8), min_span=0.1),
-        FitSpec(window=(0.2, 0.8), search=(0.0, 1.0)),
-    ):
-        with pytest.raises(ConfigError, match="fit"):
-            small_cfg(fit=fit)
-    for bad in ((), [40], 40):
-        with pytest.raises(ConfigError, match="n_p must be a non-empty list"):
-            small_cfg(n_p=bad)
-    # a config that still names its output directory exits 1 and makes none
-    cfg = _patched_cfg_file(tmp_path, "output_dir", {"output_dir": str(tmp_path / "named")})
-    capsys.readouterr()
-    assert main(["otoc", "--config", cfg, "--out", str(tmp_path / "o_named")]) == 1
-    assert capsys.readouterr().err.startswith("config error: unknown key 'output_dir'")
-    assert not (tmp_path / "named").exists() and not (tmp_path / "o_named").exists()
-    # iho has no parameters, so a stated gamma or g would only change the hash
-    for kw in ({"gamma": 3.0}, {"g": 0.04}, {"gamma": 3.0, "g": 0.04}, {"gamma": math.nan}):
-        with pytest.raises(ConfigError, match="iho takes no gamma or g"):
-            small_cfg(**kw)
-    grid = PhaseGrid(-6.0, 6.0, -6.0, 6.0, 21, 21)
-    for bad in (math.nan, math.inf, -math.inf, -10**400, "3", True, None):
-        gamma_error = "hiho requires gamma and g" if bad is None else "must be a finite number"
-        with pytest.raises(ConfigError, match=gamma_error):
-            small_cfg(system="hiho", gamma=bad, g=0.04)
-        with pytest.raises(ConfigError, match=gamma_error):
-            small_cfg(system="hiho", gamma=3.0, g=bad)
-        with pytest.raises(ConfigError, match="needs finite numbers q and p"):
-            small_cfg(points=(LabeledPoint("A", bad, 0.0),))
-        with pytest.raises(ConfigError, match="needs finite numbers q and p"):
-            small_cfg(points=(LabeledPoint("A", 0.0, bad),))
-        with pytest.raises(ConfigError, match="snapshot times must be finite"):
-            small_cfg(husimi=HusimiSpec(grid, (0.0, bad)))
-    for bad in (40.5, 40.0, "40", True):
-        with pytest.raises(ConfigError, match="n_p must be a non-empty list of integers >= 1"):
-            small_cfg(n_p=(bad,))
-        with pytest.raises(ConfigError, match="n_samples must be an integer >= 2"):
-            small_cfg(n_samples=bad)
-    # past the caps on samples and on Husimi grid points; the caps themselves are
-    # allowed (10^9 samples: test_configs_past_the_caps_exit_1)
-    with pytest.raises(ConfigError, match="n_samples = 100001 is past the cap"):
-        small_cfg(n_samples=10**5 + 1)
     assert small_cfg(n_samples=10**5).n_samples == 10**5
-    for n_q, n_p in ((100000, 100000), (1001, 1000), (2, 500001)):
-        with pytest.raises(ConfigError, match=rf"husimi grid n_q x n_p = {n_q} x {n_p} is "
-                                              r"past the cap of 1000000 points"):
-            small_cfg(husimi=HusimiSpec(PhaseGrid(-6.0, 6.0, -6.0, 6.0, n_q, n_p), (0.0,)))
     for n_q, n_p in ((1000, 1000), (2, 500000)):
         small_cfg(husimi=HusimiSpec(PhaseGrid(-6.0, 6.0, -6.0, 6.0, n_q, n_p), (0.0,)))
-    # past the caps on truncations and on Husimi snapshots; the caps themselves are allowed
-    for n_p in ((10**6,), (40, 8001)):
-        with pytest.raises(ConfigError, match=rf"n_p = {max(n_p)} is past the cap of 8000"):
-            small_cfg(n_p=n_p)
     assert small_cfg(n_p=(8000,)).n_p == (8000,)
-    with pytest.raises(ConfigError, match="husimi asks for 101 snapshot times, past the cap "
-                                          "of 100"):
-        small_cfg(husimi=HusimiSpec(grid, (0.0,) * 101))
+    grid = PhaseGrid(-6.0, 6.0, -6.0, 6.0, 21, 21)
     small_cfg(husimi=HusimiSpec(grid, (0.0,) * 100))
-    for n_q, n_p in ((21.5, 21), (21, 21.0)):  # PhaseGrid rejects str and bool itself
-        with pytest.raises(ConfigError, match="husimi n_q and n_p must be integers"):
-            small_cfg(husimi=HusimiSpec(PhaseGrid(-6.0, 6.0, -6.0, 6.0, n_q, n_p),
-                                        (0.0,)))
-    with pytest.raises(ConfigError, match="grid bounds must be finite"):
-        small_cfg(husimi=HusimiSpec(PhaseGrid(-math.inf, 6.0, -6.0, 6.0, 21, 21),
-                                    (0.0,)))
-    # labels name the output files
-    for labels, message in (
-        (("A", "A"), "must be distinct"),
-        (("A", "B", "A"), "must be distinct"),
-        (("",), "non-empty printable string without a path separator"),
-        (("a/b",), "non-empty printable string without a path separator"),
-        (("a" + os.sep + "b",), "non-empty printable string without a path separator"),
-        ((7,), "non-empty printable string without a path separator"),
-        (("A\nB",), r"point label 'A\\nB' must be a non-empty printable string"),
-        (("A\x00B",), r"point label 'A\\x00B' must be a non-empty printable string"),
-    ):
-        points = tuple(LabeledPoint(label, 0.5 * i, 0.0) for i, label in enumerate(labels))
-        with pytest.raises(ConfigError, match=message):
-            small_cfg(points=points)
+    # 1.4e19 / sqrt(2) is inside ALPHA_MAX = 1e19 (the alpha_max rows pass it)
+    inside = PhaseGrid(-1.4e19, 1.4e19, -1.0, 1.0, 21, 21)
+    assert small_cfg(husimi=HusimiSpec(inside, (0.0,))).husimi.grid == inside
     small_cfg(points=(LabeledPoint("F'", 2.0, -2.0), LabeledPoint("α", 1.0, 1.0)))
+
+
+HIHO = {"system": "hiho", "gamma": 3.0, "g": 0.04}
+GRID = {"q_min": -6.0, "q_max": 6.0, "p_min": -6.0, "p_max": 6.0, "n_q": 21, "n_p": 21,
+        "snapshot_times": [0.0]}
+# values JSON can state where a number is asked for: json writes and reads
+# NaN and Infinity, an int may pass the float range, and true/false are no
+# numbers
+NOT_FINITE = {"nan": math.nan, "inf": math.inf, "ninf": -math.inf, "huge": -10**400,
+              "str": "3", "bool": True, "null": None}
+NOT_POSITIVE = {"zero": 0.0, "negative": -1.0, "nan": math.nan, "inf": math.inf,
+                "ninf": -math.inf, "huge": 10**400, "str": "1", "bool": True, "null": None}
+NOT_INT = {"fraction": 40.5, "float": 40.0, "str": "40", "bool": True}
+FAR = {"points": [{"label": "pt", "q": 9.0, "p": 9.0}]}
+
+
+def labelled(*labels):
+    return {"points": [{"label": label, "q": 0.5 * i, "p": 0.0}
+                       for i, label in enumerate(labels)]}
+
+
+def refused(name, command, patch, message):
+    """A FAILURES row whose input is a config error."""
+    return pytest.param(command, patch, 1, "config error: " + message, id=name)
+
+
+# Every failure, one row each: a command line, the patch of small_cfg's JSON
+# it runs on (None: the command line is the whole input, else --config and
+# --out are appended), the exit code and the start of stderr, or all of it
+# when it ends in a newline.
+FAILURES = [
+    # a key that names no field, in each section, seen by two commands
+    *[refused(f"unknown_key_{where}_{cmd}", cmd, patch, f"unknown key {key!r} in {name};")
+      for where, key, name, patch in (
+          ("top", "dtt", "the config", {"dtt": 5}),
+          ("fit", "windw", "fit", {"fit": {"windw": [0.2, 0.8], "window": [0.2, 0.8]}}),
+          ("husimi", "nq", "husimi", {"husimi": {**GRID, "nq": 21}}),
+          ("point", "qq", "a point", {"points": [{"label": "A", "q": 2.0, "p": -2.0,
+                                                   "qq": 1.0}]}))
+      for cmd in ("otoc", "husimi")],
+    # the output directory is named by --out alone, never by the config
+    refused("output_dir", "otoc", {"output_dir": "named"}, "unknown key 'output_dir'"),
+    refused("system", "otoc", {"system": "sho"}, "unknown system 'sho'\n"),
+    refused("n_p_zero_points_empty", "otoc", {"n_p": [0], "points": [], "n_samples": 5},
+            "n_p must be a non-empty list of integers >= 1, got (0,)\n"),
+    refused("points_empty", "otoc", {"points": []}, "at least one initial point is required\n"),
+    refused("hiho_without_parameters", "otoc", {"system": "hiho"},
+            "hiho requires gamma and g\n"),
+    *[refused(f"{key}_{name}_{cmd}", cmd, {key: bad},
+              f"{key} must be positive and finite, got {bad!r}\n")
+      for key in ("t_end", "dt") for name, bad in NOT_POSITIVE.items()
+      for cmd in ("portrait", "otoc")],
+    # the RK4 step cap guards only portrait, the one command that integrates
+    refused("steps_not_finite", "portrait", {"t_end": 1e300, "dt": 1e-10},
+            "t_end / dt = 1e+300 / 1e-10 is not a finite step count of at most 1000000\n"),
+    refused("steps_past_cap", "portrait", {"t_end": 1000.5, "dt": 1e-3},
+            "t_end / dt = 1000.5 / 0.001 is not a finite step count of at most 1000000\n"),
+    # linspace(0, 5e-324, 3) repeats 0: a traceback after the directory was made
+    *[refused(f"t_end_subnormal_{cmd}", cmd, {"t_end": 5e-324, "n_samples": 3},
+              "t_end = 5e-324 is too small for n_samples = 3 strictly increasing times\n")
+      for cmd in ("otoc", "photon")],
+    *[refused(f"fit_{name}", "otoc", {"fit": fit}, message) for name, fit, message in (
+        ("window_reversed", {"window": [0.8, 0.2]}, "fit window (0.8, 0.2) is neither"),
+        ("window_empty", {"window": [0.5, 0.5]}, "fit window (0.5, 0.5) is neither"),
+        ("window_three", {"window": [0.1, 0.2, 0.3]}, "fit window (0.1, 0.2, 0.3) is neither"),
+        ("window_one", {"window": [0.1]}, "fit window (0.1,) is neither"),
+        ("window_word", {"window": "automatic"}, "fit window 'automatic' is neither"),
+        ("window_null", {"window": None}, "fit window None is neither"),
+        # JSON booleans are not times
+        ("window_bools", {"window": [False, True]}, "fit window (False, True) is neither"),
+        # json reads Infinity, which otoc_summary.json could not write back
+        ("window_inf", {"window": [0.2, math.inf]}, "fit window (0.2, inf) is neither"),
+        ("window_ninf", {"window": [-math.inf, 0.6]}, "fit window (-inf, 0.6) is neither"),
+        ("min_span_zero", {"window": "auto", "min_span": 0.0},
+         "fit min_span must be positive and finite, got 0.0\n"),
+        ("min_span_negative", {"window": "auto", "min_span": -0.1},
+         "fit min_span must be positive and finite, got -0.1\n"),
+        ("min_span_inf", {"window": "auto", "min_span": math.inf},
+         "fit min_span must be positive and finite, got inf\n"),
+        ("min_span_bool", {"window": "auto", "min_span": True},
+         "fit min_span must be positive and finite, got True\n"),
+        ("search_reversed", {"window": "auto", "search": [0.5, 0.1]},
+         "fit search (0.5, 0.1) is not (t_lo, t_hi)"),
+        ("search_empty", {"window": "auto", "search": [0.2, 0.2]},
+         "fit search (0.2, 0.2) is not (t_lo, t_hi)"),
+        ("search_inf", {"window": "auto", "search": [-math.inf, math.inf]},
+         "fit search (-inf, inf) is not (t_lo, t_hi)"),
+        ("search_bools", {"window": "auto", "search": [False, True]},
+         "fit search (False, True) is not (t_lo, t_hi)"),
+        # min_span and search would have no effect on a fixed window
+        ("window_with_min_span", {"window": [0.2, 0.8], "min_span": 0.1},
+         'fit min_span and search apply only to window "auto"\n'),
+        ("window_with_search", {"window": [0.2, 0.8], "search": [0.0, 1.0]},
+         'fit min_span and search apply only to window "auto"\n'),
+    )],
+    refused("n_p_empty", "otoc", {"n_p": []},
+            "n_p must be a non-empty list of integers >= 1, got ()\n"),
+    refused("n_p_number", "otoc", {"n_p": 40},
+            "n_p must be a non-empty list of integers >= 1, got 40\n"),
+    # iho has no parameters, so a stated gamma or g would only change the hash
+    *[refused(f"iho_{name}", "otoc", patch, message) for name, patch, message in (
+        ("gamma", {"gamma": 3.0}, "iho takes no gamma or g, got gamma=3.0, g=None\n"),
+        ("g", {"g": 0.04}, "iho takes no gamma or g, got gamma=None, g=0.04\n"),
+        ("both", {"gamma": 3.0, "g": 0.04}, "iho takes no gamma or g, got gamma=3.0, g=0.04\n"),
+        ("gamma_nan", {"gamma": math.nan}, "iho takes no gamma or g, got gamma=nan, g=None\n"),
+    )],
+    *[row for name, bad in NOT_FINITE.items() for row in (
+        *[refused(f"{key}_{name}", "otoc", {**HIHO, key: bad},
+                  "hiho requires gamma and g\n" if bad is None
+                  else f"{key} must be a finite number, got {bad!r}\n") for key in ("gamma", "g")],
+        refused(f"q_{name}", "otoc", {"points": [{"label": "A", "q": bad, "p": 0.0}]},
+                f"point A needs finite numbers q and p, got ({bad!r}, 0.0)\n"),
+        refused(f"p_{name}", "otoc", {"points": [{"label": "A", "q": 0.0, "p": bad}]},
+                f"point A needs finite numbers q and p, got (0.0, {bad!r})\n"),
+        refused(f"snapshot_{name}", "husimi", {"husimi": {**GRID, "snapshot_times": [0.0, bad]}},
+                f"husimi snapshot times must be a non-empty list of finite numbers, "
+                f"got (0.0, {bad!r})\n"),
+    )],
+    # an empty list used to write no snapshot and a husimi.gp with no plot line
+    refused("snapshots_empty", "husimi", {"husimi": {**GRID, "snapshot_times": []}},
+            "husimi snapshot times must be a non-empty list of finite numbers, got ()\n"),
+    *[row for name, bad in NOT_INT.items() for row in (
+        refused(f"n_p_{name}", "otoc", {"n_p": [bad]},
+                f"n_p must be a non-empty list of integers >= 1, got ({bad!r},)\n"),
+        refused(f"n_samples_{name}", "otoc", {"n_samples": bad},
+                f"n_samples must be an integer >= 2, got {bad!r}\n"),
+    )],
+    # past the caps; test_configs_past_the_caps_exit_1 runs the far larger
+    # asks under a capped address space
+    refused("n_samples_past_cap", "otoc", {"n_samples": 10**5 + 1},
+            "n_samples = 100001 is past the cap of 100000\n"),
+    *[refused(f"grid_{n_q}x{n_p}", "husimi", {"husimi": {**GRID, "n_q": n_q, "n_p": n_p}},
+              f"husimi grid n_q x n_p = {n_q} x {n_p} is past the cap of 1000000 points\n")
+      for n_q, n_p in ((100000, 100000), (1001, 1000), (2, 500001))],
+    *[refused(f"n_p_past_cap_{len(n_p)}", "otoc", {"n_p": n_p},
+              f"n_p = {max(n_p)} is past the cap of 8000\n") for n_p in ([10**6], [40, 8001])],
+    refused("snapshots_past_cap", "husimi", {"husimi": {**GRID, "snapshot_times": [0.0] * 101}},
+            "husimi asks for 101 snapshot times, past the cap of 100\n"),
+    *[refused(f"grid_{name}", "husimi", {"husimi": {**GRID, "n_q": n_q, "n_p": n_p}},
+              f"husimi n_q and n_p must be integers, got {n_q!r} and {n_p!r}\n")
+      for name, n_q, n_p in (("n_q_fraction", 21.5, 21), ("n_p_float", 21, 21.0))],
+    refused("grid_bound_ninf", "husimi", {"husimi": {**GRID, "q_min": -math.inf}},
+            "husimi grid bounds must be finite numbers, got (-inf, 6.0, -6.0, 6.0)\n"),
+    # at +-1e308 the command used to exit 0 with a .grid file of nan;
+    # 1.5e19 / sqrt(2) is just past ALPHA_MAX = 1e19
+    *[refused(f"alpha_max_{name}", "husimi",
+              {"husimi": {**GRID, "q_min": -q, "q_max": q, "p_min": -p, "p_max": p}},
+              "husimi grid corners reach |alpha| = ")
+      for name, q, p in (("1e308", 1e308, 1e308), ("q", 1.5e19, 1.0), ("p", 1.0, 1.5e19))],
+    # labels name the output files, and a newline split otoc.gp's plot line
+    # inside a quoted string, and a NUL ended in a traceback from open()
+    # after the evolution
+    *[refused(f"labels_{name}", "otoc", labelled(*labels),
+              f"point labels must be distinct, got {list(labels)}\n")
+      for name, labels in (("repeated", ("A", "A")), ("repeated_later", ("A", "B", "A")))],
+    *[refused(f"label_{name}", "otoc", labelled(label), f"point label {label!r} must be a "
+              f"non-empty printable string without a path separator\n")
+      for name, label in (("empty", ""), ("slash", "a/b"), ("os_sep", f"a{os.sep}b"),
+                          ("number", 7), ("newline", "A\nB"), ("tab", "A\tB"),
+                          ("nul", "A\x00B"))],
+    # overflowing model coefficients: an OverflowError traceback from
+    # gamma**4 or gamma**2, or v0 = inf and a file of nan with exit 0
+    refused("gamma_1e100", "otoc", {**HIHO, "gamma": 1e100},
+            "gamma = 1e+100 and g = 0.04 give coefficients past the float range: "
+            "Model(kappa=1.0, v2=-2.5e+199, v4=0.04, v0=inf)\n"),
+    refused("gamma_1e160", "portrait", {**HIHO, "gamma": 1e160},
+            "gamma = 1e+160 and g = 0.04 give coefficients past the float range: "
+            "Model(kappa=1.0, v2=-inf, v4=0.04, v0=inf)\n"),
+    # a JSON int's power is exact, and dividing it raised OverflowError
+    refused("gamma_int_1e200", "otoc", {**HIHO, "gamma": 10**200},
+            f"gamma = {10**200} and g = 0.04 give coefficients past the float range: "
+            "Model(kappa=1.0, v2=-inf, v4=0.04, v0=inf)\n"),
+    *[refused(f"g_1e-320_{cmd}", cmd, {**HIHO, "g": 1e-320},
+              "gamma = 3.0 and g = 1e-320 give coefficients past the float range: "
+              "Model(kappa=1.0, v2=-2.25, v4=1e-320, v0=inf)\n") for cmd in ("otoc", "photon")],
+    # a portrait seed whose energy is past the float range: an OverflowError
+    # traceback from q**4 (hiho), or rows of inf (iho)
+    refused("seed_energy_hiho", "portrait",
+            {**HIHO, "points": [{"label": "A", "q": 1e100, "p": 0.0}]},
+            "point A (1e+100, 0.0) has a classical energy past the float range\n"),
+    refused("seed_energy_iho", "portrait", {"points": [{"label": "A", "q": 1e307, "p": 0.0}]},
+            "point A (1e+307, 0.0) has a classical energy past the float range\n"),
+    # every command that builds a coherent state checks the tail first:
+    # husimi refuses it before it misses its husimi section
+    *[refused(f"far_point_{cmd}", cmd, FAR, "point pt (9.0, 9.0) violates the coherent tail "
+              "precondition at n_p=40\n") for cmd in ("photon", "otoc", "husimi")],
+    # each n_p names its files: otoc wrote otoc_A_np40.csv twice and listed
+    # the run twice in its summary and its plot script
+    *[refused(f"n_p_repeated_{cmd}", cmd, {"n_p": [40, 40]},
+              "n_p values must be distinct, got [40, 40]\n") for cmd in ("otoc", "photon")],
+    # checks that used to run after the output directory was made; husimi
+    # with two truncations used to run the first alone
+    refused("husimi_without_section", "husimi", {},
+            "husimi command requires a husimi section with snapshot times\n"),
+    refused("husimi_two_truncations", "husimi", {"n_p": [40, 60], "husimi": GRID},
+            "husimi command takes exactly one n_p, got [40, 60]\n"),
+    refused("unknown_figure", "reproduce-all --only fig99 --out o", None,
+            "unknown figure 'fig99'; choose from ['fig1', "),
+    # a bad command line: argparse used to exit 2, the code of a numerical
+    # guard; a run is its config file, so the flags that overrode n_p or the
+    # point, or added an oracle column, are gone, also beside a valid config
+    *[refused(f"usage_{name}", command, None, f"otoclab{message}") for name, command, message in (
+        ("np_flag", "otoc --config c --np abc", ": unrecognized arguments: --np abc\n"),
+        ("point_flag", "otoc --config c --point 1,1", ": unrecognized arguments: --point 1,1\n"),
+        ("oracle_flag", "otoc --config c --oracle", ": unrecognized arguments: --oracle\n"),
+        ("otoc_without_config", "otoc --out o",
+         " otoc: the following arguments are required: --config\n"),
+        ("unknown_subcommand", "no-such-command --config c",
+         ": argument command: invalid choice: 'no-such-command'"),
+        ("unknown_flag", "portrait --config c --frob", ": unrecognized arguments: --frob\n"),
+        ("only_without_value", "reproduce-all --out o --only",
+         " reproduce-all: argument --only: expected one argument\n"),
+        ("no_command", "", ": the following arguments are required: command\n"),
+    )],
+    refused("usage_oracle_flag_valid_config", "otoc --oracle", {},
+            "otoclab: unrecognized arguments: --oracle\n"),
+    # real inputs that trip a numerical guard (exit 2) or miss an analysis (3)
+    pytest.param("portrait", {**HIHO, "points": [{"label": "F", "q": 8.0, "p": 9.0}],
+                              "dt": 0.05}, 2,
+                 "numerical guard: energy drift 3.200e-03 at t=0.05 exceeds 1.325e-06; "
+                 "reduce dt\n", id="step_too_large"),
+    # the drift guard read a NaN energy as a pass: 92,009 rows of inf or
+    # nan and exit 0; a float power past the float range was a traceback
+    pytest.param("portrait", {"points": [{"label": "A", "q": 1.0, "p": 1.0}],
+                              "t_end": 800.0}, 2,
+                 "numerical guard: the energy at t=355.238 is not finite: the orbit has left "
+                 "the float range\n", id="orbit_leaves_float_range_iho"),
+    pytest.param("portrait", {**HIHO, "points": [{"label": "F", "q": 8.0, "p": 9.0}],
+                              "t_end": 1e100, "dt": 1e100}, 2,
+                 "numerical guard: the energy at t=1e+100 is not finite: the orbit has left "
+                 "the float range\n", id="orbit_leaves_float_range_hiho"),
+    pytest.param("photon", {"points": [{"label": "B", "q": 3.0, "p": 3.0}], "t_end": 3.0}, 2,
+                 "numerical guard: B/ref: tail population 8.348e-05 above n=144 at t=0.9 "
+                 "exceeds 1e-06; increase n_p\n", id="reference_truncation_guard"),
+    # ehrenfest_time needs n_p >= 2
+    pytest.param("otoc", {"n_p": [1], "points": [{"label": "pt", "q": 0.0, "p": 0.0}],
+                          "fit": {"window": [0.2, 0.8]}}, 3,
+                 "analysis: n_p must be >= 2, got 1\n", id="invalid_rate"),
+]
+
+
+@pytest.mark.parametrize("command, patch, code, message", FAILURES)
+def test_every_failure_exits_with_its_code_and_message(tmp_path, monkeypatch, capsys,
+                                                       command, patch, code, message):
+    # run from an empty directory, where --out o and the default otoclab_out
+    # both land, so that a config error is seen to leave nothing on disk
+    cwd = tmp_path / "cwd"
+    cwd.mkdir()
+    monkeypatch.chdir(cwd)
+    argv = command.split()
+    if patch is not None:
+        argv += ["--config", _patched_cfg_file(tmp_path, "cfg", patch), "--out", "o"]
+    assert main(argv) == code
+    err = capsys.readouterr().err
+    # a message that ends its line is the whole of stderr
+    assert err == message if message.endswith("\n") else err.startswith(message), err
+    assert "Traceback" not in err and "usage:" not in err
+    if code == 1:
+        assert os.listdir(cwd) == []
 
 
 def test_config_hash_stable():
@@ -285,20 +413,6 @@ def test_photon_command_summary(tmp_path):
     assert {r["n_p"] for r in summary["runs"]} == {40, 80}
     for r in summary["runs"]:
         assert os.path.exists(os.path.join(out, r["file"]))
-
-
-def test_otoc_command_oracle_column(tmp_path, capsys):
-    # --oracle added a column the manifest's config hash did not name; given
-    # a valid config and output directory it is still refused before any
-    # file is written. The oracle's bound is
-    # test_acceptance_1_variance_matches_commutator_oracle's
-    cfg = write_cfg(tmp_path, small_cfg())
-    out = tmp_path / "out"
-    assert main(["otoc", "--config", cfg, "--out", str(out), "--oracle"]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("config error: ")
-    assert "unrecognized arguments: --oracle" in err
-    assert not out.exists()
 
 
 def test_otoc_csv_header_is_t_and_c(tmp_path):
@@ -423,79 +537,6 @@ def test_husimi_grid_too_small(tmp_path, capsys):
         assert snap["centroid"] == pytest.approx(list(centre), abs=0.02)
 
 
-def test_cli_config_error_exit_code(tmp_path, capsys):
-    bad = tmp_path / "bad.json"
-    bad.write_text('{"system": "iho", "n_p": [0], "points": [], "t_end": 1.0, "n_samples": 5}')
-    assert main(["otoc", "--config", str(bad), "--out", str(tmp_path / "o")]) == 1
-    # bad fit settings are caught by validation, not by the fit itself
-    cfg = _patched_cfg_file(tmp_path, "bad_fit", {"fit": {"window": [0.8, 0.2]}})
-    capsys.readouterr()
-    assert main(["otoc", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
-    assert capsys.readouterr().err.startswith("config error: fit window")
-    # json writes and reads NaN and Infinity; validation rejects them
-    for key, bad in (("t_end", math.nan), ("dt", math.nan), ("dt", math.inf),
-                     ("t_end", -math.inf)):
-        cfg = _patched_cfg_file(tmp_path, f"bad_{key}", {key: bad})
-        assert ("NaN" if bad != bad else "Infinity") in Path(cfg).read_text()
-        for cmd in ("portrait", "otoc"):
-            assert main([cmd, "--config", cfg, "--out", str(tmp_path / "o")]) == 1
-            assert capsys.readouterr().err.startswith(f"config error: {key} must be")
-    # inputs that used to end in a traceback, or exit 0 with NaN data
-    grid = {"q_min": -6.0, "q_max": 6.0, "p_min": -6.0, "p_max": 6.0, "n_q": 21,
-            "n_p": 21, "snapshot_times": [0.0]}
-    hiho = {"system": "hiho", "gamma": 3.0, "g": 0.04}
-    for name, patch, cmd in (
-        ("gamma_nan", {**hiho, "gamma": math.nan}, "otoc"),
-        ("gamma_inf", {**hiho, "gamma": math.inf}, "otoc"),
-        ("g_ninf", {**hiho, "g": -math.inf}, "otoc"),
-        ("gamma_str", {**hiho, "gamma": "3"}, "otoc"),
-        ("q_nan", {"points": [{"label": "A", "q": math.nan, "p": 0.0}]}, "otoc"),
-        ("q_str", {"points": [{"label": "A", "q": "1", "p": 0.0}]}, "otoc"),
-        ("t_end_str", {"t_end": "1"}, "otoc"),
-        ("n_p_float", {"n_p": [40.5]}, "otoc"),
-        ("n_samples_float", {"n_samples": 11.5}, "otoc"),
-        ("snapshot_nan", {"husimi": {**grid, "snapshot_times": [0.0, math.nan]}}, "husimi"),
-        ("n_q_float", {"husimi": {**grid, "n_q": 21.5}}, "husimi"),
-        ("label_repeated", {"points": [{"label": "A", "q": 0.0, "p": 0.0},
-                                       {"label": "A", "q": 1.0, "p": 0.0}]}, "otoc"),
-        ("label_slash", {"points": [{"label": "a/b", "q": 0.0, "p": 0.0}]}, "otoc"),
-        ("label_empty", {"points": [{"label": "", "q": 0.0, "p": 0.0}]}, "otoc"),
-        # a newline split otoc.gp's plot line inside a quoted string, and a
-        # NUL ended in a traceback from open() after the evolution
-        ("label_newline", {"points": [{"label": "A\nB", "q": 0.0, "p": 0.0}]}, "otoc"),
-        ("label_tab", {"points": [{"label": "A\tB", "q": 0.0, "p": 0.0}]}, "otoc"),
-        ("label_nul", {"points": [{"label": "A\x00B", "q": 0.0, "p": 0.0}]}, "otoc"),
-        # linspace(0, 5e-324, 3) repeats 0: a traceback after the directory was made
-        ("t_end_subnormal_otoc", {"t_end": 5e-324, "n_samples": 3}, "otoc"),
-        ("t_end_subnormal_photon", {"t_end": 5e-324, "n_samples": 3}, "photon"),
-    ):
-        cfg = _patched_cfg_file(tmp_path, f"bad_{name}", patch)
-        out = tmp_path / f"o_{name}"
-        capsys.readouterr()
-        assert main([cmd, "--config", cfg, "--out", str(out)]) == 1, name
-        assert capsys.readouterr().err.startswith("config error: "), name
-        assert not out.exists(), name
-
-
-@pytest.mark.parametrize("q_max, p_max", [(1e308, 1e308), (1.5e19, 1.0), (1.0, 1.5e19)],
-                         ids=["1e308", "q_past_alpha_max", "p_past_alpha_max"])
-def test_husimi_grid_past_alpha_max_is_a_config_error(tmp_path, capsys, q_max, p_max):
-    # at +-1e308 the command used to exit 0 with a .grid file of nan;
-    # 1.5e19 / sqrt(2) is just past ALPHA_MAX = 1e19
-    grid = {"q_min": -q_max, "q_max": q_max, "p_min": -p_max, "p_max": p_max,
-            "n_q": 21, "n_p": 21, "snapshot_times": [0.0]}
-    cfg = _patched_cfg_file(tmp_path, "far", {"husimi": grid})
-    out = tmp_path / "o"
-    assert main(["husimi", "--config", cfg, "--out", str(out)]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("config error: husimi grid corners reach |alpha|"), err
-    assert not out.exists()
-    with pytest.raises(ConfigError, match="husimi grid corners"):
-        small_cfg(husimi=HusimiSpec(PhaseGrid(-q_max, q_max, -p_max, p_max, 21, 21), (0.0,)))
-    inside = PhaseGrid(-1.4e19, 1.4e19, -1.0, 1.0, 21, 21)
-    assert small_cfg(husimi=HusimiSpec(inside, (0.0,))).husimi.grid == inside
-
-
 @pytest.mark.parametrize("case", ["missing", "not_utf8", "directory"])
 def test_unreadable_config_is_a_config_error(tmp_path, capsys, case):
     path = tmp_path / "cfg.json"
@@ -511,37 +552,12 @@ def test_unreadable_config_is_a_config_error(tmp_path, capsys, case):
     assert not out.exists()
 
 
-def _far_point_cfg(tmp_path):
-    """A config whose point fails the coherent-tail precondition at n_p=40."""
-    return _patched_cfg_file(tmp_path, "far", {"points": [{"label": "pt", "q": 9.0, "p": 9.0}]})
-
-
-def test_cli_bad_point_exit_code(tmp_path, capsys):
-    # every command that builds a coherent state checks the tail first:
-    # husimi refuses it before it misses its husimi section
-    cfg = _far_point_cfg(tmp_path)
-    for cmd in ("photon", "otoc", "husimi"):
-        rc = main([cmd, "--config", cfg, "--out", str(tmp_path / "o")])
-        assert rc == 1, cmd
-        assert capsys.readouterr().err.startswith("config error: point pt (9.0, 9.0) violates")
-        assert not (tmp_path / "o").exists()
-
-
 def test_portrait_is_not_refused_for_the_coherent_tail(tmp_path):
     # a classical portrait builds no state, so no truncation can fail it
     out = tmp_path / "o"
-    assert main(["portrait", "--config", _far_point_cfg(tmp_path), "--out", str(out)]) == 0
+    cfg = _patched_cfg_file(tmp_path, "far", FAR)
+    assert main(["portrait", "--config", cfg, "--out", str(out)]) == 0
     assert (out / "portrait_pt.csv").exists()
-
-
-def test_repeated_n_p_is_a_config_error(tmp_path, capsys):
-    # each n_p names its files: otoc wrote otoc_A_np40.csv twice and listed
-    # the run twice in its summary and its plot script
-    cfg = _patched_cfg_file(tmp_path, "twice", {"n_p": [40, 40]})
-    for cmd in ("otoc", "photon"):
-        assert main([cmd, "--config", cfg, "--out", str(tmp_path / "o")]) == 1, cmd
-        assert capsys.readouterr().err == "config error: n_p values must be distinct, got [40, 40]\n"
-        assert not (tmp_path / "o").exists()
 
 
 def _concrete_errors(cls=OtocLabError) -> list[type[OtocLabError]]:
@@ -672,17 +688,6 @@ def test_configs_past_the_caps_exit_1(tmp_path, name, command, patch, message):
     assert proc.stderr.startswith(f"config error: {message}"), proc.stderr
     assert "Traceback" not in proc.stderr
     assert not out.exists()
-
-
-def test_otoc_np1_exits_with_analysis_code(tmp_path, capsys):
-    # ehrenfest_time needs n_p >= 2: InvalidRate, reported without a traceback
-    d = json.loads(resources.files("otoclab.figconfigs").joinpath("fig7_otoc.json").read_text())
-    d.update(n_p=[1], points=[{"label": "pt", "q": 0.0, "p": 0.0}])
-    cfg = tmp_path / "np1.json"
-    cfg.write_text(json.dumps(d), encoding="utf-8")
-    rc = main(["otoc", "--config", str(cfg), "--out", str(tmp_path / "o")])
-    assert rc == 3
-    assert capsys.readouterr().err.startswith("analysis: n_p must be >= 2")
 
 
 def test_otoc_empty_a_priori_window_is_a_fit_error(tmp_path, capsys):
@@ -876,58 +881,6 @@ def test_env_var_output_dir(tmp_path, monkeypatch):
     assert main(["otoc", "--config", cfg]) == 0
     assert (tmp_path / "otoclab_out" / "otoc_summary.json").exists()
     assert not env_out.exists()
-
-
-def test_reproduce_all_unknown_figure(tmp_path):
-    assert main(["reproduce-all", "--out", str(tmp_path / "o"),
-                 "--only", "fig99"]) == 1
-
-
-@pytest.mark.parametrize("case", ["husimi_without_section", "unknown_figure",
-                                  "husimi_two_truncations"])
-def test_a_config_error_leaves_no_directory(tmp_path, capsys, case):
-    # each of these checks used to run after the output directory was made,
-    # as photon's reference cap did (test_configs_past_the_caps_exit_1);
-    # husimi with two truncations used to run the first alone
-    out = str(tmp_path / "o")
-    two = small_cfg(n_p=(40, 60), husimi=HusimiSpec(PhaseGrid(-6.0, 6.0, -6.0, 6.0, 21, 21),
-                                                    (0.0,)))
-    argv = {
-        "husimi_without_section": ["husimi", "--config", write_cfg(tmp_path, small_cfg())],
-        "unknown_figure": ["reproduce-all", "--only", "fig99"],
-        "husimi_two_truncations": ["husimi", "--config", write_cfg(tmp_path, two)],
-    }[case]
-    assert main(argv + ["--out", out]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("config error: ")
-    if case == "husimi_two_truncations":
-        assert err == "config error: husimi command takes exactly one n_p, got [40, 60]\n"
-    assert not os.path.exists(out)
-
-
-@pytest.mark.parametrize("argv, message", [
-    # a run is its config file: the flags that overrode n_p or the point, or
-    # added an oracle column, are gone
-    (["otoc", "--config", "c", "--np", "abc"], "otoclab: unrecognized arguments: --np abc"),
-    (["otoc", "--config", "c", "--point", "1,1"], "otoclab: unrecognized arguments: --point 1,1"),
-    (["otoc", "--config", "c", "--oracle"], "otoclab: unrecognized arguments: --oracle"),
-    (["otoc", "--out", "o"], "otoclab otoc: the following arguments are required: --config"),
-    (["no-such-command", "--config", "c"],
-     "otoclab: argument command: invalid choice: 'no-such-command'"),
-    (["portrait", "--config", "c", "--frob"], "otoclab: unrecognized arguments: --frob"),
-    (["reproduce-all", "--out", "o", "--only"],
-     "otoclab reproduce-all: argument --only: expected one argument"),
-    ([], "otoclab: the following arguments are required: command"),
-], ids=["np_flag", "point_flag", "oracle_flag", "otoc_without_config", "unknown_subcommand",
-        "unknown_flag", "only_without_value", "no_command"])
-def test_usage_error_is_a_config_error(tmp_path, monkeypatch, capsys, argv, message):
-    # argparse used to exit 2, the code of a numerical guard, by SystemExit
-    monkeypatch.chdir(tmp_path)
-    assert main(argv) == 1
-    err = capsys.readouterr().err
-    assert err.startswith(f"config error: {message}"), err
-    assert "Traceback" not in err and "usage:" not in err
-    assert os.listdir(tmp_path) == []
 
 
 def test_help_exits_0(capsys):
