@@ -165,8 +165,8 @@ def ehrenfest_time(rate: float, n_p: int) -> float:
 def correspondence_time(
     run: TimeSeries, reference: TimeSeries, epsilon: float
 ) -> float | None:
-    """First time |run - reference| > epsilon * max(1, |reference|);
-    None when the series never separate."""
+    """First time |run - reference| > epsilon * max(1, |reference|), or
+    either is nan; None when the series never separate."""
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
     if run.times.shape != reference.times.shape or not np.allclose(
@@ -175,7 +175,7 @@ def correspondence_time(
         raise GridMismatch("series must share the same time grid")
     dev = np.abs(run.values - reference.values)
     bound = epsilon * np.maximum(1.0, np.abs(reference.values))
-    idx = np.nonzero(dev > bound)[0]
+    idx = np.nonzero(~(dev <= bound))[0]
     if idx.size == 0:
         return None
     return float(run.times[idx[0]])

@@ -15,8 +15,8 @@ A run is its config file: no flag changes what a command computes, and
 ``--out`` alone names where it writes, ``otoclab_out`` when left out. A bad
 command line is a config error too, exit 1, as a bad file is.
 
-Each command diagonalizes the distinct truncations it needs once, up front,
-into a dict of its own, and frees them when it returns: no propagator
+Each command builds its truncations once, before its manifest, diagonalizes
+them into a dict of its own and frees them when it returns: no propagator
 outlives the command that built it, so figures in one ``reproduce-all`` do
 not share propagators, and a run holds one figure's eigenvectors at a time.
 """
@@ -50,13 +50,12 @@ from .errors import (
     WindowTooSparse,
 )
 from .evolution import (
-    Propagator,
     diagonalize,
     evolve_batch,
     photon_series,
     variance_otoc,
 )
-from .fock import CoherentParams, FockDim, coherent_state
+from .fock import Banded, CoherentParams, FockDim, coherent_state
 from .husimi import (
     count_local_maxima,
     husimi_centroid,
@@ -76,9 +75,16 @@ REFERENCE_FACTOR = 4
 PACKET_MARGIN = 4.0
 
 
-def _propagators(cfg: ExperimentConfig, *n_ps: int) -> dict[int, Propagator]:
-    """One propagator per truncation, owned by the calling command."""
-    return {k: diagonalize(cfg.hamiltonian(FockDim(k))) for k in n_ps}
+def _hamiltonians(cfg: ExperimentConfig, t_max: float, *n_ps: int) -> dict[int, Banded]:
+    """One Hamiltonian per truncation; a ConfigError for any whose
+    ``max_row_sum`` (a bound on every |eigenvalue|) times t_max, the largest
+    |t| evolved to, is not finite: a band or a phase lambda t overflowed."""
+    hams = {k: cfg.hamiltonian(FockDim(k)) for k in n_ps}
+    for k, H in hams.items():
+        if not math.isfinite(H.max_row_sum * t_max):
+            raise ConfigError(f"n_p={k}: the Hamiltonian's largest absolute row sum "
+                              f"{H.max_row_sum:.3g} times t = {t_max:g} is past the float range")
+    return hams
 
 
 def _initial_state(n_p: int, pt: LabeledPoint) -> np.ndarray:
@@ -155,8 +161,9 @@ def cmd_photon(cfg: ExperimentConfig, out_dir: str) -> dict:
         raise ConfigError(f"the photon reference n_p = {REFERENCE_FACTOR} x {max(cfg.n_p)} "
                           f"= {ref_np} is past the cap of {MAX_N_P}")
     times = _time_grid(cfg)
+    hams = _hamiltonians(cfg, cfg.t_end, ref_np, *cfg.n_p)
     manifest = Manifest(out_dir, config_hash(cfg))
-    props = _propagators(cfg, ref_np, *cfg.n_p)
+    props = {k: diagonalize(H) for k, H in hams.items()}
     runs = []
     for pt in cfg.points:
         ref = photon_series(
@@ -195,8 +202,9 @@ def cmd_otoc(cfg: ExperimentConfig, out_dir: str) -> dict:
     window when it states one."""
     cfg.check_coherent_tails()
     times = _time_grid(cfg)
+    hams = _hamiltonians(cfg, cfg.t_end, *cfg.n_p)
     manifest = Manifest(out_dir, config_hash(cfg))
-    props = _propagators(cfg, *cfg.n_p)
+    props = {k: diagonalize(H) for k, H in hams.items()}
     runs = []
     series_map = {}
     for pt in cfg.points:
@@ -246,11 +254,12 @@ def cmd_husimi(cfg: ExperimentConfig, out_dir: str) -> dict:
         raise ConfigError("husimi command requires a husimi section with snapshot times")
     if len(cfg.n_p) != 1:
         raise ConfigError(f"husimi command takes exactly one n_p, got {list(cfg.n_p)}")
+    (k,) = cfg.n_p
+    times = np.asarray(cfg.husimi.snapshot_times, dtype=float)
+    H = _hamiltonians(cfg, float(np.max(np.abs(times))), k)[k]
     manifest = Manifest(out_dir, config_hash(cfg))
     grid = cfg.husimi.grid
-    (k,) = cfg.n_p
-    prop = _propagators(cfg, k)[k]
-    times = np.asarray(cfg.husimi.snapshot_times, dtype=float)
+    prop = diagonalize(H)
     snapshots = []
     gp = [
         "set view map",

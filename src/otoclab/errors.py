@@ -28,10 +28,6 @@ class TailTooHeavy(GuardError):
     truncated Fock space: the discarded Poisson tail exceeds tolerance."""
 
 
-class NotHermitian(GuardError):
-    """Operator failed a Hermiticity check."""
-
-
 class DimMismatch(GuardError):
     """Operands live on Fock spaces of different dimension."""
 

@@ -27,9 +27,7 @@ coefficient keeps the whole block so nan propagates. The phases
 e^{-i lam t} are built per state, for the window alone, and no D x T phase
 table is kept: summed over the spectral sweep, the windows of each
 propagator's three states hold about 40% of the phases one table per
-propagator would (13% of the components, D-weighted), and a kept table
-held 16 D T bytes (``reproduce-all`` peaked at 110 MiB with one, 101 MiB
-without, at one BLAS thread).
+propagator would (13% of the components, D-weighted).
 
 Each propagator keeps one slot for its last state: a private copy of psi0
 with each block's (lo, hi, c[lo:hi]), and the observable rows of the last
@@ -191,14 +189,14 @@ def _eigh_band(band: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def diagonalize(H: Banded) -> Propagator:
-    """Diagonalize H as ``fock.build_hamiltonian`` returns it, one
-    photon-number parity block at a time; eigenvalues ascending within each
-    block. Raises ValueError for a band that is not real or whose odd
-    diagonals are not zero."""
-    if H.lower.dtype.kind != "f" or np.any(H.lower[1::2]):
-        raise ValueError("diagonalize needs a real band whose odd diagonals are zero")
-    parts = ((slice(0, None, 2), H.lower[0::2, 0::2]),
-             (slice(1, None, 2), H.lower[0::2, 1::2]))
+    """Diagonalize H, symmetric by its band layout, as ``fock.build_hamiltonian``
+    returns it, one photon-number parity block at a time; eigenvalues ascending
+    within each block. Raises ValueError for a band that is not real, holds inf
+    or nan, or whose odd diagonals are not zero."""
+    lower = H.lower
+    if lower.dtype.kind != "f" or not np.all(np.isfinite(lower)) or np.any(lower[1::2]):
+        raise ValueError("diagonalize needs a finite real band whose odd diagonals are zero")
+    parts = ((slice(0, None, 2), lower[0::2, 0::2]), (slice(1, None, 2), lower[0::2, 1::2]))
     blocks = tuple((idx, *_eigh_band(band)) for idx, band in parts)
     return Propagator(dim=FockDim(H.shape[0] - 1), blocks=blocks)
 
@@ -362,10 +360,10 @@ def photon_series(
 ) -> TimeSeries:
     """<a^dag a>(t) on the requested time grid. With ``tail_guard``, raises
     TruncationGuardError at the first time whose population above
-    n = D - ceil(D/10) exceeds TAIL_GUARD_TOL."""
+    n = D - ceil(D/10) exceeds TAIL_GUARD_TOL or is nan."""
     times = np.asarray(times, dtype=float)
     _, mean_n, tails = _rows(prop, psi0, times)
-    bad = np.nonzero(tails > TAIL_GUARD_TOL)[0]
+    bad = np.nonzero(~(tails <= TAIL_GUARD_TOL))[0]  # a nan tail trips it too
     if tail_guard and bad.size:
         i, D = bad[0], prop.dim.dim
         raise TruncationGuardError(

@@ -176,11 +176,12 @@ def husimi_norm(hg: HusimiGrid) -> float:
 def husimi_centroid(hg: HusimiGrid) -> tuple[float, float]:
     """Normalized first moments (qbar, pbar) of Q over the grid.
 
-    Requires husimi_norm >= 0.99 so the centroid is meaningful.
+    Requires husimi_norm >= 0.99, which a nan norm fails, so the centroid
+    is meaningful.
     """
     w = _trapz2(hg.values, hg.grid)
     norm = w / 2
-    if norm < 0.99:
+    if not norm >= 0.99:
         raise GridTooSmall(
             f"grid captures only {norm:.4f} of the packet; enlarge the window"
         )

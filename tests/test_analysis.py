@@ -286,6 +286,16 @@ def test_correspondence_detects_step():
     assert correspondence_time(make_series(t, run), make_series(t, ref), 0.1) == pytest.approx(t[6])
 
 
+def test_correspondence_nan_deviation_is_a_departure():
+    # a nan used to compare false with the bound and so read as agreement
+    t = np.linspace(0, 1, 11)
+    ref = np.ones(11)
+    run = ref.copy()
+    run[4] = math.nan
+    assert correspondence_time(make_series(t, run), make_series(t, ref), 0.1) == t[4]
+    assert correspondence_time(make_series(t, ref), make_series(t, run), 0.1) == t[4]
+
+
 def test_correspondence_monotone_in_epsilon():
     t = np.linspace(0, 2, 201)
     ref = np.exp(t)

@@ -299,6 +299,24 @@ FAILURES = [
     *[refused(f"g_1e-320_{cmd}", cmd, {**HIHO, "g": 1e-320},
               "gamma = 3.0 and g = 1e-320 give coefficients past the float range: "
               "Model(kappa=1.0, v2=-2.25, v4=1e-320, v0=inf)\n") for cmd in ("otoc", "photon")],
+    # a Hamiltonian whose largest absolute row sum, times the largest |t|
+    # evolved to, is past the float range: each exited 0 and wrote nan, from a
+    # band that overflowed (otoc at g = 1e305, photon's 4x reference at 1e304),
+    # a row sum that did, or a phase lambda t that did (g = 1e200 at t = 1e105)
+    *[refused(f"row_sum_{name}", cmd, {**HIHO, **patch}, f"n_p={k}: the Hamiltonian's "
+              f"largest absolute row sum {bound} times t = {t} is past the float range\n")
+      for name, cmd, patch, k, bound, t in (
+          ("g_1e305_otoc", "otoc", {"g": 1e305}, 40, "inf", "1"),
+          # every band finite (largest entry 1.1e308), but an eigenvalue not
+          ("g_5e304_otoc", "otoc", {"g": 5e304}, 40, "inf", "1"),
+          ("g_1e304_photon_reference", "photon", {"g": 1e304}, 160, "inf", "1"),
+          ("t_end_otoc", "otoc", {"g": 1e200, "t_end": 1e105, "n_samples": 2}, 40,
+           "5.33e+203", "1e+105"),
+          ("t_end_photon", "photon", {"g": 1e200, "t_end": 1e105, "n_samples": 2}, 160,
+           "9.8e+204", "1e+105"),
+          ("snapshot_husimi", "husimi", {"g": 1e200, "husimi": {**GRID,
+                                                               "snapshot_times": [0, 1e105]}},
+           40, "5.33e+203", "1e+105"))],
     # a portrait seed whose energy is past the float range: an OverflowError
     # traceback from q**4 (hiho), or rows of inf (iho)
     refused("seed_energy_hiho", "portrait",
@@ -385,6 +403,15 @@ def test_every_failure_exits_with_its_code_and_message(tmp_path, monkeypatch, ca
         assert os.listdir(cwd) == []
 
 
+def test_otoc_runs_at_a_finite_row_sum_near_the_float_range(tmp_path):
+    # the refusal is not too tight: g = 1e303 gives a row sum of 5.3e306
+    cfg = _patched_cfg_file(tmp_path, "g_1e303", {**HIHO, "g": 1e303})
+    out = tmp_path / "out"
+    assert main(["otoc", "--config", cfg, "--out", str(out)]) == 0
+    C = np.loadtxt(out / "otoc_A_np40.csv", delimiter=",", skiprows=1)[:, 1]
+    assert C.size == 21 and np.all(np.isfinite(C))
+
+
 def test_config_hash_stable():
     assert config_hash(small_cfg()) == config_hash(small_cfg())
     assert config_hash(small_cfg()) != config_hash(small_cfg(t_end=2.0))
@@ -468,7 +495,7 @@ def test_husimi_snapshots_equal_evolve_bit_for_bit(tmp_path, monkeypatch):
 
     monkeypatch.setattr(cli, "husimi_q", recorded)
     snapshots = cli.cmd_husimi(cfg, str(tmp_path))["summary"]["snapshots"]
-    prop = cli._propagators(cfg, 40)[40]
+    prop = cli.diagonalize(cli._hamiltonians(cfg, 2.5, 40)[40])
     want = [evolve(prop, cli._initial_state(40, pt), t)
             for pt in cfg.points for t in cfg.husimi.snapshot_times]
     assert len(seen) == len(snapshots) == len(want)

@@ -9,8 +9,8 @@ from conftest import banded, dense, expect
 from hypothesis import given, settings, strategies as st
 from scipy.linalg import eig_banded, eigh
 
-from otoclab import evolution, fock
-from otoclab.errors import DimMismatch, NotHermitian, TruncationGuardError
+from otoclab import evolution
+from otoclab.errors import DimMismatch, TruncationGuardError
 from otoclab.evolution import (
     commutator_otoc,
     diagonalize,
@@ -54,18 +54,29 @@ def test_diagonalize_rejects_nonzero_odd_diagonals():
         diagonalize(banded(H))
 
 
-def test_diagonalize_rejects_non_hermitian(monkeypatch):
-    # the Hermiticity guard compares band k with band -k at build time
-    band_matmul = fock._band_matmul
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+def test_diagonalize_rejects_a_non_finite_band(bad):
+    lower = np.zeros((3, 5))
+    lower[0] = [1.0, 2.0, bad, 3.0, 4.0]
+    with pytest.raises(ValueError, match="finite real band"):
+        diagonalize(Banded(lower))
 
-    def skewed(M, N):
-        out = band_matmul(M, N)
-        out[-2] = out[-2] * (1 + 1e-9)
-        return out
 
-    monkeypatch.setattr(fock, "_band_matmul", skewed)
-    with pytest.raises(NotHermitian, match="Hermiticity defect"):
-        diagonalize(build_iho(FockDim(10)))
+def test_an_overflowed_build_is_refused_by_diagonalize():
+    # g = 1e305 takes the quartic band past the float range: the build
+    # leaves inf or nan there without a warning, and its row sum is not finite
+    H = build_hiho(FockDim(40), HihoParams(3.0, 1e305))
+    assert not np.all(np.isfinite(H.lower))
+    assert not math.isfinite(H.max_row_sum)
+    with pytest.raises(ValueError, match="finite real band"):
+        diagonalize(H)
+
+
+def test_max_row_sum_is_the_dense_infinity_norm():
+    for H in (build_iho(FockDim(30)), build_hiho(FockDim(30), HihoParams(3.0, 0.04))):
+        M = dense(H)
+        assert H.max_row_sum == pytest.approx(np.max(np.sum(np.abs(M), axis=1)), rel=1e-15)
+        assert np.max(np.abs(np.linalg.eigvalsh(M))) <= H.max_row_sum
 
 
 @pytest.mark.parametrize("case, n_blocks", [("iho", 2), ("hiho", 2)])
@@ -268,6 +279,19 @@ def test_photon_series_point_a_dips_then_grows(iho_prop):
     assert series.values[-1] > series.values[0]
 
 
+def test_photon_series_nan_tail_trips_the_guard(iho_prop):
+    # lambda t past the float range makes psi(t) nan; the guard used to read
+    # the nan tail as a pass
+    prop = iho_prop(39)
+    psi = coherent_state(FockDim(39), CoherentParams(1.0, 1.0))
+    times = np.array([0.0, 0.5, 1e308, 1.5e308])
+    with np.errstate(over="ignore", invalid="ignore"):
+        tails = evolution._rows(prop, psi, times)[2]
+        assert np.isnan(tails[2:]).all() and (tails[:2] <= evolution.TAIL_GUARD_TOL).all()
+        with pytest.raises(TruncationGuardError, match=r"tail population nan .* at t=1e\+308 "):
+            photon_series(prop, psi, times, tail_guard=True)
+
+
 # ---------------------------------------------------------------------------
 # Reference implementations: evolution and observables as they were before the
 # phase table, the column blocks and the spectral window. Production drops
@@ -328,7 +352,7 @@ def _photon_of(Psi, times, label="", tail_guard=False):
         D = Psi.shape[0]
         k = D - math.ceil(D / 10)
         tails = np.sum(np.abs(Psi[k:, :]) ** 2, axis=0)
-        bad = np.nonzero(tails > evolution.TAIL_GUARD_TOL)[0]
+        bad = np.nonzero(~(tails <= evolution.TAIL_GUARD_TOL))[0]
         if bad.size:
             i = bad[0]
             raise TruncationGuardError(

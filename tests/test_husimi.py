@@ -287,6 +287,16 @@ def test_centroid_grid_too_small():
         husimi_centroid(husimi_q(psi, small))
 
 
+def test_centroid_refuses_a_nan_norm():
+    # a grid of nan used to pass the capture check and give a nan centroid
+    grid = PhaseGrid(-6.0, 6.0, -6.0, 6.0, 21, 21)
+    hg = HusimiGrid(grid, np.full((21, 21), np.nan))
+    with pytest.raises(GridTooSmall, match="captures only nan"):
+        husimi_centroid(hg)
+    with pytest.raises(GridTooSmall):
+        husimi_second_moments(hg)
+
+
 def test_centroid_tracks_iho_flow(iho_prop):
     # before the correspondence time the packet center follows the
     # classical trajectory of its initial point
