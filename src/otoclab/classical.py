@@ -106,6 +106,10 @@ def _not_finite(t: float) -> StepTooLarge:
                         f"the float range")
 
 
+def _left_float_range(t: float) -> StepTooLarge:
+    return StepTooLarge(f"the Benettin run left the float range by t={t:.6g}")
+
+
 def integrate(
     m: Model,
     s0: ClassicalState,
@@ -206,6 +210,10 @@ def lyapunov_tangent(
     The stages are written out on local floats in an outer loop over
     renormalisation blocks; with v4 == 0 the tangent coefficients are
     constant, so only (u, v) is integrated.
+
+    An orbit or tangent past the float range raises StepTooLarge, as in
+    ``integrate``: from the OverflowError of a float power, or from a
+    non-finite exponent.
     """
     if t_total <= 0 or dt <= 0:
         raise ValueError("t_total and dt must be positive")
@@ -222,50 +230,56 @@ def lyapunov_tangent(
         raise ValueError(f"tangent0 must be a nonzero finite vector, got {tangent0!r}")
     u, v = u / nrm, v / nrm
     log_sum = 0.0
-    for start in range(0, n, RENORM_EVERY):
-        steps = range(min(RENORM_EVERY, n - start))
-        if v4:
-            for _ in steps:
-                k1q = b * p
-                k1p = c1 * q - c3 * q**3.0
-                k1u = b * v
-                k1v = (c1 - c2 * q * q) * u
-                x = q + hdt * k1q
-                k2q = b * (p + hdt * k1p)
-                k2p = c1 * x - c3 * x**3.0
-                k2u = b * (v + hdt * k1v)
-                k2v = (c1 - c2 * x * x) * (u + hdt * k1u)
-                x = q + hdt * k2q
-                k3q = b * (p + hdt * k2p)
-                k3p = c1 * x - c3 * x**3.0
-                k3u = b * (v + hdt * k2v)
-                k3v = (c1 - c2 * x * x) * (u + hdt * k2u)
-                x = q + dt * k3q
-                k4q = b * (p + dt * k3p)
-                k4p = c1 * x - c3 * x**3.0
-                k4u = b * (v + dt * k3v)
-                k4v = (c1 - c2 * x * x) * (u + dt * k3u)
-                q += sdt * (k1q + 2.0 * k2q + 2.0 * k3q + k4q)
-                p += sdt * (k1p + 2.0 * k2p + 2.0 * k3p + k4p)
-                u += sdt * (k1u + 2.0 * k2u + 2.0 * k3u + k4u)
-                v += sdt * (k1v + 2.0 * k2v + 2.0 * k3v + k4v)
-        else:
-            # (u, v) never reads (q, p) here, so the state is not integrated
-            for _ in steps:
-                k1u = b * v
-                k1v = c1 * u
-                k2u = b * (v + hdt * k1v)
-                k2v = c1 * (u + hdt * k1u)
-                k3u = b * (v + hdt * k2v)
-                k3v = c1 * (u + hdt * k2u)
-                k4u = b * (v + dt * k3v)
-                k4v = c1 * (u + dt * k3u)
-                u += sdt * (k1u + 2.0 * k2u + 2.0 * k3u + k4u)
-                v += sdt * (k1v + 2.0 * k2v + 2.0 * k3v + k4v)
-        nrm = math.hypot(u, v)
-        log_sum += math.log(nrm)
-        u, v = u / nrm, v / nrm
-    return log_sum / (n * dt)
+    try:
+        for start in range(0, n, RENORM_EVERY):
+            steps = range(min(RENORM_EVERY, n - start))
+            if v4:
+                for _ in steps:
+                    k1q = b * p
+                    k1p = c1 * q - c3 * q**3.0
+                    k1u = b * v
+                    k1v = (c1 - c2 * q * q) * u
+                    x = q + hdt * k1q
+                    k2q = b * (p + hdt * k1p)
+                    k2p = c1 * x - c3 * x**3.0
+                    k2u = b * (v + hdt * k1v)
+                    k2v = (c1 - c2 * x * x) * (u + hdt * k1u)
+                    x = q + hdt * k2q
+                    k3q = b * (p + hdt * k2p)
+                    k3p = c1 * x - c3 * x**3.0
+                    k3u = b * (v + hdt * k2v)
+                    k3v = (c1 - c2 * x * x) * (u + hdt * k2u)
+                    x = q + dt * k3q
+                    k4q = b * (p + dt * k3p)
+                    k4p = c1 * x - c3 * x**3.0
+                    k4u = b * (v + dt * k3v)
+                    k4v = (c1 - c2 * x * x) * (u + dt * k3u)
+                    q += sdt * (k1q + 2.0 * k2q + 2.0 * k3q + k4q)
+                    p += sdt * (k1p + 2.0 * k2p + 2.0 * k3p + k4p)
+                    u += sdt * (k1u + 2.0 * k2u + 2.0 * k3u + k4u)
+                    v += sdt * (k1v + 2.0 * k2v + 2.0 * k3v + k4v)
+            else:
+                # (u, v) never reads (q, p) here, so the state is not integrated
+                for _ in steps:
+                    k1u = b * v
+                    k1v = c1 * u
+                    k2u = b * (v + hdt * k1v)
+                    k2v = c1 * (u + hdt * k1u)
+                    k3u = b * (v + hdt * k2v)
+                    k3v = c1 * (u + hdt * k2u)
+                    k4u = b * (v + dt * k3v)
+                    k4v = c1 * (u + dt * k3u)
+                    u += sdt * (k1u + 2.0 * k2u + 2.0 * k3u + k4u)
+                    v += sdt * (k1v + 2.0 * k2v + 2.0 * k3v + k4v)
+            nrm = math.hypot(u, v)
+            log_sum += math.log(nrm)
+            u, v = u / nrm, v / nrm
+    except OverflowError:  # a float power past the float range
+        raise _left_float_range(min(start + RENORM_EVERY, n) * dt) from None
+    lam = log_sum / (n * dt)
+    if not math.isfinite(lam):  # an orbit that reached inf raises no OverflowError
+        raise _left_float_range(t_total)
+    return lam
 
 
 def phase_portrait(

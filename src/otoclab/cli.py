@@ -58,7 +58,6 @@ from .evolution import (
 from .fock import Banded, CoherentParams, FockDim, coherent_state
 from .husimi import (
     count_local_maxima,
-    husimi_centroid,
     husimi_norm,
     husimi_q,
     husimi_second_moments,
@@ -248,7 +247,10 @@ def _widened(lo: float, hi: float, centre: float) -> tuple[float, float]:
 def cmd_husimi(cfg: ExperimentConfig, out_dir: str) -> dict:
     """Husimi snapshots per point at the config's one n_p, each point's
     snapshot times evolved in one batch, with norm/centroid/moment
-    diagnostics and a generated plot script."""
+    diagnostics and a generated plot script. The centroid is the one
+    ``husimi_second_moments`` returns with its matrix, so each snapshot's
+    grid is integrated 7 times: once for the norm, three times for the
+    centroid and three for the moments."""
     cfg.check_coherent_tails()
     if cfg.husimi is None:
         raise ConfigError("husimi command requires a husimi section with snapshot times")
@@ -281,8 +283,8 @@ def cmd_husimi(cfg: ExperimentConfig, out_dir: str) -> dict:
                 "second_moments": None,
             }
             try:
-                entry["centroid"] = list(husimi_centroid(hg))
-                mom = husimi_second_moments(hg)
+                centroid, mom = husimi_second_moments(hg)
+                entry["centroid"] = list(centroid)
                 entry["second_moments"] = {
                     "qq": float(mom[0, 0]), "qp": float(mom[0, 1]),
                     "pp": float(mom[1, 1]),

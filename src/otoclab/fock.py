@@ -13,6 +13,11 @@ energy in ``classical`` all derive from it:
 - iho:  kappa = 1/2, V = -X^2/2, i.e. H = -(a^2 + a^dag^2)/2;
 - hiho: kappa = 1,   V = -gamma^2 X^2/4 + g X^4 + gamma^4/(64 g).
 
+The constant v0 sets only where the classical energy is zero. On a state it
+is a global phase e^{-i v0 t}, which no observable or Husimi grid reads, so
+the quantum operator leaves it out: a huge v0 would otherwise swamp the
+dynamics in the eigensolver's precision.
+
 The ladder helpers return dense complex matrices; the Hamiltonian is a
 ``Banded`` matrix built in O(D) memory and arithmetic: a band algebra
 multiplies the truncated ladder bands exactly as the dense truncated products
@@ -59,7 +64,8 @@ class HihoParams:
 
 @dataclass(frozen=True)
 class Model:
-    """H = kappa P^2 + v0 + v2 X^2 + v4 X^4."""
+    """H = kappa P^2 + v0 + v2 X^2 + v4 X^4; v0 enters the classical energy
+    only, and ``build_hamiltonian`` leaves it out."""
 
     kappa: float
     v2: float
@@ -182,10 +188,11 @@ class Banded:
 
 
 def build_hamiltonian(dim: FockDim, model: Model) -> Banded:
-    """kappa P^2 + v2 X^2 + v4 X^4 + v0 with P^2 = -A^2/2, X^2 = B^2/2 and
+    """kappa P^2 + v2 X^2 + v4 X^4 with P^2 = -A^2/2, X^2 = B^2/2 and
     X^4 = B^4/4, where A = a^dag - a and B = a^dag + a; ``Banded`` keeps only
-    the bands k <= 0. A product past the float range leaves inf or nan in a
-    band, without a warning, and ``evolution.diagonalize`` refuses it."""
+    the bands k <= 0. ``model.v0`` is left out (see the module docstring).
+    A product past the float range leaves inf or nan in a band, without a
+    warning, and ``evolution.diagonalize`` refuses it."""
     up, down = _ladder_diagonals(dim)
     A = {-1: down, 1: -up}
     B = {-1: down, 1: up}
@@ -201,7 +208,6 @@ def build_hamiltonian(dim: FockDim, model: Model) -> Banded:
         for c, term in terms:
             for k, d in term.items():
                 bands[k] = bands.get(k, 0.0) + c * d
-        bands[0] = bands[0] + model.v0
     D = dim.dim
     lower = np.zeros((max(bands) + 1, D))
     for k in range(lower.shape[0]):
@@ -216,7 +222,7 @@ def build_iho(dim: FockDim) -> Banded:
 
 
 def build_hiho(dim: FockDim, params: HihoParams) -> Banded:
-    """Double-well Hamiltonian, including the constant offset gamma^4/(64 g)."""
+    """Double-well Hamiltonian, without the constant offset gamma^4/(64 g)."""
     return build_hamiltonian(dim, hiho(params.gamma, params.g))
 
 

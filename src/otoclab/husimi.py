@@ -1,5 +1,8 @@
 """Husimi Q distribution of a pure state on a rectangular phase-space grid,
 with norm, centroid, second-moment, and peak-counting diagnostics.
+``husimi_second_moments`` returns the centroid it is centred on together
+with its matrix, so a caller that needs both does not integrate the
+centroid twice.
 
 Q(q1, p1) = |<alpha|psi>|^2 / pi with alpha = (q1 + i p1)/sqrt(2). The
 overlap uses the exact coherent amplitudes for n < D, so no truncation of
@@ -179,6 +182,25 @@ def husimi_centroid(hg: HusimiGrid) -> tuple[float, float]:
     Requires husimi_norm >= 0.99, which a nan norm fails, so the centroid
     is meaningful.
     """
+    _, centroid = _weight_and_centroid(hg)
+    return centroid
+
+
+def husimi_second_moments(hg: HusimiGrid) -> tuple[tuple[float, float], np.ndarray]:
+    """The centroid (qbar, pbar), as husimi_centroid gives it, and the central
+    second-moment matrix [[<dq^2>, <dq dp>], [<dq dp>, <dp^2>]] about it."""
+    w, (qbar, pbar) = _weight_and_centroid(hg)
+    dq = hg.grid.q_axis()[:, None] - qbar
+    dp = hg.grid.p_axis()[None, :] - pbar
+    sqq = _trapz2(hg.values * dq * dq, hg.grid) / w
+    spp = _trapz2(hg.values * dp * dp, hg.grid) / w
+    sqp = _trapz2(hg.values * dq * dp, hg.grid) / w
+    return (qbar, pbar), np.array([[sqq, sqp], [sqp, spp]])
+
+
+def _weight_and_centroid(hg: HusimiGrid) -> tuple[float, tuple[float, float]]:
+    """The integral w of Q over the grid (twice husimi_norm) and the
+    centroid; GridTooSmall when the norm is under 0.99 or nan."""
     w = _trapz2(hg.values, hg.grid)
     norm = w / 2
     if not norm >= 0.99:
@@ -189,19 +211,7 @@ def husimi_centroid(hg: HusimiGrid) -> tuple[float, float]:
     ps = hg.grid.p_axis()[None, :]
     qbar = _trapz2(hg.values * qs, hg.grid) / w
     pbar = _trapz2(hg.values * ps, hg.grid) / w
-    return qbar, pbar
-
-
-def husimi_second_moments(hg: HusimiGrid) -> np.ndarray:
-    """Central second-moment matrix [[<dq^2>, <dq dp>], [<dq dp>, <dp^2>]]."""
-    qbar, pbar = husimi_centroid(hg)
-    w = _trapz2(hg.values, hg.grid)
-    dq = hg.grid.q_axis()[:, None] - qbar
-    dp = hg.grid.p_axis()[None, :] - pbar
-    sqq = _trapz2(hg.values * dq * dq, hg.grid) / w
-    spp = _trapz2(hg.values * dp * dp, hg.grid) / w
-    sqp = _trapz2(hg.values * dq * dp, hg.grid) / w
-    return np.array([[sqq, sqp], [sqp, spp]])
+    return w, (qbar, pbar)
 
 
 def count_local_maxima(hg: HusimiGrid) -> int:

@@ -341,6 +341,14 @@ def test_lyapunov_zero_steps_is_a_value_error():
         lyapunov_tangent(iho(), ClassicalState(1.0, 0.0), 4e-4)
 
 
+@pytest.mark.parametrize("q, p", [(0.0, 1e200), (1e154, 0.0), (0.0, 1e308)])
+def test_lyapunov_orbit_past_the_float_range_is_step_too_large(q, p):
+    # the first two raised a bare OverflowError from a float power, and the
+    # last returned nan, from inf - inf
+    with pytest.raises(StepTooLarge, match="left the float range"):
+        lyapunov_tangent(HIHO, ClassicalState(q, p), 1.0)
+
+
 NON_FINITE = [(math.nan, 1e-3), (1.0, math.nan), (math.inf, 1e-3), (1.0, math.inf),
               (1e300, 1e-300)]
 

@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from otoclab import cli, output
+from otoclab import cli, husimi, output
 from otoclab.cli import main
 from otoclab.config import (
     AUTO_MIN_SPAN,
@@ -376,6 +376,11 @@ FAILURES = [
     pytest.param("photon", {"points": [{"label": "B", "q": 3.0, "p": 3.0}], "t_end": 3.0}, 2,
                  "numerical guard: B/ref: tail population 8.348e-05 above n=144 at t=0.9 "
                  "exceeds 1e-06; increase n_p\n", id="reference_truncation_guard"),
+    # the reference's guard sees the growth once H leaves out v0 = 1.3e304,
+    # which used to swamp the dynamics: exit 0 with <n> = 4 throughout
+    pytest.param("photon", {**HIHO, "g": 1e-304, "n_p": [60]}, 2,
+                 "numerical guard: A/ref: tail population 3.212e-06 above n=216 at t=0.55 "
+                 "exceeds 1e-06; increase n_p\n", id="tiny_g_reference_truncation_guard"),
     # ehrenfest_time needs n_p >= 2
     pytest.param("otoc", {"n_p": [1], "points": [{"label": "pt", "q": 0.0, "p": 0.0}],
                           "fit": {"window": [0.2, 0.8]}}, 3,
@@ -410,6 +415,16 @@ def test_otoc_runs_at_a_finite_row_sum_near_the_float_range(tmp_path):
     assert main(["otoc", "--config", cfg, "--out", str(out)]) == 0
     C = np.loadtxt(out / "otoc_A_np40.csv", delimiter=",", skiprows=1)[:, 1]
     assert C.size == 21 and np.all(np.isfinite(C))
+
+
+def test_otoc_grows_at_a_tiny_g(tmp_path):
+    # g = 1e-304 gives v0 = 1.3e304, which H used to carry and which swamped
+    # the dynamics: C stayed at 0.5 and otoc exited 0
+    cfg = _patched_cfg_file(tmp_path, "g_1e-304", {**HIHO, "g": 1e-304, "n_p": [60]})
+    out = tmp_path / "out"
+    assert main(["otoc", "--config", cfg, "--out", str(out)]) == 0
+    t, C = np.loadtxt(out / "otoc_A_np60.csv", delimiter=",", skiprows=1).T
+    assert t[-1] == 1.0 and C[-1] > 20
 
 
 def test_config_hash_stable():
@@ -508,8 +523,8 @@ def test_husimi_snapshots_equal_evolve_bit_for_bit(tmp_path, monkeypatch):
             with pytest.raises(GridTooSmall):
                 husimi_centroid(hg)
             continue
-        assert entry["centroid"] == list(husimi_centroid(hg))
-        mom = husimi_second_moments(hg)
+        centroid, mom = husimi_second_moments(hg)
+        assert entry["centroid"] == list(husimi_centroid(hg)) == list(centroid)
         assert entry["second_moments"] == {"qq": mom[0, 0], "qp": mom[0, 1], "pp": mom[1, 1]}
     assert 0 < missed < len(want)  # both branches of the diagnostics run
 
@@ -529,6 +544,23 @@ def test_import_loads_no_scipy():
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
     out = _run_child(["-c", code], check=True)
     assert out.stdout.strip() == "[]"
+
+
+def test_husimi_integrates_each_snapshot_grid_seven_times(tmp_path, monkeypatch):
+    # the norm once, the centroid three times and the moments three times: the
+    # centroid comes with the moments, where it used to be integrated apart
+    calls = []
+    trapz2 = husimi._trapz2
+
+    def counted(vals, grid):
+        calls.append(grid)
+        return trapz2(vals, grid)
+
+    monkeypatch.setattr(husimi, "_trapz2", counted)
+    cfg = cli._load_bundled("fig8")
+    snapshots = cli.cmd_husimi(cfg, str(tmp_path))["summary"]["snapshots"]
+    assert len(snapshots) == 8 and all(s["centroid"] is not None for s in snapshots)
+    assert len(calls) == 7 * 8 == 56
 
 
 def test_husimi_grid_too_small(tmp_path, capsys):
@@ -759,9 +791,9 @@ def test_determinism_bit_identical(tmp_path):
     assert main(["otoc", "--config", cfg, "--out", out1]) == 0
     assert main(["otoc", "--config", cfg, "--out", out2]) == 0
     for name in ("otoc_A_np40.csv", "otoc_summary.json", "otoc.gp"):
-        b1 = open(os.path.join(out1, name), "rb").read()
-        b2 = open(os.path.join(out2, name), "rb").read()
-        assert b1 == b2, name
+        first, second = (os.path.join(out, name) for out in (out1, out2))
+        with open(first, "rb") as f1, open(second, "rb") as f2:
+            assert f1.read() == f2.read(), name
 
 
 def test_manifest_entries(tmp_path):
@@ -769,7 +801,8 @@ def test_manifest_entries(tmp_path):
     cfg = write_cfg(tmp_path, cfg_obj)
     out = str(tmp_path / "out")
     assert main(["otoc", "--config", cfg, "--out", out]) == 0
-    entries = [json.loads(line) for line in open(os.path.join(out, "manifest.jsonl"))]
+    with open(os.path.join(out, "manifest.jsonl"), encoding="utf-8") as fh:
+        entries = [json.loads(line) for line in fh]
     files = {e["file"] for e in entries}
     assert "otoc_A_np40.csv" in files
     for e in entries:
@@ -921,7 +954,8 @@ def test_help_exits_0(capsys):
 def test_reproduce_all_single_figure(tmp_path):
     out = str(tmp_path / "o")
     assert main(["reproduce-all", "--out", out, "--only", "fig1"]) == 0
-    report = json.loads(open(os.path.join(out, "report.json")).read())
+    with open(os.path.join(out, "report.json"), encoding="utf-8") as fh:
+        report = json.load(fh)
     assert report["figures"]["fig1"]["status"] == "ok"
 
 

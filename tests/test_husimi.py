@@ -330,7 +330,7 @@ def test_stretch_along_unstable_direction(iho_prop):
     vac = coherent_state(d, CoherentParams(0.0, 0.0))
     psit = evolve(iho_prop(300), vac, 1.2)
     grid = PhaseGrid(-20.0, 20.0, -20.0, 20.0, 201, 201)
-    mom = husimi_second_moments(husimi_q(psit, grid))
+    _, mom = husimi_second_moments(husimi_q(psit, grid))
     w, v = np.linalg.eigh(mom)
     major = v[:, 1]  # eigenvector of the larger variance
     diag = np.array([1.0, 1.0]) / np.sqrt(2)
