@@ -10,7 +10,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
-    GridMismatch,
     InvalidRate,
     NonFiniteValues,
     NonPositiveValues,
@@ -172,7 +171,7 @@ def correspondence_time(
     if run.times.shape != reference.times.shape or not np.allclose(
         run.times, reference.times, rtol=0, atol=1e-12
     ):
-        raise GridMismatch("series must share the same time grid")
+        raise ValueError("series must share the same time grid")
     dev = np.abs(run.values - reference.values)
     bound = epsilon * np.maximum(1.0, np.abs(reference.values))
     idx = np.nonzero(~(dev <= bound))[0]

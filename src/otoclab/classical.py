@@ -15,14 +15,13 @@ A zero coefficient's term is left out rather than multiplied by 0: far out
 on an unstable IHO orbit q**3 overflows, and 0 * inf is nan.
 
 ``integrate`` and ``lyapunov_tangent`` run millions of steps, so their RK4
-stages are written out as statements on local floats: no function call,
-tuple or numpy scalar inside a stage. ``integrate`` still calls ``energy``
-once a step, for its drift guard. They keep the operation order of the plain
-closure-based RK4 (tests/test_classical.py holds it as the reference), so
-their results are bit-identical to it. Their literals are floats (2.0 * k,
-x**3.0): Python converts an int operand to the same double, so the values
-do not change, but float-only operations take CPython's specialised fast
-path.
+stages, and the energy of ``integrate``'s drift guard, are written out as
+statements on local floats: no function call, tuple or numpy scalar in a
+step. They keep the operation order of the plain closure-based RK4
+(tests/test_classical.py holds it as the reference), so their results are
+bit-identical to it. Their literals are floats (2.0 * k, x**3.0): Python
+converts an int operand to the same double, so the values do not change,
+but float-only operations take CPython's specialised fast path.
 """
 from __future__ import annotations
 
@@ -119,10 +118,11 @@ def integrate(
     """Fixed-step RK4 trajectory over [0, t_end] (t_end may be negative for
     backward integration; dt is a positive step magnitude).
 
-    A step whose energy drifts from the initial E0 by more than
-    ENERGY_DRIFT_TOL * max(1, |E0|), or is not finite, raises StepTooLarge;
-    so does a float power past the float range, which Python raises as
-    OverflowError.
+    A step whose flow energy E = kappa p^2 + v2 q^2 + v4 q^4 (``energy``
+    without v0, which no step changes and whose size would blind the bound)
+    drifts from the initial E0 by more than ENERGY_DRIFT_TOL * max(1, |E0|),
+    or is not finite, raises StepTooLarge; so does a float power past the
+    float range, which Python raises as OverflowError.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
@@ -131,13 +131,14 @@ def integrate(
     n = max(1, _step_count(t_end, dt, "t_end"))
     h = t_end / n
     hh, h6 = h / 2, h / 6
-    v4 = m.v4
-    b, c1, c3 = 2 * m.kappa, -2 * m.v2, 4 * v4
+    kappa, v2, v4 = m.kappa, m.v2, m.v4
+    b, c1, c3 = 2 * kappa, -2 * v2, 4 * v4
     q, p = s0.q, s0.p
     qs, ps = [q], [p]
     i = 0
     try:
-        e0 = energy(m, q, p)
+        energy0 = energy(m, q, p)
+        e0 = kappa * p * p + v2 * q * q + (v4 * q**4.0 if v4 else 0.0)
         if not math.isfinite(e0):
             raise _not_finite(0.0)
         bound = ENERGY_DRIFT_TOL * max(1.0, abs(e0))
@@ -158,7 +159,7 @@ def integrate(
             p += h6 * (k1p + 2.0 * k2p + 2.0 * k3p + k4p)
             qs.append(q)
             ps.append(p)
-            e = energy(m, q, p)
+            e = kappa * p * p + v2 * q * q + (v4 * q**4.0 if v4 else 0.0)
             # not <=, so that a NaN energy fails the guard too
             if not abs(e - e0) <= bound:
                 if not math.isfinite(e):
@@ -169,7 +170,7 @@ def integrate(
         raise _not_finite(i * h) from None
     times = np.arange(n + 1) * h
     times[0] = 0.0  # 0 * h is -0.0 when integrating backward
-    return Trajectory(times=times, qs=np.array(qs), ps=np.array(ps), energy0=e0)
+    return Trajectory(times=times, qs=np.array(qs), ps=np.array(ps), energy0=energy0)
 
 
 def jacobian_matrix(m: Model, s: ClassicalState) -> np.ndarray:

@@ -72,17 +72,22 @@ REFERENCE_FACTOR = 4
 # A coherent packet's Q is a Gaussian of unit width in q and in p, so a
 # window reaching 4 past its centre on every side holds all but 1.3e-4 of it.
 PACKET_MARGIN = 4.0
+# The largest |lambda t| a run may reach: a float64 phase x is rounded by up
+# to eps |x|, so below 1e-6 / eps (4.5e9) every phase keeps 1e-6 rad.
+PHASE_LIMIT = 1e-6 / sys.float_info.epsilon
 
 
 def _hamiltonians(cfg: ExperimentConfig, t_max: float, *n_ps: int) -> dict[int, Banded]:
     """One Hamiltonian per truncation; a ConfigError for any whose
     ``max_row_sum`` (a bound on every |eigenvalue|) times t_max, the largest
-    |t| evolved to, is not finite: a band or a phase lambda t overflowed."""
+    |t| evolved to, is past PHASE_LIMIT or nan: a phase lambda t would lose
+    its 1e-6 rad resolution, or a band overflowed."""
     hams = {k: cfg.hamiltonian(FockDim(k)) for k in n_ps}
     for k, H in hams.items():
-        if not math.isfinite(H.max_row_sum * t_max):
+        if not H.max_row_sum * t_max <= PHASE_LIMIT:
             raise ConfigError(f"n_p={k}: the Hamiltonian's largest absolute row sum "
-                              f"{H.max_row_sum:.3g} times t = {t_max:g} is past the float range")
+                              f"{H.max_row_sum:.3g} times t = {t_max:g} is past {PHASE_LIMIT:.3g}"
+                              f" = 1e-6 / eps, where a phase lambda t rounds by over 1e-6 rad")
     return hams
 
 
@@ -323,9 +328,9 @@ def _check(name: str, value, ok: bool, target: str) -> dict:
 
 def _faithful_until(run, rtol: float) -> float | None:
     """First time the series departs from the untruncated IHO variance
-    cosh(2t)/2 by more than rtol, or None if it never does."""
+    cosh(2t)/2 by more than rtol, or is nan, or None if it never does."""
     ref = np.cosh(2 * run.times) / 2
-    idx = np.nonzero(np.abs(run.values - ref) / ref > rtol)[0]
+    idx = np.nonzero(~(np.abs(run.values - ref) / ref <= rtol))[0]
     return float(run.times[idx[0]]) if idx.size else None
 
 
@@ -338,27 +343,29 @@ def _checks_classical() -> list[dict]:
     lam_o = classical.lyapunov_tangent(
         classical.iho(), classical.ClassicalState(3.0, 3.0), t_total=500.0
     )
-    sys_h = classical.hiho(3.0, 0.04)
-    eig = classical.jacobian_eigen(sys_h, classical.ClassicalState(0.0, 0.0))
-    dev = max(abs(eig[0] - 3.0), abs(eig[1] + 3.0))
-    # seed on the stable eigendirection (2, -3)/|.|, tangent on the unstable
-    # one, so the trajectory stays in the linear regime for the whole run
-    nrm = math.hypot(2.0, 3.0)
+    # fig7's double well and its points: the saddle T and the stable point F
+    cfg = _load_bundled("fig7_otoc")
+    sys_h, gamma = cfg.model(), cfg.gamma
+    pts = {pt.label: classical.ClassicalState(pt.q, pt.p) for pt in cfg.points}
+    saddle, stable = pts["T"], pts["F"]
+    eig = classical.jacobian_eigen(sys_h, saddle)
+    dev = max(abs(eig[0] - gamma), abs(eig[1] + gamma))
+    # seed on the stable eigendirection (2, -gamma)/|.|, tangent on the
+    # unstable one, so the trajectory stays in the linear regime for the whole run
+    nrm = math.hypot(2.0, gamma)
     lam_t = classical.lyapunov_tangent(
         sys_h,
-        classical.ClassicalState(1e-7 * 2.0 / nrm, -1e-7 * 3.0 / nrm),
+        classical.ClassicalState(saddle.q + 1e-7 * 2.0 / nrm, saddle.p - 1e-7 * gamma / nrm),
         t_total=10.0,
-        tangent0=(2.0 / nrm, 3.0 / nrm),
+        tangent0=(2.0 / nrm, gamma / nrm),
     )
-    lam_f = classical.lyapunov_tangent(
-        sys_h, classical.ClassicalState(8.0, 9.0), t_total=1000.0
-    )
+    lam_f = classical.lyapunov_tangent(sys_h, stable, t_total=1000.0)
     return [
         _check("lambda_O", lam_o, abs(lam_o - 1.0) <= 1e-3, "1.0 +/- 1e-3"),
         _check("jacobian_T", [eig[0].real, eig[1].real], dev <= 1e-12,
                "+/- gamma exactly"),
-        _check("lambda_T_displaced", lam_t, abs(lam_t - 3.0) <= 1e-2,
-               "3.0 +/- 1e-2"),
+        _check("lambda_T_displaced", lam_t, abs(lam_t - gamma) <= 1e-2,
+               f"{gamma} +/- 1e-2"),
         _check("lambda_F", lam_f, abs(lam_f) <= 1e-2, "0 +/- 1e-2"),
     ]
 

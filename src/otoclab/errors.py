@@ -28,10 +28,6 @@ class TailTooHeavy(GuardError):
     truncated Fock space: the discarded Poisson tail exceeds tolerance."""
 
 
-class DimMismatch(GuardError):
-    """Operands live on Fock spaces of different dimension."""
-
-
 class StepTooLarge(GuardError):
     """RK4 energy drift exceeded the conservation bound (reduce dt), or the
     energy is not finite: the orbit left the float range."""
@@ -56,10 +52,6 @@ class NonFiniteValues(AnalysisError):
 
 class WindowTooSparse(AnalysisError):
     """Fit window contains fewer than the minimum number of samples."""
-
-
-class GridMismatch(AnalysisError):
-    """Two series do not share the same time grid."""
 
 
 class InvalidRate(AnalysisError):

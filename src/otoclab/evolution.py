@@ -67,7 +67,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DimMismatch, TruncationGuardError
+from .errors import TruncationGuardError
 from .fock import Banded, FockDim
 
 # Production guard: population above n = D - ceil(D/10) must stay below this,
@@ -203,7 +203,7 @@ def diagonalize(H: Banded) -> Propagator:
 
 def _check_dim(prop: Propagator, psi: np.ndarray):
     if psi.shape[0] != prop.dim.dim:
-        raise DimMismatch(f"state dim {psi.shape[0]} != propagator dim {prop.dim.dim}")
+        raise ValueError(f"state dim {psi.shape[0]} != propagator dim {prop.dim.dim}")
 
 
 def _window(c: np.ndarray, tol2: float) -> tuple[int, int]:
@@ -341,7 +341,7 @@ def commutator_otoc(prop: Propagator, psi0: np.ndarray, P: np.ndarray, t: float)
     """
     _check_dim(prop, psi0)
     if P.shape[0] != prop.dim.dim:
-        raise DimMismatch("operator dim mismatch")
+        raise ValueError("operator dim mismatch")
     V = prop.eigenvectors
     U = V @ (np.exp(-1j * prop.eigenvalues * t)[:, None] * V.conj().T)
     P_t = U.conj().T @ P @ U

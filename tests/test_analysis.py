@@ -13,7 +13,6 @@ from otoclab.analysis import (
     fit_exponential,
 )
 from otoclab.errors import (
-    GridMismatch,
     InvalidRate,
     NonFiniteValues,
     NonPositiveValues,
@@ -310,7 +309,7 @@ def test_correspondence_monotone_in_epsilon():
 def test_correspondence_grid_mismatch():
     s1 = make_series(np.linspace(0, 1, 11), np.ones(11))
     s2 = make_series(np.linspace(0, 2, 11), np.ones(11))
-    with pytest.raises(GridMismatch):
+    with pytest.raises(ValueError, match="same time grid"):
         correspondence_time(s1, s2, 0.02)
 
 

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -216,7 +217,8 @@ def reference_integrate(m, s0, t_end, dt):
     n = max(1, int(round(abs(t_end) / dt)))
     h = t_end / n
     f = _rhs_scalar(m)
-    e0 = energy(m, s0.q, s0.p)
+    flow = replace(m, v0=0.0)  # the drift guard reads the flow's energy, without v0
+    e0 = energy(flow, s0.q, s0.p)
     bound = ENERGY_DRIFT_TOL * max(1.0, abs(e0))
     ts = np.empty(n + 1)
     qs = np.empty(n + 1)
@@ -226,12 +228,12 @@ def reference_integrate(m, s0, t_end, dt):
     for i in range(1, n + 1):
         q, p = _rk4_step(f, q, p, h)
         ts[i], qs[i], ps[i] = i * h, q, p
-        if abs(energy(m, q, p) - e0) > bound:
+        if abs(energy(flow, q, p) - e0) > bound:
             raise StepTooLarge(
-                f"energy drift {abs(energy(m, q, p) - e0):.3e} at t={i * h:.6g} "
+                f"energy drift {abs(energy(flow, q, p) - e0):.3e} at t={i * h:.6g} "
                 f"exceeds {bound:.3e}; reduce dt"
             )
-    return Trajectory(times=ts, qs=qs, ps=ps, energy0=e0)
+    return Trajectory(times=ts, qs=qs, ps=ps, energy0=energy(m, s0.q, s0.p))
 
 
 def reference_lyapunov_tangent(m, s0, t_total, dt=1e-3, tangent0=None):
@@ -333,6 +335,20 @@ def test_step_too_large_equals_reference():
         integrate(*args)
     assert str(new.value) == str(ref.value)
     assert "at t=0.05 " in str(new.value)
+
+
+def test_drift_guard_ignores_v0():
+    # the guard bounds the drift of the flow's own energy: a huge v0 (tiny g)
+    # used to set the bound and let a step of dt = 2 through
+    args = (ClassicalState(2.0, -2.0), 10.0, 2.0)
+    tiny_g = hiho(3.0, 1e-304)
+    messages = []
+    for m in (tiny_g, replace(tiny_g, v0=0.0)):
+        with pytest.raises(StepTooLarge) as exc:
+            integrate(m, *args)
+        messages.append(str(exc.value))
+    assert messages[0] == messages[1]
+    assert messages[0].endswith("exceeds 5.000e-08; reduce dt")
 
 
 def test_lyapunov_zero_steps_is_a_value_error():

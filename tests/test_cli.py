@@ -29,6 +29,7 @@ from otoclab.config import (
 )
 from otoclab.errors import ConfigError, GridTooSmall, OtocLabError
 from otoclab.evolution import TimeSeries, evolve
+from otoclab.fock import FockDim
 from otoclab.husimi import (
     PhaseGrid,
     husimi_centroid,
@@ -300,23 +301,34 @@ FAILURES = [
               "gamma = 3.0 and g = 1e-320 give coefficients past the float range: "
               "Model(kappa=1.0, v2=-2.25, v4=1e-320, v0=inf)\n") for cmd in ("otoc", "photon")],
     # a Hamiltonian whose largest absolute row sum, times the largest |t|
-    # evolved to, is past the float range: each exited 0 and wrote nan, from a
-    # band that overflowed (otoc at g = 1e305, photon's 4x reference at 1e304),
-    # a row sum that did, or a phase lambda t that did (g = 1e200 at t = 1e105)
+    # evolved to, is past PHASE_LIMIT, beyond which a phase lambda t rounds by
+    # over 1e-6 rad: each exited 0, and wrote nan from a band that overflowed
+    # (otoc at g = 1e305, photon's 4x reference at 1e304), a row sum that
+    # did, or a phase that did (g = 1e200 at t = 1e105), or wrote a plausible
+    # curve from phases with no correct digit (gamma = 1e75: C(1) = 25.04;
+    # g = 1e303)
     *[refused(f"row_sum_{name}", cmd, {**HIHO, **patch}, f"n_p={k}: the Hamiltonian's "
-              f"largest absolute row sum {bound} times t = {t} is past the float range\n")
+              f"largest absolute row sum {bound} times t = {t} is past 4.5e+09 = 1e-6 / eps, "
+              f"where a phase lambda t rounds by over 1e-6 rad\n")
       for name, cmd, patch, k, bound, t in (
           ("g_1e305_otoc", "otoc", {"g": 1e305}, 40, "inf", "1"),
           # every band finite (largest entry 1.1e308), but an eigenvalue not
           ("g_5e304_otoc", "otoc", {"g": 5e304}, 40, "inf", "1"),
           ("g_1e304_photon_reference", "photon", {"g": 1e304}, 160, "inf", "1"),
+          ("g_1e303_otoc", "otoc", {"g": 1e303}, 40, "5.33e+306", "1"),
           ("t_end_otoc", "otoc", {"g": 1e200, "t_end": 1e105, "n_samples": 2}, 40,
            "5.33e+203", "1e+105"),
           ("t_end_photon", "photon", {"g": 1e200, "t_end": 1e105, "n_samples": 2}, 160,
            "9.8e+204", "1e+105"),
           ("snapshot_husimi", "husimi", {"g": 1e200, "husimi": {**GRID,
                                                                "snapshot_times": [0, 1e105]}},
-           40, "5.33e+203", "1e+105"))],
+           40, "5.33e+203", "1e+105"),
+          *[(f"gamma_1e75_{cmd}", cmd, {"gamma": 1e75, "n_p": [60], **extra}, k,
+             bound, "1") for cmd, extra, k, bound in (
+              ("otoc", {}, 60, "2.92e+151"),
+              ("photon", {}, 240, "1.19e+152"),
+              ("husimi", {"husimi": {**GRID, "snapshot_times": [0.0, 1.0]}}, 60,
+               "2.92e+151"))])],
     # a portrait seed whose energy is past the float range: an OverflowError
     # traceback from q**4 (hiho), or rows of inf (iho)
     refused("seed_energy_hiho", "portrait",
@@ -361,8 +373,14 @@ FAILURES = [
     # real inputs that trip a numerical guard (exit 2) or miss an analysis (3)
     pytest.param("portrait", {**HIHO, "points": [{"label": "F", "q": 8.0, "p": 9.0}],
                               "dt": 0.05}, 2,
-                 "numerical guard: energy drift 3.200e-03 at t=0.05 exceeds 1.325e-06; "
+                 "numerical guard: energy drift 3.200e-03 at t=0.05 exceeds 1.008e-06; "
                  "reduce dt\n", id="step_too_large"),
+    # the bound used to scale with v0 = 1.3e304, which hid any drift: exit 0
+    # with an end point 530 times off the dt = 1e-3 run's; the flow's own
+    # energy E0 = -5 bounds the drift by 5e-8
+    pytest.param("portrait", {**HIHO, "g": 1e-304, "t_end": 10.0, "dt": 2.0}, 2,
+                 "numerical guard: energy drift 1.782e+04 at t=2 exceeds 5.000e-08; "
+                 "reduce dt\n", id="tiny_g_step_too_large"),
     # the drift guard read a NaN energy as a pass: 92,009 rows of inf or
     # nan and exit 0; a float power past the float range was a traceback
     pytest.param("portrait", {"points": [{"label": "A", "q": 1.0, "p": 1.0}],
@@ -408,9 +426,13 @@ def test_every_failure_exits_with_its_code_and_message(tmp_path, monkeypatch, ca
         assert os.listdir(cwd) == []
 
 
-def test_otoc_runs_at_a_finite_row_sum_near_the_float_range(tmp_path):
-    # the refusal is not too tight: g = 1e303 gives a row sum of 5.3e306
-    cfg = _patched_cfg_file(tmp_path, "g_1e303", {**HIHO, "g": 1e303})
+def test_otoc_runs_at_half_the_phase_limit(tmp_path):
+    # the refusal is not too tight: g = 4.2e5 gives a row sum of 2.24e9 at
+    # n_p = 40, just under half of PHASE_LIMIT at t_end = 1
+    patch = {**HIHO, "g": 4.2e5}
+    H = small_cfg(**patch).hamiltonian(FockDim(40))
+    assert 0.49 < H.max_row_sum / cli.PHASE_LIMIT < 0.5
+    cfg = _patched_cfg_file(tmp_path, "half", patch)
     out = tmp_path / "out"
     assert main(["otoc", "--config", cfg, "--out", str(out)]) == 0
     C = np.loadtxt(out / "otoc_A_np40.csv", delimiter=",", skiprows=1)[:, 1]
@@ -1048,6 +1070,14 @@ def test_checks_fig4a_fit_error_and_no_faithful_samples_fail():
     assert_all_failed(checks, ["rate_O_np300", "rate_A_np300",
                                "fig4a_pointwise_agreement"])
     assert checks[-1]["value"] is None
+
+
+def test_faithful_until_reads_nan_as_a_departure():
+    # nan > rtol is False, so a nan sample used to read as faithful
+    run = cosh_series("B", 75)
+    assert cli._faithful_until(run, 0.05) is None
+    run.values[20] = np.nan
+    assert cli._faithful_until(run, 0.05) == run.times[20]
 
 
 def test_checks_fig5_without_late_snapshot_fails():
