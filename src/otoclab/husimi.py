@@ -12,8 +12,12 @@ The overlap is e^{-|alpha|^2/2} f(conj(alpha)) with the Bargmann polynomial
 f(z) = sum_n c_n z^n / sqrt(n!). Horner's rule for f is run in blocks of
 RESCALE_EVERY steps: each block is one small matrix-vector product against
 a table of the powers z^0 .. z^RESCALE_EVERY, and a per-point log scale
-taken after every block keeps neither large |alpha| nor the e^{-|alpha|^2}
-factor from overflowing or underflowing where Q is representable.
+keeps neither large |alpha| nor the e^{-|alpha|^2} factor from overflowing
+or underflowing where Q is representable. The scale is taken every R
+blocks, R the most blocks the bound in the RESCALE_EVERY comment lets pass
+at the grid's largest |alpha| while |b| stays under B_MAX: 9 on a +-40
+grid, and 1 from |alpha| of about 5.4e7 on. At ALPHA_MAX one block's bound
+alone is 1.7e305, so only a rescale after every block keeps |b| finite.
 
 Integration measure: d^2 alpha = dq dp / 2, so grid integrals carry a
 factor 1/2 to make a fully captured state integrate to 1.
@@ -63,14 +67,21 @@ class HusimiGrid:
     values: np.ndarray
 
 
-# Horner steps per block, and so between two rescales of the Horner value.
-# After a rescale |b| <= 1, and a normalised state has |c_n| <= 1, so every
-# block coefficient g_k and carry factor sigma is at most 1 in modulus and a
-# block leaves |b| <= 17 max(1, |alpha|)^16. That bound, and every power in
-# the table, stays finite for |alpha| up to about 1.5e19; grids are held to
-# ALPHA_MAX, inside that envelope: husimi_q raises ValueError for a grid past
-# it, and the config rejects such a grid when it is loaded.
+# Horner steps per block. A normalised state has |c_n| <= 1, so every block
+# coefficient g_k and carry factor sigma is at most 1 in modulus, and with
+# M = max(1, |alpha|) a block turns |b| into at most M^16 (|b| + 16), or
+# 17 M^16 for the highest block, which starts from b = 0. So from |b| <= 1
+# after a rescale, r blocks leave |b| <= (17 M^16)^r. The Horner value is
+# rescaled every R blocks, R the largest r whose bound is at most B_MAX, a
+# wide margin under the float64 maximum 1.8e308, and at least 1: R = 1 from
+# |alpha| of about 5.4e7, where two blocks' bound passes B_MAX, and past
+# about 3.5e15 one block's bound does too. With R = 1 the bound 17 M^16, and
+# every power in the table, stays finite for |alpha| up to about 1.5e19;
+# grids are held to ALPHA_MAX, inside that envelope: husimi_q raises
+# ValueError for a grid past it, and the config rejects such a grid when it
+# is loaded.
 RESCALE_EVERY = 16
+B_MAX = 1e250
 ALPHA_MAX = 1e19
 # grid points per power table z^0 .. z^RESCALE_EVERY: 16 * 17 bytes a point,
 # 1.1 MB per table
@@ -82,6 +93,14 @@ def max_abs_alpha(grid: PhaseGrid) -> float:
     q = max(abs(grid.q_min), abs(grid.q_max))
     p = max(abs(grid.p_min), abs(grid.p_max))
     return math.hypot(q, p) / math.sqrt(2)
+
+
+def _rescale_period(reach: float) -> int:
+    """R of the RESCALE_EVERY comment for a grid reaching |alpha| = reach:
+    the most blocks whose bound (17 max(1, reach)^16)^R on |b| is at most
+    B_MAX, and at least 1."""
+    block_growth = 17 * max(1.0, reach) ** RESCALE_EVERY
+    return max(1, int(math.log(B_MAX) / math.log(block_growth)))
 
 
 def _blocks(state: np.ndarray) -> list[tuple[np.ndarray, float]]:
@@ -111,12 +130,15 @@ def husimi_q(state: np.ndarray, grid: PhaseGrid) -> HusimiGrid:
     With z = conj(alpha), f(z) = sum_n c_n z^n / sqrt(n!) is accumulated
     block by block (see _blocks): b = sigma z^L b + e^{-log_scale} sum_k g_k z^k,
     where the sum is one complex matrix-vector product of the block's g_k with
-    a table of z^0 .. z^RESCALE_EVERY. After each block b is divided by
+    a table of z^0 .. z^RESCALE_EVERY. After every R-th block b is divided by
     max(|b|, 1) and the log of that factor is added to a per-point log scale.
-    The blocks end where a step-by-step Horner loop rescaled every
-    RESCALE_EVERY steps, so |b| stays inside the same envelope (see
-    RESCALE_EVERY; |alpha| up to ALPHA_MAX). Q = exp(2 ln|b| + 2 log_scale
-    - |alpha|^2) / pi is formed in the log domain.
+    R comes from the grid's reach (see RESCALE_EVERY): the most blocks whose
+    bound on |b| stays under B_MAX, 9 on a +-40 grid. R is 1 from |alpha| of
+    about 5.4e7 on; at ALPHA_MAX one block may take |b| from 1 to nearly
+    1.7e305, so b must be rescaled after every block there. Between two
+    rescales the log scale, and so e^{-log_scale}, stays as it was.
+    Q = exp(2 ln|b| + 2 log_scale - |alpha|^2) / pi is formed in the log
+    domain from a finite |b|, so no rescale is needed after the last block.
 
     The grid is evaluated CHUNK points at a time. Memory is the power table
     (1.1 MB), a few chunk-sized arrays and a few grid-sized ones, whatever
@@ -128,18 +150,21 @@ def husimi_q(state: np.ndarray, grid: PhaseGrid) -> HusimiGrid:
         raise ValueError(f"grid corners reach |alpha| = {reach:.3g}, "
                          f"past ALPHA_MAX = {ALPHA_MAX:g}")
     blocks = _blocks(state)
+    period = _rescale_period(reach)
     alpha_c = ((grid.q_axis()[:, None] - 1j * grid.p_axis()) / np.sqrt(2)).ravel()
     values = np.empty(alpha_c.size)
     powers = np.empty((RESCALE_EVERY + 1, min(CHUNK, alpha_c.size)), dtype=complex)
     for start in range(0, alpha_c.size, CHUNK):
         z = alpha_c[start:start + CHUNK]
-        values[start:start + z.size] = np.exp(_log_q(blocks, z, powers[:, :z.size])) / np.pi
+        log_q = _log_q(blocks, z, powers[:, :z.size], period)
+        values[start:start + z.size] = np.exp(log_q) / np.pi
     return HusimiGrid(grid=grid, values=values.reshape(grid.n_q, grid.n_p))
 
 
 def _log_q(blocks: list[tuple[np.ndarray, float]], z: np.ndarray,
-           powers: np.ndarray) -> np.ndarray:
-    """ln(pi Q) at the points conj(alpha) = z; powers is the table to fill."""
+           powers: np.ndarray, period: int) -> np.ndarray:
+    """ln(pi Q) at the points conj(alpha) = z; powers is the table to fill,
+    and b is rescaled after every period-th block."""
     powers[0] = 1.0
     for k in range(1, RESCALE_EVERY + 1):
         np.multiply(powers[k - 1], z, out=powers[k])
@@ -149,12 +174,14 @@ def _log_q(blocks: list[tuple[np.ndarray, float]], z: np.ndarray,
     coeff_scale = np.ones(z.size, dtype=complex)
     term = np.empty_like(b)
     factor = np.empty(z.size)
-    for g, sigma in blocks:
+    for i, (g, sigma) in enumerate(blocks, 1):
         np.matmul(g, powers[:g.size], out=term)
         term *= coeff_scale
         b *= powers[RESCALE_EVERY]
         b *= sigma
         b += term
+        if i % period:
+            continue
         np.abs(b, out=factor)
         np.maximum(factor, 1.0, out=factor)
         b /= factor

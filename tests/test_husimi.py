@@ -227,6 +227,39 @@ def test_flat_state_needs_the_rescale():
     assert np.max(np.abs(values - reference_q(flat, grid))) <= 1e-13
 
 
+@pytest.mark.parametrize("a, period", [(2.0, 41), (3.5, 25)])
+def test_flat_state_with_many_blocks_between_rescales(a, period):
+    # the flat state's 75 blocks: one rescale after block 41 and 34 blocks
+    # left unscaled, or three after blocks 25, 50 and 75
+    flat = np.full(1201, 1 / math.sqrt(1201), dtype=complex)
+    grid = PhaseGrid(-a, a, -a, a, 41, 41)
+    assert husimi._rescale_period(max_abs_alpha(grid)) == period
+    values = husimi_q(flat, grid).values
+    assert np.all(np.isfinite(values))
+    assert np.max(np.abs(values - reference_q(flat, grid))) <= 1e-13
+
+
+@pytest.mark.parametrize("side, period", [(1 - 1e-9, 10), (1 + 1e-9, 9)])
+def test_flat_state_where_the_rescale_period_steps(side, period):
+    # reach, about 30.6, where the bound (17 reach^16)^10 of 10 blocks passes B_MAX
+    step = math.exp((math.log(husimi.B_MAX) / 10 - math.log(17)) / 16)
+    a = step * side
+    grid = PhaseGrid(-a, a, -a, a, 81, 81)
+    assert husimi._rescale_period(max_abs_alpha(grid)) == period
+    flat = np.full(1201, 1 / math.sqrt(1201), dtype=complex)
+    values = husimi_q(flat, grid).values
+    assert np.all(np.isfinite(values))
+    assert np.max(np.abs(values - reference_q(flat, grid))) <= 1e-13
+
+
+def test_rescale_period_runs_from_the_whole_flat_state_to_one():
+    assert husimi._rescale_period(1.0) >= 75
+    assert husimi._rescale_period(40.0) == 9
+    assert husimi._rescale_period(5.4e7) == 2
+    assert husimi._rescale_period(5.5e7) == 1
+    assert husimi._rescale_period(ALPHA_MAX) == 1
+
+
 def test_alpha_zero_on_a_node():
     rng = np.random.default_rng(3)
     psi = rng.normal(size=40) + 1j * rng.normal(size=40)
