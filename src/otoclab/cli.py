@@ -57,6 +57,7 @@ from .evolution import (
 )
 from .fock import Banded, CoherentParams, FockDim, coherent_state
 from .husimi import (
+    PhaseGrid,
     count_local_maxima,
     husimi_norm,
     husimi_q,
@@ -249,6 +250,21 @@ def _widened(lo: float, hi: float, centre: float) -> tuple[float, float]:
     return min(lo, centre - PACKET_MARGIN), max(hi, centre + PACKET_MARGIN)
 
 
+def _missed_packet(grid: PhaseGrid, pt: LabeledPoint, t: float) -> GridTooSmall:
+    """The refusal of a grid that misses the packet from ``pt`` at its
+    earliest snapshot time t. Only at t = 0 is the packet known to sit at
+    the point, so only there does it hint a window."""
+    if t != 0:
+        return GridTooSmall(
+            f"grid misses the packet at {pt.label} at its earliest snapshot, t = {t:g}")
+    q_lo, q_hi = _widened(grid.q_min, grid.q_max, pt.q)
+    p_lo, p_hi = _widened(grid.p_min, grid.p_max, pt.p)
+    return GridTooSmall(
+        f"grid misses the initial packet at {pt.label}; try "
+        f"q in [{q_lo:g}, {q_hi:g}], p in [{p_lo:g}, {p_hi:g}]"
+    )
+
+
 def cmd_husimi(cfg: ExperimentConfig, out_dir: str) -> dict:
     """Husimi snapshots per point at the config's one n_p, each point's
     snapshot times evolved in one batch, with norm/centroid/moment
@@ -263,6 +279,7 @@ def cmd_husimi(cfg: ExperimentConfig, out_dir: str) -> dict:
         raise ConfigError(f"husimi command takes exactly one n_p, got {list(cfg.n_p)}")
     (k,) = cfg.n_p
     times = np.asarray(cfg.husimi.snapshot_times, dtype=float)
+    earliest = min(map(abs, cfg.husimi.snapshot_times))
     H = _hamiltonians(cfg, float(np.max(np.abs(times))), k)[k]
     manifest = Manifest(out_dir, config_hash(cfg))
     grid = cfg.husimi.grid
@@ -295,15 +312,11 @@ def cmd_husimi(cfg: ExperimentConfig, out_dir: str) -> dict:
                     "pp": float(mom[1, 1]),
                 }
             except GridTooSmall:
-                # first snapshot must be captured; later ones may
-                # legitimately spread beyond any finite window
-                if si == 0:
-                    q_lo, q_hi = _widened(grid.q_min, grid.q_max, pt.q)
-                    p_lo, p_hi = _widened(grid.p_min, grid.p_max, pt.p)
-                    raise GridTooSmall(
-                        f"grid misses the initial packet at {pt.label}; try "
-                        f"q in [{q_lo:g}, {q_hi:g}], p in [{p_lo:g}, {p_hi:g}]"
-                    ) from None
+                # every snapshot at the earliest |t| must be captured, in any
+                # order; later ones may legitimately spread beyond any
+                # finite window
+                if abs(t) == earliest:
+                    raise _missed_packet(grid, pt, t) from None
             snapshots.append(entry)
             gp.append(
                 f"splot {_quoted(fname)} skip 1 matrix "

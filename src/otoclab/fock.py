@@ -19,9 +19,9 @@ the quantum operator leaves it out: a huge v0 would otherwise swamp the
 dynamics in the eigensolver's precision.
 
 The ladder helpers return dense complex matrices; the Hamiltonian is a
-``Banded`` matrix built in O(D) memory and arithmetic: a band algebra
-multiplies the truncated ladder bands exactly as the dense truncated products
-would, so edge artifacts such as (B B)[D-1, D-1] = D - 1 are kept.
+``Banded`` matrix built in O(D) memory and arithmetic from closed forms of
+the bands of the truncated (a^dag + a)^2, which keep the edge artifacts of
+the dense truncated products, such as (B B)[D-1, D-1] = D - 1.
 """
 from __future__ import annotations
 
@@ -125,45 +125,6 @@ def quadratures(dim: FockDim) -> tuple[np.ndarray, np.ndarray]:
     return (ad + a) / np.sqrt(2), 1j * (ad - a) / np.sqrt(2)
 
 
-# A banded matrix as {offset k: d} with d[r] = M[r, r + k] for every row r,
-# zero where column r + k falls outside the truncation.
-_Bands = dict[int, np.ndarray]
-
-
-def _shift(d: np.ndarray, k: int) -> np.ndarray:
-    """w[r] = d[r + k], zero-padded outside [0, len(d)); requires |k| < len(d)."""
-    w = np.zeros_like(d)
-    if k >= 0:
-        w[: d.size - k] = d[k:]
-    else:
-        w[-k:] = d[: d.size + k]
-    return w
-
-
-def _band_matmul(M: _Bands, N: _Bands) -> _Bands:
-    """Truncated product M @ N: (M N)[r, r+p+q] = sum_p M[r, r+p] N[r+p, r+p+q].
-
-    Offsets that reach past the truncation (|p + q| >= D) are dropped.
-    """
-    D = next(iter(M.values())).size
-    out: _Bands = {}
-    for p in sorted(M):
-        for q in sorted(N):
-            k = p + q
-            if abs(k) < D:
-                out[k] = out.get(k, 0.0) + M[p] * _shift(N[q], p)
-    return out
-
-
-def _ladder_diagonals(dim: FockDim) -> tuple[np.ndarray, np.ndarray]:
-    """Row-indexed ladder diagonals: up[r] = a[r, r+1] = sqrt(r+1) and
-    down[r] = a^dag[r, r-1] = sqrt(r)."""
-    n = np.arange(dim.dim, dtype=float)
-    up = np.sqrt(n + 1)
-    up[-1] = 0.0
-    return up, np.sqrt(n)
-
-
 @dataclass(frozen=True, eq=False)
 class Banded:
     """D x D matrix held as its LAPACK lower band, lower[k, r] = H[r + k, r]
@@ -189,30 +150,39 @@ class Banded:
 
 def build_hamiltonian(dim: FockDim, model: Model) -> Banded:
     """kappa P^2 + v2 X^2 + v4 X^4 with P^2 = -A^2/2, X^2 = B^2/2 and
-    X^4 = B^4/4, where A = a^dag - a and B = a^dag + a; ``Banded`` keeps only
-    the bands k <= 0. ``model.v0`` is left out (see the module docstring).
-    A product past the float range leaves inf or nan in a band, without a
-    warning, and ``evolution.diagonalize`` refuses it."""
-    up, down = _ladder_diagonals(dim)
-    A = {-1: down, 1: -up}
-    B = {-1: down, 1: up}
-    B2 = _band_matmul(B, B)
-    terms = [
-        (model.kappa, {k: -d / 2 for k, d in _band_matmul(A, A).items()}),
-        (model.v2, {k: d / 2 for k, d in B2.items()}),
-    ]
-    if model.v4:
-        terms.append((model.v4, {k: d / 4 for k, d in _band_matmul(B2, B2).items()}))
-    bands: _Bands = {}
-    with np.errstate(over="ignore", invalid="ignore"):
-        for c, term in terms:
-            for k, d in term.items():
-                bands[k] = bands.get(k, 0.0) + c * d
+    X^4 = B^2 B^2/4, where A = a^dag - a and B = a^dag + a, all truncated;
+    ``model.v0`` is left out (see the module docstring). Every band comes
+    from the two lower bands of the truncated B^2,
+
+        b0[r] = B^2[r, r] = r + (r + 1), only r at the edge r = D - 1,
+        b2[r] = B^2[r + 2, r] = sqrt((r + 1)(r + 2)):
+
+    P^2 has the bands b0/2 and -b2/2, X^2 the bands b0/2 and b2/2, and X^4
+    the bands (b2[r-2]^2 + b0[r]^2 + b2[r]^2)/4, (b2[r] b0[r] + b0[r+2] b2[r])/4
+    and b2[r] b2[r+2]/4, every b2 past the truncation being zero; the edge
+    enters X^4 through b0[D-1]. b0 is summed from sqrt(r)^2 and
+    sqrt(r+1)^2, not taken as the integer 2r + 1, and each sum runs in the
+    order written, so the bands keep the bits of the dense truncated
+    products. A product past the float range leaves inf or nan in a band,
+    without a warning, and ``evolution.diagonalize`` refuses it."""
     D = dim.dim
-    lower = np.zeros((max(bands) + 1, D))
-    for k in range(lower.shape[0]):
-        if -k in bands:
-            lower[k, : D - k] = bands[-k][k:]
+    root = np.sqrt(np.arange(D + 1.0))
+    b0 = root[:-1] * root[:-1]
+    b0[:-1] += root[1:-1] * root[1:-1]
+    b2 = root[1:-2] * root[2:-1]
+    terms = [(model.kappa, [b0 / 2, -b2 / 2]), (model.v2, [b0 / 2, b2 / 2])]
+    if model.v4:
+        x4 = b0 * b0
+        x4[2:] += b2 * b2
+        x4[:-2] += b2 * b2
+        terms.append((model.v4, [x4 / 4, (b2 * b0[:-2] + b0[2:] * b2) / 4,
+                                 b2[2:] * b2[:-2] / 4]))
+    offsets = range(0, min(2 * len(terms[-1][1]) - 1, D), 2)  # the even ones below D
+    lower = np.zeros((offsets[-1] + 1, D))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for c, bands in terms:
+            for k, d in zip(offsets, bands):
+                lower[k, : D - k] += c * d
     return Banded(lower)
 
 

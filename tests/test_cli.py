@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import gc
 import json
 import math
@@ -616,6 +617,36 @@ def test_husimi_grid_too_small(tmp_path, capsys):
         assert run(grid, "hinted.json", centre, (0.0,)) == 0
         (snap,) = json.loads((tmp_path / "hinted" / "husimi_summary.json").read_text())["snapshots"]
         assert snap["centroid"] == pytest.approx(list(centre), abs=0.02)
+
+
+def test_husimi_captures_the_earliest_snapshot_in_any_order(tmp_path, capsys):
+    # fig5's packet from B = (3, 3) leaves a +-8 window by t = 1.4: the
+    # snapshot at the smallest |t| is held to the grid wherever it sits in
+    # the list, and a missed one that is not at t = 0 gets no window hint
+    def run(times):
+        name = "_".join(map(str, times))
+        cfg = write_cfg(tmp_path, dataclasses.replace(
+            cli._load_bundled("fig5"),
+            points=(LabeledPoint("B", 3.0, 3.0),),
+            husimi=HusimiSpec(grid=PhaseGrid(-8.0, 8.0, -8.0, 8.0, 81, 81),
+                              snapshot_times=times),
+        ), f"{name}.json")
+        code = main(["husimi", "--config", cfg, "--out", str(tmp_path / name)])
+        return code, capsys.readouterr().err
+
+    summaries = []
+    for times in ((0.0, 1.4), (1.4, 0.0)):
+        assert run(times) == (0, "")
+        summary = json.loads((tmp_path / "_".join(map(str, times)) / "husimi_summary.json")
+                             .read_text())
+        summaries.append({s["time"]: s for s in summary["snapshots"]})
+    first, swapped = summaries
+    assert first[0.0]["centroid"] == swapped[0.0]["centroid"] is not None
+    assert first[1.4]["centroid"] is swapped[1.4]["centroid"] is None
+    code, err = run((2.6, 1.4))
+    assert code == 2
+    assert "grid misses the packet at B at its earliest snapshot, t = 1.4" in err
+    assert "try" not in err
 
 
 @pytest.mark.parametrize("case", ["missing", "not_utf8", "directory"])

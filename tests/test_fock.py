@@ -1,3 +1,4 @@
+import hashlib
 import tracemalloc
 
 import numpy as np
@@ -14,12 +15,14 @@ from otoclab.fock import (
     CoherentParams,
     FockDim,
     HihoParams,
+    Model,
     build_hamiltonian,
     build_hiho,
     build_iho,
     coherent_state,
     coherent_tail,
     hiho,
+    iho,
     make_ladder,
     quadratures,
 )
@@ -91,6 +94,33 @@ def test_hamiltonians_hermitian(n_p):
     hiho_ref = -(A @ A) / 2 - 9 * B2 / 8 + (0.04 / 4) * (B2 @ B2)
     assert np.array_equal(H_iho, iho_ref)
     assert np.max(np.abs(H_hiho - hiho_ref)) <= 1e-14 * np.max(np.abs(hiho_ref))
+    # a general member of the family, kappa outside {1/2, 1} with v2, v4 > 0
+    m = Model(0.3, 1.7, 2.5)
+    H_model = dense(build_hamiltonian(d, m))
+    model_ref = m.kappa * (-(A @ A) / 2) + m.v2 * B2 / 2 + m.v4 * (B2 @ B2) / 4
+    assert np.max(np.abs(H_model - model_ref)) <= 1e-14 * np.max(np.abs(model_ref))
+
+
+# shape and sha256 of ``.lower.tobytes()``: a refactor of the builder that
+# moves one bit of H moves C(t) and the Husimi grids with it. Finite cases
+# only, as nan bit patterns differ between CPUs.
+PINNED_LOWER = {
+    ("iho", 1): ((1, 2), "374708fff7719dd5979ec875d56cd2286f6d3cf7ec317a3b25632aab28ec37bb"),
+    ("iho", 3): ((3, 4), "9aa64045fd78f931fa64655419e8c885ad0884f3d79625de0e5de79e4654428b"),
+    ("iho", 250): ((3, 251), "66bc8727bc11c9ae106332d8aacc47e96ced24da3645b52bb456f427a20372f7"),
+    ("iho", 1200): ((3, 1201), "81370937a867d903b9168889fcc8c4d1a28ac9d3584d2b0ef40c64f1d2dc33e6"),
+    ("hiho", 1): ((1, 2), "2ee6f793be6432fde4b1d72bfd59221ff14c4e77ca5e68134d769357d76713d4"),
+    ("hiho", 3): ((3, 4), "b08079dd05d33d5b74f996b08b153ed6efe9b63c8ec30c6677cd1438fb842379"),
+    ("hiho", 250): ((5, 251), "a5bb70b21b499c8fa72a7f8100902e13d3227386e7118c3a9aee4b46af1c2139"),
+    ("hiho", 1200): ((5, 1201), "17fa457cbf6be3e761c0725c14565fce25baae0785377355b999bf6b07e1c43b"),
+}
+
+
+@pytest.mark.parametrize("system, n_p", sorted(PINNED_LOWER))
+def test_hamiltonian_bits_are_pinned(system, n_p):
+    model = iho() if system == "iho" else hiho(3.0, 0.04)
+    lower = build_hamiltonian(FockDim(n_p), model).lower
+    assert (lower.shape, hashlib.sha256(lower.tobytes()).hexdigest()) == PINNED_LOWER[system, n_p]
 
 
 def test_banded_shape_is_the_matrix_shape():
