@@ -22,6 +22,13 @@ step. They keep the operation order of the plain closure-based RK4
 bit-identical to it. Their literals are floats (2.0 * k, x**3.0): Python
 converts an int operand to the same double, so the values do not change,
 but float-only operations take CPython's specialised fast path.
+
+``lyapunov_tangent`` runs its RK4 steps in C where a compiler is found
+(``_benettin``): the same operations in the same order, built with
+``-O2 -ffp-contract=off`` and with CPython's rules for ``x**3.0``. The
+renormalisation stays in Python, because the C library's ``hypot`` is not
+CPython's ``math.hypot``. The Python loop runs where no kernel builds, and
+gives the same numbers.
 """
 from __future__ import annotations
 
@@ -30,6 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _benettin
 from .errors import StepTooLarge
 from .fock import Model, hiho, iho  # iho and hiho are re-exported
 
@@ -212,6 +220,16 @@ def lyapunov_tangent(
     renormalisation blocks; with v4 == 0 the tangent coefficients are
     constant, so only (u, v) is integrated.
 
+    The RENORM_EVERY steps of a block run in the C kernel of ``_benettin``
+    where it builds (on the first call, with ``cc -O2 -ffp-contract=off``:
+    no fused multiply-add, so every operation rounds as in Python). Its
+    ``x**3.0`` is the C library's ``pow``, the one CPython calls, and
+    reports overflow where CPython raises. The outer loop, the
+    renormalisation and every check stay in Python: ``math.hypot`` is
+    CPython's own algorithm, and the C library's ``hypot`` differs from it
+    in the last bit on some arguments. Both paths give the same value, bit
+    for bit, and the same errors.
+
     An orbit or tangent past the float range raises StepTooLarge, as in
     ``integrate``: from the OverflowError of a float power, or from a
     non-finite exponent.
@@ -231,52 +249,71 @@ def lyapunov_tangent(
         raise ValueError(f"tangent0 must be a nonzero finite vector, got {tangent0!r}")
     u, v = u / nrm, v / nrm
     log_sum = 0.0
-    try:
+    lib = _benettin.load()
+    if lib is not None:
+        import ctypes
+
+        state = (ctypes.c_double * 4)(q, p, u, v)
+        try:
+            coef = (ctypes.c_double * 7)(b, c1, c2, c3, hdt, dt, sdt)
+        except OverflowError:  # an int coefficient past the float range: the loop's first step
+            raise _left_float_range(min(RENORM_EVERY, n) * dt) from None
+        advance = lib.otoclab_benettin if v4 else lib.otoclab_benettin_linear
+        state_at, coef_at = ctypes.addressof(state), ctypes.addressof(coef)
         for start in range(0, n, RENORM_EVERY):
-            steps = range(min(RENORM_EVERY, n - start))
-            if v4:
-                for _ in steps:
-                    k1q = b * p
-                    k1p = c1 * q - c3 * q**3.0
-                    k1u = b * v
-                    k1v = (c1 - c2 * q * q) * u
-                    x = q + hdt * k1q
-                    k2q = b * (p + hdt * k1p)
-                    k2p = c1 * x - c3 * x**3.0
-                    k2u = b * (v + hdt * k1v)
-                    k2v = (c1 - c2 * x * x) * (u + hdt * k1u)
-                    x = q + hdt * k2q
-                    k3q = b * (p + hdt * k2p)
-                    k3p = c1 * x - c3 * x**3.0
-                    k3u = b * (v + hdt * k2v)
-                    k3v = (c1 - c2 * x * x) * (u + hdt * k2u)
-                    x = q + dt * k3q
-                    k4q = b * (p + dt * k3p)
-                    k4p = c1 * x - c3 * x**3.0
-                    k4u = b * (v + dt * k3v)
-                    k4v = (c1 - c2 * x * x) * (u + dt * k3u)
-                    q += sdt * (k1q + 2.0 * k2q + 2.0 * k3q + k4q)
-                    p += sdt * (k1p + 2.0 * k2p + 2.0 * k3p + k4p)
-                    u += sdt * (k1u + 2.0 * k2u + 2.0 * k3u + k4u)
-                    v += sdt * (k1v + 2.0 * k2v + 2.0 * k3v + k4v)
-            else:
-                # (u, v) never reads (q, p) here, so the state is not integrated
-                for _ in steps:
-                    k1u = b * v
-                    k1v = c1 * u
-                    k2u = b * (v + hdt * k1v)
-                    k2v = c1 * (u + hdt * k1u)
-                    k3u = b * (v + hdt * k2v)
-                    k3v = c1 * (u + hdt * k2u)
-                    k4u = b * (v + dt * k3v)
-                    k4v = c1 * (u + dt * k3u)
-                    u += sdt * (k1u + 2.0 * k2u + 2.0 * k3u + k4u)
-                    v += sdt * (k1v + 2.0 * k2v + 2.0 * k3v + k4v)
+            if advance(state_at, coef_at, min(RENORM_EVERY, n - start)):  # x**3.0 overflowed
+                raise _left_float_range(min(start + RENORM_EVERY, n) * dt)
+            u, v = state[2], state[3]
             nrm = math.hypot(u, v)
             log_sum += math.log(nrm)
-            u, v = u / nrm, v / nrm
-    except OverflowError:  # a float power past the float range
-        raise _left_float_range(min(start + RENORM_EVERY, n) * dt) from None
+            state[2], state[3] = u / nrm, v / nrm
+    else:
+        try:
+            for start in range(0, n, RENORM_EVERY):
+                steps = range(min(RENORM_EVERY, n - start))
+                if v4:
+                    for _ in steps:
+                        k1q = b * p
+                        k1p = c1 * q - c3 * q**3.0
+                        k1u = b * v
+                        k1v = (c1 - c2 * q * q) * u
+                        x = q + hdt * k1q
+                        k2q = b * (p + hdt * k1p)
+                        k2p = c1 * x - c3 * x**3.0
+                        k2u = b * (v + hdt * k1v)
+                        k2v = (c1 - c2 * x * x) * (u + hdt * k1u)
+                        x = q + hdt * k2q
+                        k3q = b * (p + hdt * k2p)
+                        k3p = c1 * x - c3 * x**3.0
+                        k3u = b * (v + hdt * k2v)
+                        k3v = (c1 - c2 * x * x) * (u + hdt * k2u)
+                        x = q + dt * k3q
+                        k4q = b * (p + dt * k3p)
+                        k4p = c1 * x - c3 * x**3.0
+                        k4u = b * (v + dt * k3v)
+                        k4v = (c1 - c2 * x * x) * (u + dt * k3u)
+                        q += sdt * (k1q + 2.0 * k2q + 2.0 * k3q + k4q)
+                        p += sdt * (k1p + 2.0 * k2p + 2.0 * k3p + k4p)
+                        u += sdt * (k1u + 2.0 * k2u + 2.0 * k3u + k4u)
+                        v += sdt * (k1v + 2.0 * k2v + 2.0 * k3v + k4v)
+                else:
+                    # (u, v) never reads (q, p) here, so the state is not integrated
+                    for _ in steps:
+                        k1u = b * v
+                        k1v = c1 * u
+                        k2u = b * (v + hdt * k1v)
+                        k2v = c1 * (u + hdt * k1u)
+                        k3u = b * (v + hdt * k2v)
+                        k3v = c1 * (u + hdt * k2u)
+                        k4u = b * (v + dt * k3v)
+                        k4v = c1 * (u + dt * k3u)
+                        u += sdt * (k1u + 2.0 * k2u + 2.0 * k3u + k4u)
+                        v += sdt * (k1v + 2.0 * k2v + 2.0 * k3v + k4v)
+                nrm = math.hypot(u, v)
+                log_sum += math.log(nrm)
+                u, v = u / nrm, v / nrm
+        except OverflowError:  # a float power past the float range
+            raise _left_float_range(min(start + RENORM_EVERY, n) * dt) from None
     lam = log_sum / (n * dt)
     if not math.isfinite(lam):  # an orbit that reached inf raises no OverflowError
         raise _left_float_range(t_total)

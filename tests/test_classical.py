@@ -1,16 +1,26 @@
 import math
+import os
+import shutil
+import struct
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from conftest import check_named
+from hypothesis import assume, given, settings, strategies as st
 
+from otoclab import _benettin
 from otoclab.classical import (
     ENERGY_DRIFT_TOL,
     RENORM_EVERY,
     ClassicalState,
     Model,
     Trajectory,
+    _left_float_range,
     energy,
     flow_iho_analytic,
     hamilton_rhs,
@@ -295,8 +305,41 @@ LYAPUNOV_CASES = {
 }
 
 
-@pytest.mark.parametrize("case", LYAPUNOV_CASES)
-def test_lyapunov_tangent_equals_reference(case):
+LOOPS = ("kernel", "python")
+
+
+@pytest.fixture
+def loop(request, monkeypatch):
+    """'kernel': lyapunov_tangent as it runs by default, on the C kernel
+    wherever it builds; 'python': its Python loop, forced by hiding the kernel."""
+    if request.param == "python":
+        monkeypatch.setattr(_benettin, "load", lambda: None)
+    return request.param
+
+
+def on_both_loops(argnames, cases, ids):
+    """Parametrize ``loop`` with argnames: each case runs on the default path
+    under its own id, and on the forced Python loop under 'python-' + id."""
+    params = [pytest.param(lp, *case, id=i if lp == "kernel" else f"python-{i}")
+              for lp in LOOPS for case, i in zip(cases, ids)]
+    return pytest.mark.parametrize(["loop", *argnames], params, indirect=["loop"])
+
+
+def python_loop():
+    """lyapunov_tangent on its Python loop, in a with block."""
+    return mock.patch.object(_benettin, "load", lambda: None)
+
+
+def outcome(m, s0, **kw):
+    """lyapunov_tangent's value, or the type and message of what it raised."""
+    try:
+        return lyapunov_tangent(m, s0, **kw)
+    except (ValueError, StepTooLarge) as exc:
+        return type(exc), str(exc)
+
+
+@on_both_loops(["case"], [(c,) for c in LYAPUNOV_CASES], list(LYAPUNOV_CASES))
+def test_lyapunov_tangent_equals_reference(loop, case):
     m, s0, kw = LYAPUNOV_CASES[case]
     assert lyapunov_tangent(m, s0, **kw) == reference_lyapunov_tangent(m, s0, **kw)
 
@@ -357,8 +400,11 @@ def test_lyapunov_zero_steps_is_a_value_error():
         lyapunov_tangent(iho(), ClassicalState(1.0, 0.0), 4e-4)
 
 
-@pytest.mark.parametrize("q, p", [(0.0, 1e200), (1e154, 0.0), (0.0, 1e308)])
-def test_lyapunov_orbit_past_the_float_range_is_step_too_large(q, p):
+PAST_THE_FLOAT_RANGE = [(0.0, 1e200), (1e154, 0.0), (0.0, 1e308)]
+
+
+@on_both_loops(["q", "p"], PAST_THE_FLOAT_RANGE, [f"{q}-{p}" for q, p in PAST_THE_FLOAT_RANGE])
+def test_lyapunov_orbit_past_the_float_range_is_step_too_large(loop, q, p):
     # the first two raised a bare OverflowError from a float power, and the
     # last returned nan, from inf - inf
     with pytest.raises(StepTooLarge, match="left the float range"):
@@ -369,8 +415,8 @@ NON_FINITE = [(math.nan, 1e-3), (1.0, math.nan), (math.inf, 1e-3), (1.0, math.in
               (1e300, 1e-300)]
 
 
-@pytest.mark.parametrize("t, dt", NON_FINITE)
-def test_lyapunov_non_finite_time_is_a_value_error(t, dt):
+@on_both_loops(["t", "dt"], NON_FINITE, [f"{t}-{dt}" for t, dt in NON_FINITE])
+def test_lyapunov_non_finite_time_is_a_value_error(loop, t, dt):
     with pytest.raises(ValueError, match="finite"):
         lyapunov_tangent(iho(), ClassicalState(1.0, 0.0), t, dt)
 
@@ -381,10 +427,148 @@ def test_integrate_non_finite_time_is_a_value_error(t, dt):
         integrate(iho(), ClassicalState(1.0, 0.0), t, dt)
 
 
-@pytest.mark.parametrize("kw", [
-    dict(tangent0=(0.0, 0.0)), dict(tangent0=(math.nan, 1.0)), dict(tangent0=(math.inf, 0.0)),
-])
-def test_lyapunov_bad_renorm_or_tangent_is_a_value_error(kw):
+BAD_TANGENTS = [(0.0, 0.0), (math.nan, 1.0), (math.inf, 0.0)]
+
+
+@on_both_loops(["kw"], [(dict(tangent0=t),) for t in BAD_TANGENTS],
+               [f"kw{i}" for i in range(len(BAD_TANGENTS))])
+def test_lyapunov_bad_renorm_or_tangent_is_a_value_error(loop, kw):
     # the renormalisation interval is the fixed RENORM_EVERY; only tangent0 can be bad
     with pytest.raises(ValueError, match="tangent0"):
         lyapunov_tangent(iho(), ClassicalState(1.0, 0.0), 1.0, **kw)
+
+
+def test_kernel_builds_where_cc_is_found(tmp_path):
+    if shutil.which("cc") is None:
+        pytest.skip("no cc on PATH: lyapunov_tangent runs its Python loop")
+    assert _benettin.load() is not None
+    assert _benettin.build(str(tmp_path)) is not None
+    (lib,) = os.listdir(tmp_path)  # no temporary file left beside it
+    assert lib.startswith("_benettin-") and lib.endswith(".so")
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    gamma=st.floats(0.5, 5.0), g=st.one_of(st.just(0.0), st.floats(1e-3, 1.0)),
+    q=st.floats(-30.0, 30.0), p=st.floats(-30.0, 30.0),
+    tangent0=st.one_of(st.none(), st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0))),
+    dt=st.floats(5e-4, 1e-2), t_total=st.floats(0.01, 0.5),
+)
+def test_both_loops_equal_reference(gamma, g, q, p, tangent0, dt, t_total):
+    assume(tangent0 is None or math.hypot(*tangent0) > 0.0)
+    m = hiho(gamma, g) if g else iho()
+    kw = dict(t_total=t_total, dt=dt, tangent0=tangent0)
+    new = outcome(m, ClassicalState(q, p), **kw)
+    with python_loop():
+        assert outcome(m, ClassicalState(q, p), **kw) == new
+    if isinstance(new, float):
+        assert new == reference_lyapunov_tangent(m, ClassicalState(q, p), **kw)
+
+
+# the largest double whose cube is finite, 5.64e102, and the next one up
+CUBE_EDGE = 5.643803094122361e102
+CUBES = [0.0, -0.0, 5e-324, -5e-324, 1e-110, 1e-105, -1e-105, 2.2250738585072014e-308,
+         1.0, -1.0, 2.0, -3.5, 1e100, -1e100, CUBE_EDGE, -CUBE_EDGE,
+         math.nextafter(CUBE_EDGE, math.inf), -math.nextafter(CUBE_EDGE, math.inf),
+         1e200, -1.7976931348623157e308, math.inf, -math.inf, math.nan]
+
+
+def test_kernel_cube_is_python_cube():
+    lib = _benettin.load()
+    if lib is None:
+        pytest.skip("no kernel built: lyapunov_tangent runs its Python loop")
+    import ctypes
+
+    out = ctypes.c_double()
+    for x in CUBES:
+        try:
+            want = struct.pack("<d", x**3.0)  # bytes: the sign of a zero and a nan's bits count
+        except OverflowError:
+            want = None
+        status = lib.otoclab_cube(x, ctypes.byref(out))
+        assert (None if status else struct.pack("<d", out.value)) == want, x
+    with pytest.raises(OverflowError):
+        math.nextafter(CUBE_EDGE, math.inf) ** 3.0
+
+
+@pytest.mark.parametrize("m, s0, t_left", [
+    # the cube of q passes 1.8e308 near t = 2.18, mid-block, and raises
+    (hiho(3.0, 1e-300), ClassicalState(1e100, 1e100), 2.18),
+    # 2 p overflows to inf, then inf - inf gives nan, and nothing raises
+    (HIHO, ClassicalState(0.0, 1e308), 5.0),
+    # an int coefficient that no double holds raises in the first block
+    (Model(kappa=10**400, v2=-0.5), ClassicalState(1.0, 0.0), 0.01),
+], ids=["cube-raises", "product-overflows", "int-past-the-float-range"])
+def test_orbit_leaving_the_float_range_on_both_loops(m, s0, t_left):
+    new = outcome(m, s0, t_total=5.0)
+    with python_loop():
+        assert outcome(m, s0, t_total=5.0) == new
+    assert new == (StepTooLarge, str(_left_float_range(t_left)))
+
+
+def _fake_cc(bin_dir: Path, script: str | None) -> None:
+    bin_dir.mkdir()
+    if script is not None:
+        cc = bin_dir / "cc"
+        cc.write_text(f"#!/bin/sh\n{script}\n")
+        cc.chmod(0o755)
+
+
+@pytest.mark.parametrize("script", [None, "exit 1", "exec sleep 30"],
+                         ids=["no-cc", "cc-fails", "cc-times-out"])
+def test_failed_build_runs_the_python_loop(tmp_path, monkeypatch, script):
+    _fake_cc(tmp_path / "bin", script)
+    monkeypatch.setenv("PATH", str(tmp_path / "bin"))
+    monkeypatch.setattr(_benettin, "BUILD_TIMEOUT_S", 0.5)
+    cache = tmp_path / "cache"
+    monkeypatch.setattr(_benettin, "CACHE_DIR", str(cache))
+    monkeypatch.setattr(_benettin, "_lib", None)
+    m, s0, kw = LYAPUNOV_CASES["hiho-default"]
+    assert lyapunov_tangent(m, s0, **kw) == reference_lyapunov_tangent(m, s0, **kw)
+    assert _benettin._lib is False  # kept: no second build in this process
+    assert list(cache.iterdir()) == []  # no temporary file left
+
+
+def test_unwritable_cache_dir_builds_nothing(tmp_path):
+    (tmp_path / "file").write_text("")
+    assert _benettin.build(str(tmp_path / "file" / "cache")) is None
+
+
+def test_library_with_another_hash_is_never_loaded(tmp_path, monkeypatch):
+    built = tmp_path / "built"
+    if shutil.which("cc") is None or _benettin.build(str(built)) is None:
+        pytest.skip("no kernel built: lyapunov_tangent runs its Python loop")
+    (lib,) = built.iterdir()
+    other = tmp_path / "other"
+    other.mkdir()
+    shutil.copy(lib, other / "_benettin-0000000000000000.so")
+    _fake_cc(tmp_path / "bin", None)
+    monkeypatch.setenv("PATH", str(tmp_path / "bin"))
+    # a valid library under another name: not found, and no compiler to build it
+    assert _benettin.build(str(other)) is None
+
+
+def test_import_builds_and_loads_nothing(tmp_path):
+    # Building or loading the kernel at import would bill every command's
+    # start-up, classical or not; it happens on the first lyapunov_tangent.
+    shutil.copytree(Path(_benettin.__file__).parent, tmp_path / "otoclab",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    script = (
+        "import sys\n"
+        "import otoclab.cli\n"
+        "from otoclab import _benettin\n"
+        "assert _benettin.__file__.startswith(sys.argv[1]), _benettin.__file__\n"
+        "assert 'subprocess' not in sys.modules\n"
+        "assert _benettin._lib is None\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(tmp_path))
+    subprocess.run([sys.executable, "-c", script, str(tmp_path)], env=env, check=True,
+                   timeout=60)
+    cache = tmp_path / "otoclab" / "__pycache__"
+    assert not list(cache.glob("_benettin*"))
+    if shutil.which("cc") is not None:
+        # the same check sees the file that a first call builds
+        script = ("from otoclab.classical import ClassicalState, iho, lyapunov_tangent\n"
+                  "lyapunov_tangent(iho(), ClassicalState(1.0, 0.0), 0.01)\n")
+        subprocess.run([sys.executable, "-c", script], env=env, check=True, timeout=60)
+        assert len(list(cache.glob("_benettin-*.so"))) == 1
