@@ -1,7 +1,15 @@
-"""Vectorised, byte-exact ``'%.17g' % x`` for float64 tables.
+"""Byte-exact ``'%.17g' % x`` for float64 tables.
 
 ``write_rows(fh, table, sep)`` writes a 2-D table as one line per row with
 the fields joined by ``sep``; every field is the text ``'%.17g' % x`` gives.
+
+``format_rows`` runs one method in two places: in ``_ckernel``'s
+``otoclab_g17``, a value at a time, where the kernel builds, and here in
+numpy, a block at a time, where it does not. Both read the same table of
+powers of ten, apply the same proof and leave the same values to Python's
+own ``'%.17g'``, so both give the same bytes. The C loop estimates each
+decade from the binary exponent and writes the text directly; the rest is
+as follows.
 
 Method, per block of values:
 
@@ -29,9 +37,11 @@ Working memory is under 200 bytes per value of one block of at most
 from __future__ import annotations
 
 import functools
-from typing import BinaryIO, NamedTuple
+from typing import BinaryIO, Iterator, NamedTuple
 
 import numpy as np
+
+from . import _ckernel
 
 BLOCK = 1024  # values formatted per call
 
@@ -40,6 +50,7 @@ _TIE = 1e-7
 _POW_MIN, _POW_MAX = -280, 290  # 10^k for every k = 16 - E the fast path uses
 _EXP_MIN = -300                 # exponent table covers E in [-300, 300]
 _SPLIT = 134217729.0            # 2^27 + 1: Veltkamp's splitter
+_FIELD = 25                     # bytes of the longest field and its separator
 _LE64 = np.dtype("<u8")
 
 
@@ -228,6 +239,40 @@ def _fields(v: np.ndarray, E: np.ndarray, R: np.ndarray, tb: _Tables
 def format_rows(block: np.ndarray, sep: bytes) -> bytes:
     """The lines of a 2-D float64 block: each row's '%.17g' fields joined by
     sep, each line ending in a newline."""
+    lib = _ckernel.load()
+    if lib is None:
+        return _numpy_rows(block, sep)
+    return b"".join(_kernel_rows(lib, block, sep, max(1, block.shape[0])))
+
+
+def _kernel_rows(lib, table: np.ndarray, sep: bytes, step: int) -> Iterator[bytes]:
+    """The text of each block of step rows of a 2-D float64 table, from the
+    kernel's otoclab_g17."""
+    limits, pow10 = np.array([_FAST_MIN, _FAST_MAX, _TIE]), _tables().pow10
+    rows, cols = table.shape
+    n = min(step, rows) * cols
+    out = np.empty(n * _FIELD, np.uint8)
+    slow = np.empty(1 + 2 * n, np.int64)
+    fixed = (limits.ctypes.data, pow10.ctypes.data, pow10.shape[1], _POW_MIN,
+             out.ctypes.data, slow.ctypes.data)
+    for j in range(0, rows, step):
+        block = np.ascontiguousarray(table[j:j + step], dtype=np.float64)
+        size = lib.otoclab_g17(block.ctypes.data, block.shape[0], cols, sep[0], *fixed)
+        text = out[:size].tobytes()
+        if slow[0]:
+            # splice Python's own text in where the kernel left a value out
+            parts, at = [], 0
+            flat = block.ravel()
+            for i, end in slow[1:1 + 2 * slow[0]].reshape(-1, 2).tolist():
+                parts += (text[at:end], b"%.17g" % flat[i])
+                at = end
+            parts.append(text[at:])
+            text = b"".join(parts)
+        yield text
+
+
+def _numpy_rows(block: np.ndarray, sep: bytes) -> bytes:
+    """format_rows in numpy, a block at a time."""
     tb = _tables()
     rows, cols = block.shape
     v = np.ravel(block)
@@ -247,8 +292,12 @@ def format_rows(block: np.ndarray, sep: bytes) -> bytes:
 
 
 def write_rows(fh: BinaryIO, table: np.ndarray, sep: bytes) -> None:
-    """Write a 2-D table through format_rows, BLOCK values at a time."""
+    """Write a 2-D table as format_rows does, BLOCK values at a time."""
     table = np.asarray(table, dtype=np.float64)
     step = max(1, BLOCK // table.shape[1])
+    lib = _ckernel.load()
+    if lib is not None:
+        fh.writelines(_kernel_rows(lib, table, sep, step))
+        return
     for j in range(0, table.shape[0], step):
-        fh.write(format_rows(table[j:j + step], sep))
+        fh.write(_numpy_rows(table[j:j + step], sep))

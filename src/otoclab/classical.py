@@ -23,12 +23,12 @@ bit-identical to it. Their literals are floats (2.0 * k, x**3.0): Python
 converts an int operand to the same double, so the values do not change,
 but float-only operations take CPython's specialised fast path.
 
-``lyapunov_tangent`` runs its RK4 steps in C where a compiler is found
-(``_benettin``): the same operations in the same order, built with
-``-O2 -ffp-contract=off`` and with CPython's rules for ``x**3.0``. The
-renormalisation stays in Python, because the C library's ``hypot`` is not
-CPython's ``math.hypot``. The Python loop runs where no kernel builds, and
-gives the same numbers.
+Both run in otoclab's C kernel where a compiler is found (``_ckernel``):
+the same operations in the same order, built with ``-O2
+-ffp-contract=off``, with CPython's rules for ``x**3.0`` and ``q**4.0`` and,
+for Benettin's renormalisation, a port of CPython's ``math.hypot``. Their
+Python loops run where no kernel builds, and give the same numbers and the
+same errors.
 """
 from __future__ import annotations
 
@@ -37,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _benettin
+from . import _ckernel
 from .errors import StepTooLarge
 from .fock import Model, hiho, iho  # iho and hiho are re-exported
 
@@ -99,18 +99,28 @@ def flow_iho_analytic(s0: ClassicalState, t: float) -> ClassicalState:
 def _step_count(t: float, dt: float, name: str) -> int:
     """round(|t| / dt), refusing what int() cannot take: a NaN or infinite
     t or dt (a NaN passes the callers' sign checks) and a ratio that
-    overflows."""
+    overflows; and a count of 2**63 or more, which the kernel's int64
+    cannot hold and no run would finish."""
     if not (math.isfinite(t) and math.isfinite(dt)):
         raise ValueError(f"{name} and dt must be finite, got {t!r} and {dt!r}")
     ratio = abs(t) / dt
-    if not math.isfinite(ratio):
-        raise ValueError(f"{name}={t!r} over dt={dt!r} is not a finite step count")
+    if not ratio < 2.0**63:
+        raise ValueError(f"{name}={t!r} over dt={dt!r} is not a finite step count "
+                         f"below 2**63")
     return int(round(ratio))
 
 
 def _not_finite(t: float) -> StepTooLarge:
     return StepTooLarge(f"the energy at t={t:.6g} is not finite: the orbit has left "
                         f"the float range")
+
+
+def _drift(e: float, e0: float, bound: float, t: float) -> StepTooLarge:
+    """The error of a step whose energy e failed the drift guard at time t."""
+    if not math.isfinite(e):
+        return _not_finite(t)
+    return StepTooLarge(f"energy drift {abs(e - e0):.3e} at t={t:.6g} exceeds {bound:.3e}; "
+                        f"reduce dt")
 
 
 def _left_float_range(t: float) -> StepTooLarge:
@@ -131,6 +141,10 @@ def integrate(
     drifts from the initial E0 by more than ENERGY_DRIFT_TOL * max(1, |E0|),
     or is not finite, raises StepTooLarge; so does a float power past the
     float range, which Python raises as OverflowError.
+
+    The steps and the guard run in ``_ckernel``'s ``otoclab_integrate``
+    where it builds, into preallocated arrays; it hands the step at fault
+    back, and Python raises the loop's error with the loop's message and t.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
@@ -142,7 +156,6 @@ def integrate(
     kappa, v2, v4 = m.kappa, m.v2, m.v4
     b, c1, c3 = 2 * kappa, -2 * v2, 4 * v4
     q, p = s0.q, s0.p
-    qs, ps = [q], [p]
     i = 0
     try:
         energy0 = energy(m, q, p)
@@ -150,35 +163,50 @@ def integrate(
         if not math.isfinite(e0):
             raise _not_finite(0.0)
         bound = ENERGY_DRIFT_TOL * max(1.0, abs(e0))
-        for i in range(1, n + 1):
-            # a zero quartic term is left out (see the module docstring)
-            k1q = b * p
-            k1p = c1 * q - c3 * q**3.0 if v4 else c1 * q
-            x = q + hh * k1q
-            k2q = b * (p + hh * k1p)
-            k2p = c1 * x - c3 * x**3.0 if v4 else c1 * x
-            x = q + hh * k2q
-            k3q = b * (p + hh * k2p)
-            k3p = c1 * x - c3 * x**3.0 if v4 else c1 * x
-            x = q + h * k3q
-            k4q = b * (p + h * k3p)
-            k4p = c1 * x - c3 * x**3.0 if v4 else c1 * x
-            q += h6 * (k1q + 2.0 * k2q + 2.0 * k3q + k4q)
-            p += h6 * (k1p + 2.0 * k2p + 2.0 * k3p + k4p)
-            qs.append(q)
-            ps.append(p)
-            e = kappa * p * p + v2 * q * q + (v4 * q**4.0 if v4 else 0.0)
-            # not <=, so that a NaN energy fails the guard too
-            if not abs(e - e0) <= bound:
-                if not math.isfinite(e):
+        lib = _ckernel.load()
+        if lib is not None:
+            import ctypes
+
+            qs, ps = np.empty(n + 1), np.empty(n + 1)
+            qs[0], ps[0] = q, p
+            i = 1  # an int coefficient past the float range: the loop's first step
+            coef = (ctypes.c_double * 11)(b, c1, c3, h, hh, h6, kappa, v2, v4, e0, bound)
+            kind, e = ctypes.c_int(), ctypes.c_double()
+            i = lib.otoclab_integrate(qs.ctypes.data, ps.ctypes.data, n, ctypes.addressof(coef),
+                                      bool(v4), ctypes.addressof(kind), ctypes.addressof(e))
+            if i:
+                if kind.value == 1:  # a float power past the float range
                     raise _not_finite(i * h)
-                raise StepTooLarge(f"energy drift {abs(e - e0):.3e} at t={i * h:.6g} "
-                                   f"exceeds {bound:.3e}; reduce dt")
+                raise _drift(e.value, e0, bound, i * h)
+        else:
+            qs, ps = [q], [p]
+            for i in range(1, n + 1):
+                # a zero quartic term is left out (see the module docstring)
+                k1q = b * p
+                k1p = c1 * q - c3 * q**3.0 if v4 else c1 * q
+                x = q + hh * k1q
+                k2q = b * (p + hh * k1p)
+                k2p = c1 * x - c3 * x**3.0 if v4 else c1 * x
+                x = q + hh * k2q
+                k3q = b * (p + hh * k2p)
+                k3p = c1 * x - c3 * x**3.0 if v4 else c1 * x
+                x = q + h * k3q
+                k4q = b * (p + h * k3p)
+                k4p = c1 * x - c3 * x**3.0 if v4 else c1 * x
+                q += h6 * (k1q + 2.0 * k2q + 2.0 * k3q + k4q)
+                p += h6 * (k1p + 2.0 * k2p + 2.0 * k3p + k4p)
+                qs.append(q)
+                ps.append(p)
+                e = kappa * p * p + v2 * q * q + (v4 * q**4.0 if v4 else 0.0)
+                # not <=, so that a NaN energy fails the guard too
+                if not abs(e - e0) <= bound:
+                    raise _drift(e, e0, bound, i * h)
+            qs, ps = np.array(qs), np.array(ps)
     except OverflowError:  # a float power past the float range
         raise _not_finite(i * h) from None
     times = np.arange(n + 1) * h
     times[0] = 0.0  # 0 * h is -0.0 when integrating backward
-    return Trajectory(times=times, qs=np.array(qs), ps=np.array(ps), energy0=energy0)
+    return Trajectory(times=times, qs=qs, ps=ps, energy0=energy0)
 
 
 def jacobian_matrix(m: Model, s: ClassicalState) -> np.ndarray:
@@ -220,15 +248,16 @@ def lyapunov_tangent(
     renormalisation blocks; with v4 == 0 the tangent coefficients are
     constant, so only (u, v) is integrated.
 
-    The RENORM_EVERY steps of a block run in the C kernel of ``_benettin``
-    where it builds (on the first call, with ``cc -O2 -ffp-contract=off``:
-    no fused multiply-add, so every operation rounds as in Python). Its
-    ``x**3.0`` is the C library's ``pow``, the one CPython calls, and
-    reports overflow where CPython raises. The outer loop, the
-    renormalisation and every check stay in Python: ``math.hypot`` is
-    CPython's own algorithm, and the C library's ``hypot`` differs from it
-    in the last bit on some arguments. Both paths give the same value, bit
-    for bit, and the same errors.
+    The whole run is one call into ``_ckernel`` where it builds (on the
+    first call, with ``cc -O2 -ffp-contract=off``: no fused multiply-add, so
+    every operation rounds as in Python): the steps of every block, with
+    ``x**3.0`` from the C library's ``pow`` as CPython computes it, then a
+    port of CPython's ``math.hypot``, libm's ``log`` (``math.log``'s) and the
+    two divisions. A block whose tangent's larger component is not a finite
+    number >= DBL_MIN (nan, inf, zero or subnormal, where CPython versions'
+    ``math.hypot`` differ or ``math.log`` raises) is handed back: Python
+    renormalises it with ``math.hypot`` and ``math.log`` and resumes the
+    run. Both paths give the same value, bit for bit, and the same errors.
 
     An orbit or tangent past the float range raises StepTooLarge, as in
     ``integrate``: from the OverflowError of a float power, or from a
@@ -249,24 +278,28 @@ def lyapunov_tangent(
         raise ValueError(f"tangent0 must be a nonzero finite vector, got {tangent0!r}")
     u, v = u / nrm, v / nrm
     log_sum = 0.0
-    lib = _benettin.load()
+    lib = _ckernel.load()
     if lib is not None:
         import ctypes
 
-        state = (ctypes.c_double * 4)(q, p, u, v)
+        state = (ctypes.c_double * 5)(q, p, u, v, log_sum)
         try:
             coef = (ctypes.c_double * 7)(b, c1, c2, c3, hdt, dt, sdt)
         except OverflowError:  # an int coefficient past the float range: the loop's first step
             raise _left_float_range(min(RENORM_EVERY, n) * dt) from None
-        advance = lib.otoclab_benettin if v4 else lib.otoclab_benettin_linear
-        state_at, coef_at = ctypes.addressof(state), ctypes.addressof(coef)
-        for start in range(0, n, RENORM_EVERY):
-            if advance(state_at, coef_at, min(RENORM_EVERY, n - start)):  # x**3.0 overflowed
-                raise _left_float_range(min(start + RENORM_EVERY, n) * dt)
+        start = ctypes.c_int64(0)
+        run = (ctypes.addressof(state), ctypes.addressof(coef), n, RENORM_EVERY, bool(v4),
+               ctypes.addressof(start))
+        while status := lib.otoclab_benettin_run(*run):
+            if status == 1:  # x**3.0 overflowed
+                raise _left_float_range(min(start.value + RENORM_EVERY, n) * dt)
+            # a norm the kernel leaves to math.hypot: renormalise this block here
             u, v = state[2], state[3]
             nrm = math.hypot(u, v)
-            log_sum += math.log(nrm)
+            state[4] += math.log(nrm)
             state[2], state[3] = u / nrm, v / nrm
+            start.value += RENORM_EVERY
+        log_sum = state[4]
     else:
         try:
             for start in range(0, n, RENORM_EVERY):

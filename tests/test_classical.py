@@ -1,3 +1,4 @@
+import contextlib
 import math
 import os
 import shutil
@@ -13,7 +14,7 @@ import pytest
 from conftest import check_named
 from hypothesis import assume, given, settings, strategies as st
 
-from otoclab import _benettin
+from otoclab import _ckernel
 from otoclab.classical import (
     ENERGY_DRIFT_TOL,
     RENORM_EVERY,
@@ -313,7 +314,7 @@ def loop(request, monkeypatch):
     """'kernel': lyapunov_tangent as it runs by default, on the C kernel
     wherever it builds; 'python': its Python loop, forced by hiding the kernel."""
     if request.param == "python":
-        monkeypatch.setattr(_benettin, "load", lambda: None)
+        monkeypatch.setattr(_ckernel, "load", lambda: None)
     return request.param
 
 
@@ -327,7 +328,7 @@ def on_both_loops(argnames, cases, ids):
 
 def python_loop():
     """lyapunov_tangent on its Python loop, in a with block."""
-    return mock.patch.object(_benettin, "load", lambda: None)
+    return mock.patch.object(_ckernel, "load", lambda: None)
 
 
 def outcome(m, s0, **kw):
@@ -348,6 +349,7 @@ INTEGRATE_CASES = {
     "hiho-forward": (HIHO, ClassicalState(8.0, 9.0), 5.0, 1e-3),
     "hiho-backward": (HIHO, ClassicalState(8.0, 9.0), -3.0, 1e-3),
     "iho-forward": (iho(), ClassicalState(2.0, 1.0), 2.0, 0.01),
+    "iho-backward": (iho(), ClassicalState(2.0, 1.0), -2.0, 0.01),
 }
 
 
@@ -359,8 +361,8 @@ def test_hamilton_rhs_equals_reference():
             assert hamilton_rhs(m, ClassicalState(q, p)) == f(q, p)
 
 
-@pytest.mark.parametrize("case", INTEGRATE_CASES)
-def test_integrate_equals_reference(case):
+@on_both_loops(["case"], [(c,) for c in INTEGRATE_CASES], list(INTEGRATE_CASES))
+def test_integrate_equals_reference(loop, case):
     args = INTEGRATE_CASES[case]
     new, ref = integrate(*args), reference_integrate(*args)
     for name in ("times", "qs", "ps"):
@@ -374,9 +376,10 @@ def test_step_too_large_equals_reference():
     args = (HIHO, ClassicalState(8.0, 9.0), 5.0, 0.05)
     with pytest.raises(StepTooLarge) as ref:
         reference_integrate(*args)
-    with pytest.raises(StepTooLarge) as new:
-        integrate(*args)
-    assert str(new.value) == str(ref.value)
+    for path in (contextlib.nullcontext, python_loop):
+        with path(), pytest.raises(StepTooLarge) as new:
+            integrate(*args)
+        assert str(new.value) == str(ref.value)
     assert "at t=0.05 " in str(new.value)
 
 
@@ -386,12 +389,21 @@ def test_drift_guard_ignores_v0():
     args = (ClassicalState(2.0, -2.0), 10.0, 2.0)
     tiny_g = hiho(3.0, 1e-304)
     messages = []
-    for m in (tiny_g, replace(tiny_g, v0=0.0)):
-        with pytest.raises(StepTooLarge) as exc:
-            integrate(m, *args)
-        messages.append(str(exc.value))
-    assert messages[0] == messages[1]
+    for path in (contextlib.nullcontext, python_loop):
+        for m in (tiny_g, replace(tiny_g, v0=0.0)):
+            with path(), pytest.raises(StepTooLarge) as exc:
+                integrate(m, *args)
+            messages.append(str(exc.value))
+    assert len(set(messages)) == 1
     assert messages[0].endswith("exceeds 5.000e-08; reduce dt")
+
+
+def test_integrate_int_coefficient_past_the_float_range_on_both_loops():
+    # 2 kappa = 2 * 10**308 has no double: the loop's first step raises
+    m = Model(kappa=10**308, v2=-0.5)
+    for path in (contextlib.nullcontext, python_loop):
+        with path(), pytest.raises(StepTooLarge, match=r"^the energy at t=0\.001 is not finite"):
+            integrate(m, ClassicalState(1.0, 0.0), 1.0, 1e-3)
 
 
 def test_lyapunov_zero_steps_is_a_value_error():
@@ -411,8 +423,10 @@ def test_lyapunov_orbit_past_the_float_range_is_step_too_large(loop, q, p):
         lyapunov_tangent(HIHO, ClassicalState(q, p), 1.0)
 
 
+# the last: 1e303 steps, which no run finishes and the kernel's int64 step
+# count cannot hold (it wrapped, and lyapunov_tangent returned 0.0)
 NON_FINITE = [(math.nan, 1e-3), (1.0, math.nan), (math.inf, 1e-3), (1.0, math.inf),
-              (1e300, 1e-300)]
+              (1e300, 1e-300), (1e300, 1e-3)]
 
 
 @on_both_loops(["t", "dt"], NON_FINITE, [f"{t}-{dt}" for t, dt in NON_FINITE])
@@ -441,10 +455,10 @@ def test_lyapunov_bad_renorm_or_tangent_is_a_value_error(loop, kw):
 def test_kernel_builds_where_cc_is_found(tmp_path):
     if shutil.which("cc") is None:
         pytest.skip("no cc on PATH: lyapunov_tangent runs its Python loop")
-    assert _benettin.load() is not None
-    assert _benettin.build(str(tmp_path)) is not None
+    assert _ckernel.load() is not None
+    assert _ckernel.build(str(tmp_path)) is not None
     (lib,) = os.listdir(tmp_path)  # no temporary file left beside it
-    assert lib.startswith("_benettin-") and lib.endswith(".so")
+    assert lib.startswith("_ckernel-") and lib.endswith(".so")
 
 
 @settings(max_examples=100, deadline=None)
@@ -474,7 +488,7 @@ CUBES = [0.0, -0.0, 5e-324, -5e-324, 1e-110, 1e-105, -1e-105, 2.2250738585072014
 
 
 def test_kernel_cube_is_python_cube():
-    lib = _benettin.load()
+    lib = _ckernel.load()
     if lib is None:
         pytest.skip("no kernel built: lyapunov_tangent runs its Python loop")
     import ctypes
@@ -485,10 +499,86 @@ def test_kernel_cube_is_python_cube():
             want = struct.pack("<d", x**3.0)  # bytes: the sign of a zero and a nan's bits count
         except OverflowError:
             want = None
-        status = lib.otoclab_cube(x, ctypes.byref(out))
+        status = lib.otoclab_pow(x, 3.0, ctypes.byref(out))
         assert (None if status else struct.pack("<d", out.value)) == want, x
     with pytest.raises(OverflowError):
         math.nextafter(CUBE_EDGE, math.inf) ** 3.0
+
+
+# the largest double whose fourth power is finite, 1.16e77, and the next one up
+FOURTH_EDGE = 1.157920892373162e77
+
+
+def test_kernel_fourth_power_is_python_power():
+    # integrate's energy reads q**4.0, whose zeros, infinities and -1 have
+    # no sign
+    lib = _ckernel.load()
+    if lib is None:
+        pytest.skip("no kernel built: integrate runs its Python loop")
+    import ctypes
+
+    out = ctypes.c_double()
+    edges = [FOURTH_EDGE, -FOURTH_EDGE, math.nextafter(FOURTH_EDGE, math.inf),
+             -math.nextafter(FOURTH_EDGE, math.inf), 1e-80, -1e-80]
+    for x in CUBES + edges:
+        try:
+            want = struct.pack("<d", x**4.0)
+        except OverflowError:
+            want = None
+        status = lib.otoclab_pow(x, 4.0, ctypes.byref(out))
+        assert (None if status else struct.pack("<d", out.value)) == want, x
+    with pytest.raises(OverflowError):
+        math.nextafter(FOURTH_EDGE, math.inf) ** 4.0
+
+
+def _hypot_pairs() -> dict[str, np.ndarray]:
+    """1M deterministic (x, y) pairs, and 225 edge pairs, by kind."""
+    rng = np.random.default_rng(36)
+    n = 200_000
+    tiny, huge = sys.float_info.min, sys.float_info.max
+    signs = rng.choice([-1.0, 1.0], (n, 2))
+    edges = [0.0, -0.0, 5e-324, -5e-324, tiny / 3, tiny, -tiny, 1.0, -3.0, 1e300, huge, -huge,
+             math.inf, -math.inf, math.nan]
+    return {
+        "normal": rng.standard_normal((n, 2)) * np.exp(rng.uniform(-5.0, 5.0, (n, 1))),
+        "wide": signs * 10.0 ** rng.uniform(-300.0, 300.0, (n, 2)),
+        "near-overflow": signs * huge * rng.uniform(0.0, 1.0, (n, 2)),
+        "one-subnormal": np.column_stack([signs[:, 0] * 10.0 ** rng.uniform(-300.0, 300.0, n),
+                                          rng.uniform(-1.0, 1.0, n) * tiny]),
+        "both-subnormal": rng.uniform(-1.0, 1.0, (n, 2)) * tiny,
+        "edges": np.array([(x, y) for x in edges for y in edges]),
+    }
+
+
+def _in_hypot_domain(x: float, y: float) -> bool:
+    """Whether max(|x|, |y|) is a finite number >= DBL_MIN."""
+    big = max(abs(x), abs(y))
+    return not math.isnan(x + y) and sys.float_info.min <= big <= sys.float_info.max
+
+
+def test_kernel_hypot_is_math_hypot():
+    # the renormalisation's norm, bit for bit; a pair whose larger magnitude
+    # is not a finite number >= DBL_MIN (both subnormal, zero, inf, nan) is
+    # refused with status 2, and lyapunov_tangent asks math.hypot itself
+    lib = _ckernel.load()
+    if lib is None:
+        pytest.skip("no kernel built: lyapunov_tangent runs its Python loop")
+    import ctypes
+
+    out = ctypes.c_double()
+    at = ctypes.addressof(out)
+    hypot = lib.otoclab_hypot
+    for kind, pairs in _hypot_pairs().items():
+        # refused, or not equal to math.hypot: a norm it returns is >= DBL_MIN,
+        # where == compares the bits
+        off = [(x, y) for x, y in pairs.tolist()
+               if hypot(x, y, at) or out.value != math.hypot(x, y)]
+        assert [(x, y) for x, y in off if _in_hypot_domain(x, y)] == [], kind
+        assert len(off) == sum(not _in_hypot_domain(x, y) for x, y in pairs.tolist()), kind
+        if kind in ("normal", "wide", "near-overflow"):
+            assert off == [], kind
+        if kind == "both-subnormal":
+            assert len(off) == len(pairs)
 
 
 @pytest.mark.parametrize("m, s0, t_left", [
@@ -506,6 +596,53 @@ def test_orbit_leaving_the_float_range_on_both_loops(m, s0, t_left):
     assert new == (StepTooLarge, str(_left_float_range(t_left)))
 
 
+# kappa = 2^1019, v2 = 0 and dt = 128: the tangent (-1, 2^-1030) shears by
+# exactly 1/8 a step, so a block of 8 steps ends on (0, 2^-1030), whose norm
+# the kernel hands back to math.hypot; and an orbit whose 2p overflows makes
+# every block's tangent nan, so each is handed back and the run resumed
+HANDED_BACK = {
+    "subnormal-norm": (Model(kappa=2.0**1019, v2=0.0), ClassicalState(0.0, 0.0),
+                       dict(t_total=1024.0, dt=128.0, tangent0=(-1.0, 2.0**-1030))),
+    "nan-tangent": (HIHO, ClassicalState(0.0, 1e308), dict(t_total=0.1)),
+}
+
+
+@on_both_loops(["case"], [(c,) for c in HANDED_BACK], list(HANDED_BACK))
+def test_norms_only_math_hypot_settles_are_handed_back(loop, case):
+    m, s0, kw = HANDED_BACK[case]
+    hypot = mock.Mock(wraps=math.hypot)
+    with mock.patch.object(math, "hypot", hypot):
+        new = outcome(m, s0, **kw)
+    with python_loop():
+        assert outcome(m, s0, **kw) == new
+    if case == "subnormal-norm":
+        assert math.isfinite(new) and new == reference_lyapunov_tangent(m, s0, **kw)
+        blocks = [(0.0, 2.0**-1030)]
+    else:
+        assert new == (StepTooLarge, str(_left_float_range(0.1)))
+        blocks = [(math.nan, math.nan)] * 10
+    if loop == "kernel" and _ckernel.load() is not None:
+        # tangent0's norm, then each block's that only math.hypot settles
+        calls = [c.args for c in hypot.call_args_list]
+        assert len(calls) == 1 + len(blocks)
+        assert str(calls[1:]) == str(blocks)
+
+
+@on_both_loops(["q", "p"], [(8.0, 9.0), (0.3, -1.7), (5.1, 2.2)],
+               ["F", "0.3--1.7", "5.1-2.2"])
+def test_hiho_scaling_is_exact_at_s_2(loop, q, p):
+    # (g, q, p) -> (g/4, 2q, 2p) maps the HIHO flow onto itself, and at s = 2
+    # every RK4 operation scales by a power of two, so both runs agree with ==
+    gamma, g = 3.0, 0.04
+    for t_end in (2.0, -1.5):
+        one = integrate(hiho(gamma, g), ClassicalState(q, p), t_end, 1e-3)
+        two = integrate(hiho(gamma, g / 4), ClassicalState(2 * q, 2 * p), t_end, 1e-3)
+        assert np.array_equal(two.times, one.times)
+        assert np.array_equal(two.qs, 2 * one.qs) and np.array_equal(two.ps, 2 * one.ps)
+    assert (lyapunov_tangent(hiho(gamma, g / 4), ClassicalState(2 * q, 2 * p), 2.0)
+            == lyapunov_tangent(hiho(gamma, g), ClassicalState(q, p), 2.0))
+
+
 def _fake_cc(bin_dir: Path, script: str | None) -> None:
     bin_dir.mkdir()
     if script is not None:
@@ -519,56 +656,56 @@ def _fake_cc(bin_dir: Path, script: str | None) -> None:
 def test_failed_build_runs_the_python_loop(tmp_path, monkeypatch, script):
     _fake_cc(tmp_path / "bin", script)
     monkeypatch.setenv("PATH", str(tmp_path / "bin"))
-    monkeypatch.setattr(_benettin, "BUILD_TIMEOUT_S", 0.5)
+    monkeypatch.setattr(_ckernel, "BUILD_TIMEOUT_S", 0.5)
     cache = tmp_path / "cache"
-    monkeypatch.setattr(_benettin, "CACHE_DIR", str(cache))
-    monkeypatch.setattr(_benettin, "_lib", None)
+    monkeypatch.setattr(_ckernel, "CACHE_DIR", str(cache))
+    monkeypatch.setattr(_ckernel, "_lib", None)
     m, s0, kw = LYAPUNOV_CASES["hiho-default"]
     assert lyapunov_tangent(m, s0, **kw) == reference_lyapunov_tangent(m, s0, **kw)
-    assert _benettin._lib is False  # kept: no second build in this process
+    assert _ckernel._lib is False  # kept: no second build in this process
     assert list(cache.iterdir()) == []  # no temporary file left
 
 
 def test_unwritable_cache_dir_builds_nothing(tmp_path):
     (tmp_path / "file").write_text("")
-    assert _benettin.build(str(tmp_path / "file" / "cache")) is None
+    assert _ckernel.build(str(tmp_path / "file" / "cache")) is None
 
 
 def test_library_with_another_hash_is_never_loaded(tmp_path, monkeypatch):
     built = tmp_path / "built"
-    if shutil.which("cc") is None or _benettin.build(str(built)) is None:
+    if shutil.which("cc") is None or _ckernel.build(str(built)) is None:
         pytest.skip("no kernel built: lyapunov_tangent runs its Python loop")
     (lib,) = built.iterdir()
     other = tmp_path / "other"
     other.mkdir()
-    shutil.copy(lib, other / "_benettin-0000000000000000.so")
+    shutil.copy(lib, other / "_ckernel-0000000000000000.so")
     _fake_cc(tmp_path / "bin", None)
     monkeypatch.setenv("PATH", str(tmp_path / "bin"))
     # a valid library under another name: not found, and no compiler to build it
-    assert _benettin.build(str(other)) is None
+    assert _ckernel.build(str(other)) is None
 
 
 def test_import_builds_and_loads_nothing(tmp_path):
     # Building or loading the kernel at import would bill every command's
     # start-up, classical or not; it happens on the first lyapunov_tangent.
-    shutil.copytree(Path(_benettin.__file__).parent, tmp_path / "otoclab",
+    shutil.copytree(Path(_ckernel.__file__).parent, tmp_path / "otoclab",
                     ignore=shutil.ignore_patterns("__pycache__"))
     script = (
         "import sys\n"
         "import otoclab.cli\n"
-        "from otoclab import _benettin\n"
-        "assert _benettin.__file__.startswith(sys.argv[1]), _benettin.__file__\n"
+        "from otoclab import _ckernel\n"
+        "assert _ckernel.__file__.startswith(sys.argv[1]), _ckernel.__file__\n"
         "assert 'subprocess' not in sys.modules\n"
-        "assert _benettin._lib is None\n"
+        "assert _ckernel._lib is None\n"
     )
     env = dict(os.environ, PYTHONPATH=str(tmp_path))
     subprocess.run([sys.executable, "-c", script, str(tmp_path)], env=env, check=True,
                    timeout=60)
     cache = tmp_path / "otoclab" / "__pycache__"
-    assert not list(cache.glob("_benettin*"))
+    assert not list(cache.glob("_ckernel*"))
     if shutil.which("cc") is not None:
         # the same check sees the file that a first call builds
         script = ("from otoclab.classical import ClassicalState, iho, lyapunov_tangent\n"
                   "lyapunov_tangent(iho(), ClassicalState(1.0, 0.0), 0.01)\n")
         subprocess.run([sys.executable, "-c", script], env=env, check=True, timeout=60)
-        assert len(list(cache.glob("_benettin-*.so"))) == 1
+        assert len(list(cache.glob("_ckernel-*.so"))) == 1

@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from otoclab import cli, husimi, output
+from otoclab import _ckernel, cli, husimi, output
 from otoclab.cli import main
 from otoclab.config import (
     AUTO_MIN_SPAN,
@@ -425,6 +425,22 @@ def test_every_failure_exits_with_its_code_and_message(tmp_path, monkeypatch, ca
     assert "Traceback" not in err and "usage:" not in err
     if code == 1:
         assert os.listdir(cwd) == []
+
+
+# the portrait rows whose RK4 loop fails, which run on the C kernel above
+INTEGRATE_FAILURES = [row for row in FAILURES if row.id in (
+    "step_too_large", "tiny_g_step_too_large", "orbit_leaves_float_range_iho",
+    "orbit_leaves_float_range_hiho")]
+
+
+@pytest.mark.parametrize("command, patch, code, message", INTEGRATE_FAILURES)
+def test_integrate_failures_on_the_python_loop(tmp_path, monkeypatch, capsys,
+                                               command, patch, code, message):
+    # the same exit code, message and t where no kernel builds
+    assert len(INTEGRATE_FAILURES) == 4
+    monkeypatch.setattr(_ckernel, "load", lambda: None)
+    test_every_failure_exits_with_its_code_and_message(tmp_path, monkeypatch, capsys,
+                                                       command, patch, code, message)
 
 
 def test_otoc_runs_at_half_the_phase_limit(tmp_path):
@@ -982,6 +998,23 @@ def test_gnuplot_scripts_quote_a_label_holding_a_quote(tmp_path):
             titles = [s for s in strings if s not in files]
             assert files and all((out / f).is_file() for f in files), line
             assert titles and all(t.startswith("F' ") or t == "F'" for t in titles), line
+
+
+def test_husimi_script_spacing_is_the_grid_spacing(tmp_path):
+    # husimi.gp maps matrix indices to (q, p) through its dq and dp; a grid
+    # with unequal ranges and counts tells each operand apart
+    grid = HusimiSpec(PhaseGrid(-6.0, 7.0, -7.0, 5.5, 27, 21), (0.0, 0.5))
+    cfg = write_cfg(tmp_path, small_cfg(husimi=grid))
+    out = tmp_path / "o"
+    assert main(["husimi", "--config", cfg, "--out", str(out)]) == 0
+    lines = (out / "husimi.gp").read_text(encoding="utf-8").splitlines()
+    steps = dict(line.split(" = ") for line in lines if line.startswith(("dq =", "dp =")))
+    files = sorted(out.glob("husimi_*.grid"))
+    assert len(files) == 2
+    for path in files:
+        (q_min, q_max, n_q, p_min, p_max, n_p), _ = read_grid(str(path))
+        assert float(steps["dq"]) == (q_max - q_min) / (n_q - 1) == 0.5
+        assert float(steps["dp"]) == (p_max - p_min) / (n_p - 1) == 0.625
 
 
 def test_env_var_output_dir(tmp_path, monkeypatch):

@@ -1,3 +1,4 @@
+import contextlib
 import json
 import os
 import re
@@ -5,11 +6,13 @@ import struct
 import subprocess
 import sys
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from otoclab import _ckernel
 from otoclab._g17 import BLOCK, format_rows
 from otoclab.errors import ConfigError
 from otoclab.evolution import evolve
@@ -18,6 +21,15 @@ from otoclab.husimi import PhaseGrid, husimi_q
 from otoclab.output import CSV_ROW_BLOCK, Manifest, fmt, read_grid, write_csv, write_grid
 
 WIDE_GRID = PhaseGrid(-40.0, 40.0, -40.0, 40.0, 161, 161)
+
+
+def _numpy_path():
+    """The writers on numpy's formatter, forced by hiding the C kernel."""
+    return mock.patch.object(_ckernel, "load", lambda: None)
+
+
+# the C kernel wherever it builds, then numpy's formatter
+PATHS = (contextlib.nullcontext, _numpy_path)
 
 
 def _oracle(block, sep):
@@ -72,9 +84,11 @@ def test_write_csv_equals_reference_bytes(tmp_path, case):
         columns = [np.zeros(0), []]
     header = [f"c{k}" for k in range(len(columns))]
     got, want = tmp_path / "got.csv", tmp_path / "want.csv"
-    write_csv(str(got), header, columns)
     _reference_write_csv(str(want), header, columns)
-    assert got.read_bytes() == want.read_bytes()
+    for path in PATHS:
+        with path():
+            write_csv(str(got), header, columns)
+        assert got.read_bytes() == want.read_bytes(), path
 
 
 def test_write_csv_rejects_columns_of_unequal_length(tmp_path):
@@ -105,8 +119,10 @@ def test_format_rows_equals_percent_17g_for_any_float64(values):
     # st.floats covers nan, inf, zeros and subnormals; the bit patterns
     # cover every exponent evenly
     column = np.array(values).reshape(-1, 1)
-    assert format_rows(column, b",") == _oracle(column, ",")
-    assert format_rows(column.T, b" ") == _oracle(column.T, " ")
+    for path in PATHS:
+        with path():
+            assert format_rows(column, b",") == _oracle(column, ",")
+            assert format_rows(column.T, b" ") == _oracle(column.T, " ")
 
 
 def _edge_values():
@@ -130,7 +146,10 @@ def test_format_rows_equals_percent_17g_on_edge_values():
     values = _edge_values()
     for cols in (1, 7):
         block = values[:values.size // cols * cols].reshape(-1, cols)
-        assert format_rows(block, b" ") == _oracle(block, " ")
+        want = _oracle(block, " ")
+        for path in PATHS:
+            with path():
+                assert format_rows(block, b" ") == want
 
 
 def test_write_grid_equals_reference_bytes(tmp_path, hiho_prop):
@@ -139,9 +158,11 @@ def test_write_grid_equals_reference_bytes(tmp_path, hiho_prop):
     psi0 = coherent_state(FockDim(600), CoherentParams(8.0, 9.0))
     hg = husimi_q(evolve(hiho_prop(600), psi0, 1.2), WIDE_GRID)
     got, want = tmp_path / "got.grid", tmp_path / "want.grid"
-    write_grid(str(got), hg)
     _reference_write_grid(str(want), hg)
-    assert got.read_bytes() == want.read_bytes()
+    for path in PATHS:
+        with path():
+            write_grid(str(got), hg)
+        assert got.read_bytes() == want.read_bytes(), path
     assert np.array_equal(read_grid(str(got))[1], hg.values)
 
 
