@@ -8,7 +8,7 @@ twin in the same order, so that both give the same results, bit for bit.
   ``log`` (the function ``math.log`` calls) and two divisions;
 - ``otoclab_integrate`` is the RK4 loop of ``classical.integrate`` with its
   energy-drift guard;
-- ``otoclab_g17`` is ``_g17.format_rows``'s decimal conversion, on the same
+- ``otoclab_g17`` is ``_g17.write_rows``' decimal conversion, on the same
   table of powers of ten.
 
 How each is kept bit-identical:
@@ -35,7 +35,7 @@ How each is kept bit-identical:
   ``math.hypot`` and ``math.log`` before it resumes the run.
 
 Values the loops cannot settle go back to Python with a status: an
-overflowing power, a failed drift guard, or a number ``format_rows`` cannot
+overflowing power, a failed drift guard, or a number ``otoclab_g17`` cannot
 prove, which Python formats with ``'%.17g'`` itself.
 
 Nothing happens at import: ``load`` builds the library with ``cc`` on its

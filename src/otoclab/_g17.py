@@ -2,8 +2,7 @@
 
 ``write_rows(fh, table, sep)`` writes a 2-D table as one line per row with
 the fields joined by ``sep``; every field is the text ``'%.17g' % x`` gives.
-
-``format_rows`` runs one method in two places: in ``_ckernel``'s
+It runs one method in two places: in ``_ckernel``'s
 ``otoclab_g17``, a value at a time, where the kernel builds, and here in
 numpy, a block at a time, where it does not. Both read the same table of
 powers of ten, apply the same proof and leave the same values to Python's
@@ -236,15 +235,6 @@ def _fields(v: np.ndarray, E: np.ndarray, R: np.ndarray, tb: _Tables
     return buf
 
 
-def format_rows(block: np.ndarray, sep: bytes) -> bytes:
-    """The lines of a 2-D float64 block: each row's '%.17g' fields joined by
-    sep, each line ending in a newline."""
-    lib = _ckernel.load()
-    if lib is None:
-        return _numpy_rows(block, sep)
-    return b"".join(_kernel_rows(lib, block, sep, max(1, block.shape[0])))
-
-
 def _kernel_rows(lib, table: np.ndarray, sep: bytes, step: int) -> Iterator[bytes]:
     """The text of each block of step rows of a 2-D float64 table, from the
     kernel's otoclab_g17."""
@@ -272,7 +262,8 @@ def _kernel_rows(lib, table: np.ndarray, sep: bytes, step: int) -> Iterator[byte
 
 
 def _numpy_rows(block: np.ndarray, sep: bytes) -> bytes:
-    """format_rows in numpy, a block at a time."""
+    """The lines of a 2-D float64 block, in numpy: each row's '%.17g' fields
+    joined by sep, each line ending in a newline."""
     tb = _tables()
     rows, cols = block.shape
     v = np.ravel(block)
@@ -292,7 +283,9 @@ def _numpy_rows(block: np.ndarray, sep: bytes) -> bytes:
 
 
 def write_rows(fh: BinaryIO, table: np.ndarray, sep: bytes) -> None:
-    """Write a 2-D table as format_rows does, BLOCK values at a time."""
+    """Write a 2-D table as one line per row, its '%.17g' fields joined by
+    sep, BLOCK values at a time: on the kernel's otoclab_g17 where it
+    builds, in numpy where it does not."""
     table = np.asarray(table, dtype=np.float64)
     step = max(1, BLOCK // table.shape[1])
     lib = _ckernel.load()

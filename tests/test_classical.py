@@ -398,6 +398,59 @@ def test_drift_guard_ignores_v0():
     assert messages[0].endswith("exceeds 5.000e-08; reduce dt")
 
 
+def _guard_energy(m, q, p):
+    """The drift guard's energy, written out: kappa p^2 + v2 q^2 + v4 q^4."""
+    return m.kappa * p * p + m.v2 * q * q + (m.v4 * q**4.0 if m.v4 else 0.0)
+
+
+@pytest.mark.parametrize("m", [Model(kappa=0.7, v2=-0.3), Model(kappa=0.7, v2=-0.3, v4=0.05)],
+                         ids=["v4=0", "v4=0.05"])
+def test_drift_guard_reads_the_energy_bits(m, monkeypatch):
+    # |E0| < 1, so the bound is ENERGY_DRIFT_TOL itself. Set just below the
+    # largest drift of a 100-step run, the guard must trip at the first step
+    # reaching it; set at it, at none. An energy off by one ulp at that step
+    # trips a step early or not at all.
+    import otoclab.classical as classical
+
+    t_end, n = 1.0, 100
+    h = t_end / n
+    rng = np.random.default_rng(11)
+    for q, p in rng.uniform(-0.8, 0.8, size=(12, 2)):
+        s0 = ClassicalState(float(q), float(p))
+        traj = reference_integrate(m, s0, t_end, h)
+        e0 = _guard_energy(m, s0.q, s0.p)
+        assert abs(e0) < 1
+        es = [_guard_energy(m, a, b) for a, b in zip(traj.qs.tolist(), traj.ps.tolist())]
+        drift = [abs(e - e0) for e in es]
+        j = int(np.argmax(drift))
+        below = math.nextafter(drift[j], 0.0)
+        want = f"energy drift {drift[j]:.3e} at t={j * h:.6g} exceeds {below:.3e}; reduce dt"
+        for path in (contextlib.nullcontext, python_loop):
+            with path():
+                monkeypatch.setattr(classical, "ENERGY_DRIFT_TOL", drift[j])
+                integrate(m, s0, t_end, h)
+                monkeypatch.setattr(classical, "ENERGY_DRIFT_TOL", below)
+                with pytest.raises(StepTooLarge) as exc:
+                    integrate(m, s0, t_end, h)
+            assert str(exc.value) == want
+        lib = _ckernel.load()
+        if lib is None:
+            continue
+        # the kernel's own report: the step at fault and its energy, bit for bit
+        import ctypes
+
+        qs, ps = np.empty(n + 1), np.empty(n + 1)
+        qs[0], ps[0] = s0.q, s0.p
+        coef = (ctypes.c_double * 11)(2 * m.kappa, -2 * m.v2, 4 * m.v4, h, h / 2, h / 6,
+                                      m.kappa, m.v2, m.v4, e0, below)
+        kind, e = ctypes.c_int(), ctypes.c_double()
+        i = lib.otoclab_integrate(qs.ctypes.data, ps.ctypes.data, n, ctypes.addressof(coef),
+                                  bool(m.v4), ctypes.addressof(kind), ctypes.addressof(e))
+        assert (i, kind.value) == (j, 2)
+        assert struct.pack("<d", e.value) == struct.pack("<d", es[j])
+        assert qs[:j + 1].tobytes() == traj.qs[:j + 1].tobytes()
+
+
 def test_integrate_int_coefficient_past_the_float_range_on_both_loops():
     # 2 kappa = 2 * 10**308 has no double: the loop's first step raises
     m = Model(kappa=10**308, v2=-0.5)

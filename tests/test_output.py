@@ -1,4 +1,5 @@
 import contextlib
+import io
 import json
 import os
 import re
@@ -13,7 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from otoclab import _ckernel
-from otoclab._g17 import BLOCK, format_rows
+from otoclab._g17 import BLOCK, write_rows
 from otoclab.errors import ConfigError
 from otoclab.evolution import evolve
 from otoclab.fock import CoherentParams, FockDim, coherent_state
@@ -32,9 +33,16 @@ def _numpy_path():
 PATHS = (contextlib.nullcontext, _numpy_path)
 
 
+def _written(block, sep):
+    """What write_rows writes of a 2-D block."""
+    fh = io.BytesIO()
+    write_rows(fh, block, sep)
+    return fh.getvalue()
+
+
 def _oracle(block, sep):
-    """Python's own '%.17g', one value at a time: the bytes format_rows must
-    give for a 2-D block."""
+    """Python's own '%.17g', one value at a time: the bytes write_rows must
+    write for a 2-D block."""
     return "".join(sep.join("%.17g" % v for v in row) + "\n"
                    for row in np.asarray(block, dtype=float).tolist()).encode()
 
@@ -101,13 +109,15 @@ def test_write_csv_memory_is_bounded_by_the_row_block(tmp_path):
     # values as Python floats would take about 3.7 MiB
     n = 40001
     columns = [np.linspace(0.0, 4.0, n), np.ones(n), np.zeros(n)]
-    tracemalloc.start()
-    try:
-        write_csv(str(tmp_path / "x.csv"), ["t", "a", "b"], columns)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 64 * len(columns) * CSV_ROW_BLOCK + 64 * 1024
+    for path in PATHS:
+        with path():
+            tracemalloc.start()
+            try:
+                write_csv(str(tmp_path / "x.csv"), ["t", "a", "b"], columns)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peak <= 64 * len(columns) * CSV_ROW_BLOCK + 64 * 1024, path
 
 
 _BITS = st.integers(0, 2**64 - 1).map(lambda b: struct.unpack("<d", struct.pack("<Q", b))[0])
@@ -121,8 +131,8 @@ def test_format_rows_equals_percent_17g_for_any_float64(values):
     column = np.array(values).reshape(-1, 1)
     for path in PATHS:
         with path():
-            assert format_rows(column, b",") == _oracle(column, ",")
-            assert format_rows(column.T, b" ") == _oracle(column.T, " ")
+            assert _written(column, b",") == _oracle(column, ",")
+            assert _written(column.T, b" ") == _oracle(column.T, " ")
 
 
 def _edge_values():
@@ -142,14 +152,14 @@ def _edge_values():
 def test_format_rows_equals_percent_17g_on_edge_values():
     # powers of ten +/- 1 ulp over the whole range, exact ties at the 18th
     # digit, the fixed/scientific switches and the range limits of the fast
-    # path, blocks larger than BLOCK included
+    # path, tables larger than BLOCK included
     values = _edge_values()
     for cols in (1, 7):
         block = values[:values.size // cols * cols].reshape(-1, cols)
         want = _oracle(block, " ")
         for path in PATHS:
             with path():
-                assert format_rows(block, b" ") == want
+                assert _written(block, b" ") == want
 
 
 def test_write_grid_equals_reference_bytes(tmp_path, hiho_prop):
@@ -171,18 +181,21 @@ def test_write_grid_memory_is_bounded_by_the_block(tmp_path):
     rng = np.random.default_rng(2)
     hg = husimi_q(coherent_state(FockDim(60), CoherentParams(1.0, -2.0))
                   * np.exp(1j * rng.uniform(0, 6, 61)), WIDE_GRID)
-    tracemalloc.start()
-    try:
-        write_grid(str(tmp_path / "x.grid"), hg)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 200 * BLOCK + 64 * 1024
+    for path in PATHS:
+        with path():
+            tracemalloc.start()
+            try:
+                write_grid(str(tmp_path / "x.grid"), hg)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peak <= 200 * BLOCK + 64 * 1024, path
 
 
 def test_tables_are_built_on_first_write_not_at_import():
-    code = ("import otoclab.cli, otoclab._g17 as g; n = g._tables.cache_info().currsize; "
-            "g.format_rows(g.np.ones((1, 1)), b' '); print(n, g._tables.cache_info().currsize)")
+    code = ("import io, otoclab.cli, otoclab._g17 as g; n = g._tables.cache_info().currsize; "
+            "g.write_rows(io.BytesIO(), g.np.ones((1, 1)), b' '); "
+            "print(n, g._tables.cache_info().currsize)")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
                          env=dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path)))
     assert out.stdout.split() == ["0", "1"]
